@@ -12,19 +12,19 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .config import RunConfig, load_config
+from .config import KINDS, PARSERS, RunConfig, load_config
 from .core import TimeGrid, read_signature, write_signature
 from .cpd import (EventConfig, calibrate_frequency_threshold,
                   calibrate_similarity_threshold, detect_events, read_flags)
-from .datagen import (build_corpus, build_provider_signatures,
-                      default_profiles, manifest_entry, profile_to_dict,
-                      synthesize_trace, write_manifest, write_trace)
-from .detect import Verdict, cusum_detect, sliding_window_detect, snr_detect
+from .datagen import (CorpusParams, base_signature_seeds, build_corpus,
+                      build_provider_signatures, default_profiles, manifest_entry,
+                      profile_to_dict, synthesize_trace, write_manifest, write_trace)
+from .detect import (DetectorThresholds, Verdict, cusum_detect,
+                     sliding_window_detect, snr_detect)
 from .errors import SigdriftError
-from .evaluate import (learn_monitoring_profiles, report_to_csv, run_experiment,
+from .evaluate import (learn_monitoring_profiles, monitoring_size, repeat_seeds,
+                       repeat_streams, report_to_csv, run_experiment,
                        sensitivity_analysis, write_report)
 from .noisegen import (inject, read_profile, read_spec, spec_from_dict,
                        write_profile)
@@ -41,50 +41,47 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
 
 
-_OVERRIDE_FLAGS: dict[str, tuple] = {
-    "n_changed": (int, "changed pairs in the corpus"),
-    "n_noisy": (int, "noisy pairs in the corpus"),
-    "distortion_fraction": (float, "fraction of noisy pairs carrying AWGN"),
-    "repeats": (int, "simulation repeats"),
-    "monitor_fraction": (float, "monitoring corpus size relative to the corpus"),
-    "snr_segments": (int, "segments in the learned noise profile"),
-    "snr_mode": (str, "SNR comparison mode: segments or aggregate"),
-    "spike_magnitude": (float, "corpus spike height in row-stds"),
-    "spike_width": (int, "corpus spike width in grid steps"),
-    "awgn_db": (float, "distortion target SNR in dB"),
-    "changed_segment": (int, "spliced segment length for changed pairs"),
-    "paper_faithful": (bool, "restrict noise to spikes and AWGN"),
-    "nodes": (int, "trace nodes (trial users)"),
-    "raw_length": (int, "raw trace timestamps"),
-    "grid_length": (int, "observation grid length"),
+_OVERRIDE_FLAGS = {
+    "n_changed": "changed pairs in the corpus",
+    "n_noisy": "noisy pairs in the corpus",
+    "distortion_fraction": "fraction of noisy pairs carrying AWGN",
+    "repeats": "simulation repeats",
+    "monitor_fraction": "monitoring corpus size relative to the corpus",
+    "snr_segments": "segments in the learned noise profile",
+    "snr_mode": "SNR comparison mode: segments or aggregate",
+    "spike_magnitude": "corpus spike height in row-stds",
+    "spike_width": "corpus spike width in grid steps",
+    "awgn_db": "distortion target SNR in dB",
+    "changed_segment": "spliced segment length for changed pairs",
+    "paper_faithful": "restrict noise to spikes and AWGN",
+    "nodes": "trace nodes (trial users)",
+    "raw_length": "raw trace timestamps",
+    "grid_length": "observation grid length",
+    "sample_sizes": "comma-separated evaluation sample sizes",
+    "detectors": "comma-separated detector names (sw,snr,cusum)",
 }
+
+
+def _add_override(parser: argparse.ArgumentParser, name: str, help_text: str,
+                  flag: str | None = None) -> None:
+    flag = flag or "--" + name.replace("_", "-")
+    if KINDS[name] is bool:
+        parser.add_argument(flag, dest=name, action="store_true",
+                            default=None, help=help_text)
+    else:
+        parser.add_argument(flag, dest=name, type=PARSERS[KINDS[name]],
+                            default=None, help=help_text)
 
 
 def _add_overrides(parser: argparse.ArgumentParser, names) -> None:
     for name in names:
-        kind, help_text = _OVERRIDE_FLAGS[name]
-        flag = "--" + name.replace("_", "-")
-        if kind is bool:
-            parser.add_argument(flag, dest=name, action="store_true",
-                                default=None, help=help_text)
-        else:
-            parser.add_argument(flag, dest=name, type=kind, default=None,
-                                help=help_text)
-
-
-def _add_list_overrides(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--sample-sizes", dest="sample_sizes",
-                        type=lambda s: tuple(int(p) for p in s.split(",")),
-                        default=None, help="comma-separated evaluation sample sizes")
-    parser.add_argument("--detectors", dest="detectors",
-                        type=lambda s: tuple(p.strip() for p in s.split(",")),
-                        default=None, help="comma-separated detector names (sw,snr,cusum)")
+        _add_override(parser, name, _OVERRIDE_FLAGS[name])
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     overrides = {
         key: getattr(args, key)
-        for key in RunConfig.__dataclass_fields__
+        for key in KINDS
         if hasattr(args, key)
     }
     return load_config(args.config, overrides)
@@ -126,13 +123,13 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     (out / "snr_profiles").mkdir(exist_ok=True)
     (out / "pairs").mkdir(exist_ok=True)
 
-    params = config.corpus_params()
-    ss = np.random.SeedSequence(config.seed)
-    ss_sig, ss_corpus, ss_monitor = ss.spawn(3)
+    params = config.build(CorpusParams)
+    # The files are repeat 0 of `evaluate` at the same seed.
+    sig_seed, corpus_seed, monitor_seed, _ = repeat_seeds(repeat_streams(config.seed, 1)[0])
+    trace_seed, perf_seed = base_signature_seeds(sig_seed)
 
     log.info("synthesizing trace and provider signatures")
-    trace = synthesize_trace(params.nodes, params.raw_length,
-                             int(ss_sig.generate_state(2)[0]))
+    trace = synthesize_trace(params.nodes, params.raw_length, trace_seed)
     write_trace(trace, out / "trace.csv")
     profiles = default_profiles()
     for profile in profiles:
@@ -143,20 +140,17 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     signatures = build_provider_signatures(
         profiles, trace, TimeGrid(params.grid_length, params.resolution),
         parameters=(params.parameter,),
-        seed=int(ss_sig.generate_state(2)[1]),
+        seed=perf_seed,
     )
     for sig in signatures:
         write_signature(sig, out / "signatures" / f"{sig.provider_id}.csv")
 
     log.info("building corpus: %d changed, %d noisy", config.n_changed, config.n_noisy)
     corpus = build_corpus(config.n_changed, config.n_noisy,
-                          config.distortion_fraction,
-                          int(ss_corpus.generate_state(1)[0]),
+                          config.distortion_fraction, corpus_seed,
                           signatures=signatures, params=params)
-
-    n_monitor = max(1, int(round(config.monitor_fraction * max(1, len(corpus)))))
-    monitoring = build_corpus(0, n_monitor, config.distortion_fraction,
-                              int(ss_monitor.generate_state(1)[0]),
+    monitoring = build_corpus(0, monitoring_size(config.monitor_fraction, len(corpus)),
+                              config.distortion_fraction, monitor_seed,
                               signatures=signatures, params=params)
     for provider, profile in sorted(
             learn_monitoring_profiles(monitoring, config.snr_segments).items()):
@@ -199,7 +193,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     existing = read_signature(args.existing)
     recomputed = read_signature(args.recomputed)
     if args.detector == "sw":
-        outcome = sliding_window_detect(existing, recomputed, config.thresholds())
+        outcome = sliding_window_detect(existing, recomputed,
+                                        config.build(DetectorThresholds))
     elif args.detector == "cusum":
         outcome = cusum_detect(existing, recomputed, config.cusum_slack,
                                config.cusum_interval)
@@ -353,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="run the benchmark experiment")
     _add_common(p)
     _add_overrides(p, sorted(_OVERRIDE_FLAGS))
-    _add_list_overrides(p)
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.add_argument("--csv", help="also write a flattened CSV here")
     p.set_defaults(func=cmd_evaluate)
@@ -361,10 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sensitivity", help="evaluate across distortion levels")
     _add_common(p)
     _add_overrides(p, sorted(_OVERRIDE_FLAGS))
-    _add_list_overrides(p)
-    p.add_argument("--levels", dest="sensitivity_levels",
-                   type=lambda s: tuple(float(p) for p in s.split(",")),
-                   default=None, help="comma-separated distortion fractions")
+    _add_override(p, "sensitivity_levels", "comma-separated distortion fractions",
+                  flag="--levels")
     p.add_argument("--out", help="result JSON path (default: stdout)")
     p.set_defaults(func=cmd_sensitivity)
 

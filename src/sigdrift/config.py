@@ -1,55 +1,82 @@
 """Run configuration: defaults, flat config files, environment, overrides.
 
-Config files are flat ``key = value`` lines (# starts a comment).  Keys
-match the RunConfig field names.  Precedence, weakest first: built-in
+Every field of ExperimentConfig, DetectorThresholds and CorpusParams is
+a config key under its own name, with its type and default, plus the
+run-level settings of RunSettings.  Two exceptions: DetectorThresholds'
+``window`` is addressed as ``scan_window``, and CorpusParams'
+``resolution`` is not a key.  Config files are flat ``key = value``
+lines (# starts a comment).  Precedence, weakest first: built-in
 defaults, SIGDRIFT_SEED, config file, command-line flags.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, make_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
-from .datagen import CorpusParams
-from .detect import DetectorThresholds
 from .errors import ParseError
 from .evaluate import ExperimentConfig
 
 ENV_SEED = "SIGDRIFT_SEED"
+RENAMED = {"window": "scan_window"}
+HIDDEN = {"resolution"}
+
+
+def _boolean(raw: str) -> bool:
+    low = raw.strip().lower()
+    if low in ("true", "1", "yes", "on"):
+        return True
+    if low in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"not a boolean: {raw.strip()!r}")
+
+
+def _comma_list(item):
+    def parse(raw: str) -> tuple:
+        return tuple(item(p.strip()) for p in raw.split(",") if p.strip())
+    parse.__name__ = f"comma-separated {item.__name__}"
+    return parse
+
+
+# Text -> value for each annotation a setting may carry; config files and
+# command-line flags both parse through it.
+PARSERS = {
+    int: int,
+    float: float,
+    bool: _boolean,
+    str: str.strip,
+    tuple[int, ...]: _comma_list(int),
+    tuple[float, ...]: _comma_list(float),
+    tuple[str, ...]: _comma_list(str),
+}
+
+
+def _settable(cls) -> list:
+    """(field, resolved annotation) for each field of `cls` a run may set."""
+    hints = get_type_hints(cls)
+    return [(f, hints[f.name]) for f in fields(cls) if f.name not in HIDDEN]
+
+
+def _flat_fields(cls) -> list:
+    """Component fields as flat RunConfig fields, nested components inlined."""
+    flat = []
+    for f, kind in _settable(cls):
+        if is_dataclass(kind):
+            flat += _flat_fields(kind)
+        else:
+            flat.append((RENAMED.get(f.name, f.name), kind,
+                         field(default=f.default, default_factory=f.default_factory)))
+    return flat
 
 
 @dataclass
-class RunConfig:
+class RunSettings:
+    """Settings of a run that belong to no component."""
+
     seed: int = 0
     jobs: int = 0  # 0 means one worker per available core
-    grid_length: int = 360
     trial_length: int = 30
-    nodes: int = 31
-    raw_length: int = 6486
-    parameter: str = "throughput"
-    similarity_floor: float = 0.60
-    distance_ceiling: float = 0.20
-    attenuation_ceiling: float = 0.50
-    scan_window: int = 6
-    cusum_slack: float = 0.5
-    cusum_interval: float = 5.0
-    snr_segments: int = 6
-    snr_mode: str = "segments"
-    monitor_fraction: float = 0.2
-    n_changed: int = 3000
-    n_noisy: int = 3000
-    distortion_fraction: float = 0.5
-    attenuation_share: float = 0.10
-    attenuation_low: float = 0.93
-    attenuation_high: float = 0.98
-    spike_width: int = 3
-    spike_magnitude: float = 7.0
-    awgn_db: float = 20.0
-    changed_segment: int = 90
-    paper_faithful: bool = False
-    repeats: int = 30
-    sample_sizes: tuple[int, ...] = (1000, 2000, 3000, 4000, 5000)
-    detectors: tuple[str, ...] = ("sw", "snr", "cusum")
     sensitivity_levels: tuple[float, ...] = (0.5, 0.25, 0.0)
 
     def as_dict(self) -> dict:
@@ -59,78 +86,25 @@ class RunConfig:
                 payload[key] = list(value)
         return payload
 
-    def thresholds(self) -> DetectorThresholds:
-        return DetectorThresholds(self.similarity_floor, self.distance_ceiling,
-                                  self.attenuation_ceiling, self.scan_window)
-
-    def corpus_params(self) -> CorpusParams:
-        return CorpusParams(
-            nodes=self.nodes,
-            raw_length=self.raw_length,
-            grid_length=self.grid_length,
-            parameter=self.parameter,
-            spike_width=self.spike_width,
-            spike_magnitude=self.spike_magnitude,
-            attenuation_low=self.attenuation_low,
-            attenuation_high=self.attenuation_high,
-            awgn_db=self.awgn_db,
-            attenuation_share=self.attenuation_share,
-            changed_segment=self.changed_segment,
-            paper_faithful=self.paper_faithful,
-        )
+    def build(self, cls):
+        """The component `cls`, nested components included, from the flat keys."""
+        return cls(**{
+            f.name: self.build(kind) if is_dataclass(kind)
+            else getattr(self, RENAMED.get(f.name, f.name))
+            for f, kind in _settable(cls)
+        })
 
     def experiment_config(self) -> ExperimentConfig:
-        return ExperimentConfig(
-            n_changed=self.n_changed,
-            n_noisy=self.n_noisy,
-            distortion_fraction=self.distortion_fraction,
-            sample_sizes=self.sample_sizes,
-            repeats=self.repeats,
-            detectors=self.detectors,
-            thresholds=self.thresholds(),
-            cusum_slack=self.cusum_slack,
-            cusum_interval=self.cusum_interval,
-            snr_segments=self.snr_segments,
-            snr_mode=self.snr_mode,
-            monitor_fraction=self.monitor_fraction,
-            corpus=self.corpus_params(),
-        )
+        return self.build(ExperimentConfig)
 
     def effective_jobs(self) -> int:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 
 
-def _coerce(name: str, kind, raw: str):
-    raw = raw.strip()
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind is bool:
-        low = raw.lower()
-        if low in ("true", "1", "yes", "on"):
-            return True
-        if low in ("false", "0", "no", "off"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
-    if kind is str:
-        return raw
-    if kind == tuple[int, ...]:
-        return tuple(int(p) for p in raw.split(",") if p.strip())
-    if kind == tuple[float, ...]:
-        return tuple(float(p) for p in raw.split(",") if p.strip())
-    if kind == tuple[str, ...]:
-        return tuple(p.strip() for p in raw.split(",") if p.strip())
-    raise ValueError(f"unsupported config field type for {name}")
-
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_TYPE_OBJECTS = {
-    "int": int, "float": float, "bool": bool, "str": str,
-    "tuple[int, ...]": tuple[int, ...],
-    "tuple[float, ...]": tuple[float, ...],
-    "tuple[str, ...]": tuple[str, ...],
-}
+RunConfig = make_dataclass("RunConfig", _flat_fields(ExperimentConfig),
+                           bases=(RunSettings,),
+                           namespace={"__module__": __name__})
+KINDS = get_type_hints(RunConfig)
 
 
 def parse_config_file(path) -> dict:
@@ -145,11 +119,10 @@ def parse_config_file(path) -> dict:
             raise ParseError(f"{path}:{lineno}: expected 'key = value'")
         key, _, raw = stripped.partition("=")
         key = key.strip()
-        if key not in _FIELD_TYPES:
+        if key not in KINDS:
             raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = _TYPE_OBJECTS.get(_FIELD_TYPES[key], _FIELD_TYPES[key])
         try:
-            overrides[key] = _coerce(key, kind, raw)
+            overrides[key] = PARSERS[KINDS[key]](raw)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return overrides

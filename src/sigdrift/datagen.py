@@ -437,18 +437,23 @@ class CorpusParams:
             raise ValueError("changed segment must fit inside the grid")
 
 
+def base_signature_seeds(seed: int) -> tuple[int, np.random.SeedSequence]:
+    """The trace seed and the provider-signature stream derived from `seed`."""
+    ss_trace, ss_perf = np.random.SeedSequence(seed).spawn(2)
+    return int(ss_trace.generate_state(1)[0]), ss_perf
+
+
 def build_base_signatures(seed: int, params: CorpusParams = CorpusParams(),
                           profiles=None) -> list[Signature]:
     """Synthesize a trace and derive one signature per packaged profile."""
-    ss_trace, ss_perf = np.random.SeedSequence(seed).spawn(2)
-    trace = synthesize_trace(params.nodes, params.raw_length,
-                             ss_trace.generate_state(1)[0])
+    trace_seed, perf_seed = base_signature_seeds(seed)
+    trace = synthesize_trace(params.nodes, params.raw_length, trace_seed)
     return build_provider_signatures(
         profiles if profiles is not None else default_profiles(),
         trace,
         TimeGrid(params.grid_length, params.resolution),
         parameters=(params.parameter,),
-        seed=ss_perf,
+        seed=perf_seed,
     )
 
 

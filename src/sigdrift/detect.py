@@ -183,8 +183,9 @@ def snr_detect(existing: Signature, recomputed: Signature, profile: NoiseProfile
     """
     _check_pair(existing, recomputed)
     seg = profile.segment_length
-    if profile.segments * seg > existing.grid.length:
-        raise AlignmentError("profile covers more than the grid")
+    if profile.segments * seg != existing.grid.length:
+        raise AlignmentError(f"profile covers {profile.segments * seg} points, "
+                             f"the grid {existing.grid.length}")
 
     ex = existing.matrix
     res = ex - recomputed.matrix

@@ -124,7 +124,8 @@ def learn_monitoring_profiles(pairs: list[LabeledPair], segments: int
     Each monitoring pair contributes one profile (its recomputed
     signature cut into segment slices); folding with min keeps the
     noisiest level ever observed per segment.  A pooled profile under
-    the key "" covers providers that never appeared.
+    the key "" covers providers that never appeared.  The grid must split
+    into `segments` equal parts.
     """
     by_provider: dict[str, list[NoiseProfile]] = {}
     everything: list[NoiseProfile] = []
@@ -159,21 +160,38 @@ def detect_pair(pair: LabeledPair, detector: str, config: ExperimentConfig,
     raise ValueError(f"unknown detector {detector!r}")
 
 
+def repeat_streams(seed: int, repeats: int) -> list[np.random.SeedSequence]:
+    """One random stream per repeat; stream r does not depend on `repeats`."""
+    return np.random.SeedSequence(seed).spawn(repeats)
+
+
+def repeat_seeds(stream: np.random.SeedSequence
+                 ) -> tuple[int, int, int, np.random.SeedSequence]:
+    """Seeds of one repeat: base signatures, corpus, monitoring corpus, and
+    the stream that draws the evaluation samples."""
+    sig_ss, corpus_ss, monitor_ss, sample_ss = stream.spawn(4)
+    return (int(sig_ss.generate_state(1)[0]), int(corpus_ss.generate_state(1)[0]),
+            int(monitor_ss.generate_state(1)[0]), sample_ss)
+
+
+def monitoring_size(monitor_fraction: float, corpus_size: int) -> int:
+    """Pairs in the monitoring corpus that a repeat learns SNR profiles from."""
+    return max(1, int(round(monitor_fraction * corpus_size)))
+
+
 def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
                 ) -> dict:
     """One simulation repeat: fresh corpus, verdicts, per-size metrics."""
-    sig_ss, corpus_ss, monitor_ss, sample_ss = repeat_stream.spawn(4)
-    signatures = build_base_signatures(int(sig_ss.generate_state(1)[0]), config.corpus)
+    sig_seed, corpus_seed, monitor_seed, sample_ss = repeat_seeds(repeat_stream)
+    signatures = build_base_signatures(sig_seed, config.corpus)
     corpus = build_corpus(config.n_changed, config.n_noisy,
-                          config.distortion_fraction,
-                          int(corpus_ss.generate_state(1)[0]),
+                          config.distortion_fraction, corpus_seed,
                           signatures=signatures, params=config.corpus)
 
     profiles: dict[str, NoiseProfile] = {}
     if "snr" in config.detectors:
-        n_monitor = max(1, int(round(config.monitor_fraction * len(corpus))))
-        monitoring = build_corpus(0, n_monitor, config.distortion_fraction,
-                                  int(monitor_ss.generate_state(1)[0]),
+        monitoring = build_corpus(0, monitoring_size(config.monitor_fraction, len(corpus)),
+                                  config.distortion_fraction, monitor_seed,
                                   signatures=signatures, params=config.corpus)
         profiles = learn_monitoring_profiles(monitoring, config.snr_segments)
 
@@ -227,8 +245,7 @@ def _summary(values: list) -> dict:
 
 def run_experiment(config: ExperimentConfig, seed: int, jobs: int = 1) -> dict:
     """Run `repeats` fresh corpora and aggregate metrics per detector and size."""
-    streams = np.random.SeedSequence(seed).spawn(config.repeats)
-    work = [(config, s) for s in streams]
+    work = [(config, s) for s in repeat_streams(seed, config.repeats)]
     if jobs > 1 and config.repeats > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, config.repeats)) as pool:
             results = list(pool.map(_run_repeat_star, work))

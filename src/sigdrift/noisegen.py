@@ -168,24 +168,17 @@ class SnrValue:
 def snr(signal, noise) -> SnrValue:
     """Mean-square(signal) over mean-square(noise).
 
-    Arrays of any shape are pooled.  When the noise mean is zero (within
-    1e-12) the denominator is its variance, which coincides with the
-    mean square there; an all-zero noise term gives the infinite value.
+    Arrays of any shape are pooled.  A noise term whose mean square is
+    zero (all zero, or so small that its squares underflow) gives the
+    infinite value.
     """
     s = np.asarray(signal, dtype=np.float64)
     n = np.asarray(noise, dtype=np.float64)
     if s.size == 0 or n.size == 0:
         raise ValueError("signal and noise must be non-empty")
-    if abs(float(n.mean())) <= 1e-12:
-        denom = float(n.var())
-    else:
-        denom = float(np.mean(n ** 2))
+    denom = float(np.mean(n ** 2))
     if denom <= 0.0:
-        if np.all(n == 0.0):
-            return SnrValue.unbounded()
-        denom = float(np.mean(n ** 2))
-        if denom <= 0.0:
-            return SnrValue.unbounded()
+        return SnrValue.unbounded()
     return SnrValue(float(np.mean(s ** 2)) / denom)
 
 
@@ -221,14 +214,18 @@ def learn_noise_profile(existing: Signature, recomputed_per_segment,
 
     ``recomputed_per_segment`` holds one recomputed signature per
     segment, each covering segment i of the monitoring period, i.e. grid
-    indices [i*seg, (i+1)*seg) with seg = grid.length // segments.
+    indices [i*seg, (i+1)*seg) with seg = grid.length / segments.  The
+    grid must split into whole segments, so that every point is checked.
     """
     recomputed_per_segment = list(recomputed_per_segment)
     if segments < 1:
         raise ValueError("need at least one segment")
     if len(recomputed_per_segment) != segments:
         raise AlignmentError(f"expected {segments} slices, got {len(recomputed_per_segment)}")
-    seg_len = existing.grid.length // segments
+    seg_len, rest = divmod(existing.grid.length, segments)
+    if rest:
+        raise AlignmentError(f"a {existing.grid.length}-point grid does not split "
+                             f"into {segments} equal segments")
     if seg_len < 2:
         raise ValueError("segments too short for the grid")
     snrs = []

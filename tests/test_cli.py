@@ -6,7 +6,9 @@ import pytest
 from sigdrift.cli import main
 from sigdrift.core import read_signature, write_signature
 from sigdrift.cpd import write_flags
-from sigdrift.noisegen import NoiseProfile, SnrValue, write_profile
+from sigdrift.datagen import CorpusParams, build_base_signatures, build_corpus
+from sigdrift.evaluate import learn_monitoring_profiles
+from sigdrift.noisegen import NoiseProfile, SnrValue, read_profile, write_profile
 
 from conftest import raw_signature, unit_signature, wavy_row
 
@@ -86,6 +88,21 @@ def test_detect_snr_requires_profile(tmp_path, capsys):
                  "--detector", "snr", "--profile", str(prof_path),
                  "--out", str(out)]) == 0
     capsys.readouterr()
+
+
+def test_detect_snr_profile_must_cover_the_grid(tmp_path, capsys):
+    base = unit_signature(wavy_row(365, seed=3))
+    ex = tmp_path / "ex.csv"
+    write_signature(base, ex)
+    values = base.matrix[0].copy()
+    values[360:] += 50.0
+    rec = tmp_path / "rec.csv"
+    write_signature(raw_signature(values), rec)
+    prof_path = tmp_path / "profile.json"
+    write_profile(NoiseProfile(tuple(SnrValue(100.0) for _ in range(6)), 60), prof_path)
+    assert main(["detect", "--existing", str(ex), "--recomputed", str(rec),
+                 "--detector", "snr", "--profile", str(prof_path)]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_detect_missing_file_is_exit_one(tmp_path, capsys):
@@ -173,6 +190,36 @@ def test_gen_data_writes_a_complete_layout(tmp_path):
     for entry in manifest["pairs"]:
         assert (out / entry["recomputed_path"]).exists()
         assert (out / entry["existing_path"]).exists()
+
+
+def test_gen_data_writes_repeat_zero_of_evaluate(tmp_path):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out), "--seed", "5",
+                 "--nodes", "5", "--raw-length", "720",
+                 "--n-changed", "3", "--n-noisy", "4"]) == 0
+    # `evaluate --seed 5` draws repeat 0 from the first child of
+    # SeedSequence(5), split into signature, corpus, monitoring and
+    # sampling streams
+    sig_ss, corpus_ss, monitor_ss, _ = np.random.SeedSequence(5).spawn(1)[0].spawn(4)
+    params = CorpusParams(nodes=5, raw_length=720)
+    signatures = build_base_signatures(int(sig_ss.generate_state(1)[0]), params)
+    corpus = build_corpus(3, 4, 0.5, int(corpus_ss.generate_state(1)[0]),
+                          signatures=signatures, params=params)
+    monitoring = build_corpus(0, 1, 0.5, int(monitor_ss.generate_state(1)[0]),
+                              signatures=signatures, params=params)
+
+    for sig in signatures:
+        np.testing.assert_array_equal(
+            _csv_row_values(out / "signatures" / f"{sig.provider_id}.csv"), sig.matrix[0])
+    entries = json.loads((out / "manifest.json").read_text())["pairs"]
+    assert [e["index"] for e in entries] == list(range(len(corpus)))
+    for entry, pair in zip(entries, corpus):
+        assert entry["label"] == pair.label.value
+        assert entry["existing_path"] == f"signatures/{pair.existing.provider_id}.csv"
+        np.testing.assert_array_equal(
+            _csv_row_values(out / entry["recomputed_path"]), pair.recomputed.matrix[0])
+    assert read_profile(out / "snr_profiles" / "pooled.json") == \
+        learn_monitoring_profiles(monitoring, 6)[""]
 
 
 def test_gen_data_unwritable_destination(tmp_path, capsys):

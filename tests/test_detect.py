@@ -214,6 +214,20 @@ def test_snr_flags_the_noisy_segment(ex):
     assert out.diagnostics["snr_current"][2] == pytest.approx(50.0, abs=1e-9)
 
 
+def test_snr_rejects_a_profile_that_leaves_grid_points_unchecked():
+    # 6 segments of 60 cover 360 of 365 points; a +50-std shift in the last
+    # 5 is a change that cusum sees and snr must not pass as "no change"
+    ex = unit_signature(wavy_row(365, seed=3))
+    values = ex.matrix[0].copy()
+    values[360:] += 50.0
+    rec = raw_signature(values)
+    assert cusum_detect(ex, rec).verdict is Verdict.CHANGE
+    with pytest.raises(AlignmentError, match="covers 360 points, the grid 365"):
+        snr_detect(ex, rec, _flat_profile(100.0))
+    with pytest.raises(AlignmentError):
+        snr_detect(ex, rec, _flat_profile(100.0), mode="aggregate")
+
+
 def test_snr_equal_baseline_is_not_a_change(ex):
     noisy = inject(ex, DistortionNoise(20.0), seed=3)
     slices = [slice_signature(noisy, i * 60, 60) for i in range(6)]

@@ -5,6 +5,7 @@ import pytest
 
 from sigdrift.datagen import Label, build_base_signatures, build_corpus
 from sigdrift.detect import Verdict
+from sigdrift.errors import AlignmentError
 from sigdrift.evaluate import (ConfusionCounts, ExperimentConfig, accuracy, f1,
                                fp_rate, learn_monitoring_profiles,
                                report_to_csv, run_experiment,
@@ -115,6 +116,12 @@ def test_monitoring_profiles_cover_all_providers_plus_pooled():
         assert profile.segment_length == 60
     with pytest.raises(ValueError):
         learn_monitoring_profiles([], segments=6)
+
+
+def test_monitoring_profiles_reject_a_grid_segments_do_not_split():
+    monitor = build_corpus(0, 4, 0.5, seed=5, signatures=build_base_signatures(seed=42))
+    with pytest.raises(AlignmentError, match="360-point grid"):
+        learn_monitoring_profiles(monitor, segments=7)
 
 
 def test_pooled_profile_is_segmentwise_worst():

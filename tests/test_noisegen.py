@@ -116,6 +116,24 @@ def test_snr_zero_noise_is_unbounded():
     assert value.db == math.inf
 
 
+@pytest.mark.parametrize("noise", [
+    [0.1, 0.2, -0.3],              # mean ~1.9e-17: no separate variance branch
+    [1.0, -1.0, 1.0],              # exactly zero mean
+    [0.0, 0.0, 0.0],               # all zero
+    [1e-170, -1e-170, 2e-170],     # squares underflow to zero
+    [1e-170, 1e-170, 1e-170],      # underflow with a non-zero mean
+])
+def test_snr_denominator_is_the_mean_square(noise):
+    signal = np.array([2.0, -2.0, 2.0])
+    value = snr(signal, noise)
+    denom = float(np.mean(np.square(noise)))
+    if denom == 0.0:
+        assert value.infinite
+    else:
+        assert not value.infinite
+        assert value.ratio == float(np.mean(signal ** 2)) / denom
+
+
 def test_snr_value_ordering():
     assert SnrValue(50.0) < SnrValue(100.0)
     assert SnrValue(50.0).is_less_than(SnrValue.unbounded())
@@ -173,6 +191,13 @@ def test_degenerate_single_segment(sig):
     profile = learn_noise_profile(sig, [noisy], 1)
     direct = snr(sig.matrix, np.stack(residual(sig, noisy)))
     assert profile.segment_snrs[0].ratio == direct.ratio
+
+
+def test_profile_grid_must_split_into_whole_segments():
+    sig = unit_signature(wavy_row(365, seed=3))
+    slices = [slice_signature(sig, i * 60, 60) for i in range(6)]
+    with pytest.raises(AlignmentError, match="365-point grid"):
+        learn_noise_profile(sig, slices, 6)
 
 
 def test_profile_segment_count_must_match(sig):

@@ -1,13 +1,14 @@
-"""Pure numpy implementations of the two hot inner loops.
+"""Numeric kernels for the detector inner loops, in plain numpy.
 
-These are the fallback used when the compiled extension is unavailable
-(or when SIGDRIFT_PURE_PYTHON is set).  Both functions must stay
-behaviourally identical to their counterparts in ``_cykernels``; the
-parity tests compare them point for point.
+``tests/test_kernels.py`` pins both outputs bit for bit: verdicts that sit
+on a threshold are decided by rounding, so summation order matters.
 """
 from __future__ import annotations
 
 import numpy as np
+
+# Kept for reports and benchmarks that record which kernels ran.
+backend = "python"
 
 
 def deletion_pcc_scan(x: np.ndarray, y: np.ndarray, window: int) -> np.ndarray:

@@ -19,7 +19,8 @@ from .cpd import (EventConfig, calibrate_frequency_threshold,
                   calibrate_similarity_threshold, detect_events, read_flags)
 from .datagen import (CorpusParams, base_signature_seeds, build_corpus,
                       build_provider_signatures, default_profiles, manifest_entry,
-                      profile_to_dict, synthesize_trace, write_manifest, write_trace)
+                      synthesize_trace, write_manifest, write_trace)
+from .datagen import write_profile as write_provider_profile
 from .detect import (DetectorThresholds, Verdict, cusum_detect,
                      sliding_window_detect, snr_detect)
 from .errors import SigdriftError
@@ -37,8 +38,11 @@ log = logging.getLogger("sigdrift")
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int, help="random seed (overrides SIGDRIFT_SEED)")
-    parser.add_argument("--jobs", type=int, help="parallel workers for evaluation")
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
+
+
+def _add_jobs(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--jobs", type=int, help="parallel workers for evaluation")
 
 
 _OVERRIDE_FLAGS = {
@@ -117,34 +121,21 @@ def _emit(payload: dict, out: str | None) -> None:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "profiles").mkdir(exist_ok=True)
-    (out / "signatures").mkdir(exist_ok=True)
-    (out / "snr_profiles").mkdir(exist_ok=True)
-    (out / "pairs").mkdir(exist_ok=True)
-
     params = config.build(CorpusParams)
     # The files are repeat 0 of `evaluate` at the same seed.
     sig_seed, corpus_seed, monitor_seed, _ = repeat_seeds(repeat_streams(config.seed, 1)[0])
     trace_seed, perf_seed = base_signature_seeds(sig_seed)
 
+    # Build everything before writing, so a setting that fails leaves no
+    # partial tree behind.
     log.info("synthesizing trace and provider signatures")
     trace = synthesize_trace(params.nodes, params.raw_length, trace_seed)
-    write_trace(trace, out / "trace.csv")
     profiles = default_profiles()
-    for profile in profiles:
-        (out / "profiles" / f"{profile.provider_id}.json").write_text(
-            json.dumps(profile_to_dict(profile), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
     signatures = build_provider_signatures(
         profiles, trace, TimeGrid(params.grid_length, params.resolution),
         parameters=(params.parameter,),
         seed=perf_seed,
     )
-    for sig in signatures:
-        write_signature(sig, out / "signatures" / f"{sig.provider_id}.csv")
-
     log.info("building corpus: %d changed, %d noisy", config.n_changed, config.n_noisy)
     corpus = build_corpus(config.n_changed, config.n_noisy,
                           config.distortion_fraction, corpus_seed,
@@ -152,8 +143,16 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     monitoring = build_corpus(0, monitoring_size(config.monitor_fraction, len(corpus)),
                               config.distortion_fraction, monitor_seed,
                               signatures=signatures, params=params)
-    for provider, profile in sorted(
-            learn_monitoring_profiles(monitoring, config.snr_segments).items()):
+    snr_profiles = learn_monitoring_profiles(monitoring, config.snr_segments)
+
+    for sub in ("profiles", "signatures", "snr_profiles", "pairs"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    write_trace(trace, out / "trace.csv")
+    for profile in profiles:
+        write_provider_profile(profile, out / "profiles" / f"{profile.provider_id}.json")
+    for sig in signatures:
+        write_signature(sig, out / "signatures" / f"{sig.provider_id}.csv")
+    for provider, profile in sorted(snr_profiles.items()):
         name = provider if provider else "pooled"
         write_profile(profile, out / "snr_profiles" / f"{name}.json")
 
@@ -347,6 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="run the benchmark experiment")
     _add_common(p)
+    _add_jobs(p)
     _add_overrides(p, sorted(_OVERRIDE_FLAGS))
     p.add_argument("--out", help="report JSON path (default: stdout)")
     p.add_argument("--csv", help="also write a flattened CSV here")
@@ -354,6 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sensitivity", help="evaluate across distortion levels")
     _add_common(p)
+    _add_jobs(p)
     _add_overrides(p, sorted(_OVERRIDE_FLAGS))
     _add_override(p, "sensitivity_levels", "comma-separated distortion fractions",
                   flag="--levels")

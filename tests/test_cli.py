@@ -231,6 +231,24 @@ def test_gen_data_unwritable_destination(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value", [("--snr-segments", "7"),
+                                         ("--grid-length", "365")])
+def test_gen_data_writes_nothing_when_a_setting_fails(tmp_path, capsys, flag, value):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--out", str(out), "--seed", "1",
+                 "--nodes", "4", "--raw-length", "720",
+                 "--n-changed", "2", "--n-noisy", "2", flag, value]) == 1
+    assert not out.exists()
+    capsys.readouterr()
+
+
+def test_jobs_is_only_accepted_where_it_is_read(tmp_path, capsys):
+    ex, rec = _write_pair(tmp_path)
+    assert main(["detect", "--existing", str(ex), "--recomputed", str(rec),
+                 "--jobs", "2"]) == 1
+    assert "--jobs" in capsys.readouterr().err
+
+
 def _tiny_eval_args(out, seed="42"):
     return ["evaluate", "--seed", seed, "--jobs", "1",
             "--n-changed", "8", "--n-noisy", "8", "--repeats", "1",

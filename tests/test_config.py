@@ -95,7 +95,7 @@ NON_DEFAULT = {
     "paper_faithful": ("yes", True, "corpus.paper_faithful"),
 }
 
-COMMON = ["--config", "--help", "--jobs", "--seed", "--verbose", "-h"]
+COMMON = ["--config", "--help", "--seed", "--verbose", "-h"]
 CORPUS_FLAGS = ["--awgn-db", "--changed-segment", "--distortion-fraction",
                 "--grid-length", "--monitor-fraction", "--n-changed", "--n-noisy",
                 "--nodes", "--paper-faithful", "--raw-length", "--snr-segments",
@@ -111,8 +111,8 @@ OPTIONS = {
     "calibrate": COMMON + ["--cohorts", "--method", "--out", "--signature",
                            "--window-length"],
     "events": COMMON + ["--f-thresh", "--flags", "--out", "--window-length"],
-    "evaluate": COMMON + EXPERIMENT_FLAGS + ["--csv", "--out"],
-    "sensitivity": COMMON + EXPERIMENT_FLAGS + ["--levels", "--out"],
+    "evaluate": COMMON + EXPERIMENT_FLAGS + ["--csv", "--jobs", "--out"],
+    "sensitivity": COMMON + EXPERIMENT_FLAGS + ["--jobs", "--levels", "--out"],
 }
 
 

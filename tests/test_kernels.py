@@ -1,8 +1,6 @@
-"""The compiled scan kernels must agree with naive reference loops, and
-the pure-python fallback must agree with the compiled path bit for bit."""
-import os
-import subprocess
-import sys
+"""The scan kernels must agree with naive reference loops, and their
+outputs are pinned bit for bit."""
+import hashlib
 
 import numpy as np
 import pytest
@@ -39,7 +37,7 @@ def _naive_cusum(z, slack, threshold):
 
 
 def test_backend_is_reported():
-    assert backend in ("cython", "python")
+    assert backend == "python"
 
 
 def test_deletion_scan_matches_naive():
@@ -95,36 +93,24 @@ def test_cusum_scan_threshold_is_strict():
     assert alarm == 5
 
 
-def test_fallback_matches_compiled_exactly():
-    if backend != "cython":
-        pytest.skip("compiled backend not active; nothing to compare")
-    rng = np.random.default_rng(99)
-    x = rng.normal(size=300)
-    y = x + rng.normal(scale=0.7, size=300)
-    z = rng.normal(scale=2.0, size=300)
-    scan = deletion_pcc_scan(x, y, 6)
-    cu = cusum_scan(z, 0.5, 5.0)
+# sha256 of deletion_pcc_scan(x, y, 6).tobytes() and repr of
+# cusum_scan(z, 0.5, 5.0) on seeded rows. SNR and threshold ties are
+# decided by rounding, so any change to summation order must show here
+# rather than in a flipped verdict.
+PINNED = {
+    360: ("149575b1ff46c78662f594834e47d550774c71bab924717894e22268e28d523c",
+          "(11.664021997983365, 14.9212792249063, 2)"),
+    23040: ("0656ee182f541b8d92bdf790926f92bda5716fa991ab47fd214a94ac5cdfe45a",
+            "(25.725130207953953, 25.219865901613957, 1)"),
+}
 
-    script = (
-        "import numpy as np\n"
-        "from sigdrift._kernels import backend, deletion_pcc_scan, cusum_scan\n"
-        "assert backend == 'python', backend\n"
-        "rng = np.random.default_rng(99)\n"
-        "x = rng.normal(size=300)\n"
-        "y = x + rng.normal(scale=0.7, size=300)\n"
-        "z = rng.normal(scale=2.0, size=300)\n"
-        "scan = deletion_pcc_scan(x, y, 6)\n"
-        "cu = cusum_scan(z, 0.5, 5.0)\n"
-        "print(scan.tobytes().hex())\n"
-        "print(repr(cu))\n"
-    )
-    env = dict(os.environ, SIGDRIFT_PURE_PYTHON="1")
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True)
-    hex_line, cu_line = out.stdout.strip().splitlines()
-    pure_scan = np.frombuffer(bytes.fromhex(hex_line), dtype=np.float64)
-    np.testing.assert_allclose(scan, pure_scan, atol=1e-12, equal_nan=True)
-    pure_cu = eval(cu_line)
-    assert cu[2] == pure_cu[2]
-    assert cu[0] == pytest.approx(pure_cu[0], abs=1e-12)
-    assert cu[1] == pytest.approx(pure_cu[1], abs=1e-12)
+
+@pytest.mark.parametrize("n", sorted(PINNED))
+def test_kernels_are_pinned_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=n)
+    y = x + rng.normal(scale=0.7, size=n)
+    z = rng.normal(scale=2.0, size=n)
+    scan_digest, cusum_repr = PINNED[n]
+    assert hashlib.sha256(deletion_pcc_scan(x, y, 6).tobytes()).hexdigest() == scan_digest
+    assert repr(cusum_scan(z, 0.5, 5.0)) == cusum_repr

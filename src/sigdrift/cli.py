@@ -24,8 +24,8 @@ from .datagen import write_profile as write_provider_profile
 from .detect import (DetectorThresholds, Verdict, cusum_detect,
                      sliding_window_detect, snr_detect)
 from .errors import SigdriftError
-from .evaluate import (learn_monitoring_profiles, monitoring_size, repeat_seeds,
-                       repeat_streams, report_to_csv, run_experiment,
+from .evaluate import (ExperimentConfig, learn_monitoring_profiles, monitoring_size,
+                       repeat_seeds, repeat_streams, report_to_csv, run_experiment,
                        sensitivity_analysis, write_report)
 from .noisegen import (inject, read_profile, read_spec, spec_from_dict,
                        write_profile)
@@ -136,14 +136,14 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         parameters=(params.parameter,),
         seed=perf_seed,
     )
+    n_monitor = monitoring_size(config.monitor_fraction, config.n_changed + config.n_noisy)
+    monitoring = build_corpus(0, n_monitor, config.distortion_fraction, monitor_seed,
+                              signatures=signatures, params=params)
+    snr_profiles = learn_monitoring_profiles(monitoring, config.snr_segments)
     log.info("building corpus: %d changed, %d noisy", config.n_changed, config.n_noisy)
     corpus = build_corpus(config.n_changed, config.n_noisy,
                           config.distortion_fraction, corpus_seed,
                           signatures=signatures, params=params)
-    monitoring = build_corpus(0, monitoring_size(config.monitor_fraction, len(corpus)),
-                              config.distortion_fraction, monitor_seed,
-                              signatures=signatures, params=params)
-    snr_profiles = learn_monitoring_profiles(monitoring, config.snr_segments)
 
     for sub in ("profiles", "signatures", "snr_profiles", "pairs"):
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -256,7 +256,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     log.info("running experiment: %d repeats, sizes %s",
              config.repeats, list(config.sample_sizes))
-    report = run_experiment(config.experiment_config(), config.seed,
+    report = run_experiment(config.build(ExperimentConfig), config.seed,
                             config.effective_jobs())
     if args.out:
         write_report(report, args.out)
@@ -270,7 +270,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    result = sensitivity_analysis(config.experiment_config(), config.seed,
+    result = sensitivity_analysis(config.build(ExperimentConfig), config.seed,
                                   config.sensitivity_levels,
                                   config.effective_jobs())
     if args.out:

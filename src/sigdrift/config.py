@@ -94,9 +94,6 @@ class RunSettings:
             for f, kind in _settable(cls)
         })
 
-    def experiment_config(self) -> ExperimentConfig:
-        return self.build(ExperimentConfig)
-
     def effective_jobs(self) -> int:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
 

@@ -30,7 +30,7 @@ import numpy as np
 from ._kernels import cusum_scan, deletion_pcc_scan
 from .core import Signature, population_std
 from .errors import AlignmentError
-from .noisegen import NoiseProfile, SnrValue, snr
+from .noisegen import NoiseProfile, residual, segment_snrs
 from .similarity import pcc, rmse
 
 
@@ -188,32 +188,23 @@ def snr_detect(existing: Signature, recomputed: Signature, profile: NoiseProfile
                              f"the grid {existing.grid.length}")
 
     ex = existing.matrix
-    res = ex - recomputed.matrix
+    res = residual(existing, recomputed)
 
     if mode == "aggregate":
-        current = snr(ex, res)
-        baseline = profile.segment_snrs[0]
-        for s in profile.segment_snrs[1:]:
-            if s.is_less_than(baseline):
-                baseline = s
-        changed = current.is_less_than(baseline)
+        current = segment_snrs(ex, res, 1)[0]
+        baseline = min(profile.segment_snrs)
         diag = {
             "snr_current": [None if current.infinite else current.ratio],
             "snr_baseline": [None if baseline.infinite else baseline.ratio],
         }
-        verdict = Verdict.CHANGE if changed else Verdict.NO_CHANGE
+        verdict = Verdict.CHANGE if current < baseline else Verdict.NO_CHANGE
         return DetectionOutcome(verdict, None, diag)
     if mode != "segments":
         raise ValueError(f"unknown snr mode {mode!r}")
 
-    currents: list[SnrValue] = []
-    violated = -1
-    for i in range(profile.segments):
-        sl = slice(i * seg, (i + 1) * seg)
-        current = snr(ex[:, sl], res[:, sl])
-        currents.append(current)
-        if violated < 0 and current.is_less_than(profile.segment_snrs[i]):
-            violated = i
+    currents = segment_snrs(ex, res, profile.segments)
+    below = [current < floor for current, floor in zip(currents, profile.segment_snrs)]
+    violated = below.index(True) if any(below) else -1
     diag = {
         "snr_current": [None if c.infinite else c.ratio for c in currents],
         "snr_baseline": [None if s.infinite else s.ratio for s in profile.segment_snrs],

@@ -16,9 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import slice_signature
 from .datagen import CorpusParams, Label, LabeledPair, build_base_signatures, build_corpus
-from .detect import (DetectorThresholds, Verdict, cusum_detect,
+from .detect import (DetectionOutcome, DetectorThresholds, Verdict, cusum_detect,
                      sliding_window_detect, snr_detect)
 from .noisegen import NoiseProfile, combine_min, learn_noise_profile
 
@@ -121,42 +120,33 @@ def learn_monitoring_profiles(pairs: list[LabeledPair], segments: int
                               ) -> dict[str, NoiseProfile]:
     """Per-provider baseline: segment-wise worst SNR over monitoring pairs.
 
-    Each monitoring pair contributes one profile (its recomputed
-    signature cut into segment slices); folding with min keeps the
+    Each monitoring pair contributes one profile, learned from its
+    existing and recomputed signatures; folding with min keeps the
     noisiest level ever observed per segment.  A pooled profile under
     the key "" covers providers that never appeared.  The grid must split
     into `segments` equal parts.
     """
     by_provider: dict[str, list[NoiseProfile]] = {}
-    everything: list[NoiseProfile] = []
     for pair in pairs:
-        seg_len = pair.existing.grid.length // segments
-        slices = [
-            slice_signature(pair.recomputed, i * seg_len, seg_len)
-            for i in range(segments)
-        ]
-        profile = learn_noise_profile(pair.existing, slices, segments)
+        profile = learn_noise_profile(pair.existing, pair.recomputed, segments)
         by_provider.setdefault(pair.existing.provider_id, []).append(profile)
-        everything.append(profile)
-    if not everything:
+    if not by_provider:
         raise ValueError("no monitoring pairs to learn from")
     merged = {pid: combine_min(ps) for pid, ps in by_provider.items()}
-    merged[""] = combine_min(everything)
+    merged[""] = combine_min(p for ps in by_provider.values() for p in ps)
     return merged
 
 
 def detect_pair(pair: LabeledPair, detector: str, config: ExperimentConfig,
-                profiles: dict[str, NoiseProfile]) -> Verdict:
+                profiles: dict[str, NoiseProfile]) -> DetectionOutcome:
     if detector == "sw":
-        return sliding_window_detect(pair.existing, pair.recomputed,
-                                     config.thresholds).verdict
+        return sliding_window_detect(pair.existing, pair.recomputed, config.thresholds)
     if detector == "cusum":
         return cusum_detect(pair.existing, pair.recomputed,
-                            config.cusum_slack, config.cusum_interval).verdict
+                            config.cusum_slack, config.cusum_interval)
     if detector == "snr":
         profile = profiles.get(pair.existing.provider_id, profiles[""])
-        return snr_detect(pair.existing, pair.recomputed, profile,
-                          config.snr_mode).verdict
+        return snr_detect(pair.existing, pair.recomputed, profile, config.snr_mode)
     raise ValueError(f"unknown detector {detector!r}")
 
 
@@ -184,29 +174,29 @@ def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
     """One simulation repeat: fresh corpus, verdicts, per-size metrics."""
     sig_seed, corpus_seed, monitor_seed, sample_ss = repeat_seeds(repeat_stream)
     signatures = build_base_signatures(sig_seed, config.corpus)
+
+    # Profiles first: a setting they reject fails before the corpus is built.
+    profiles: dict[str, NoiseProfile] = {}
+    if "snr" in config.detectors:
+        n_monitor = monitoring_size(config.monitor_fraction, config.n_changed + config.n_noisy)
+        monitoring = build_corpus(0, n_monitor, config.distortion_fraction, monitor_seed,
+                                  signatures=signatures, params=config.corpus)
+        profiles = learn_monitoring_profiles(monitoring, config.snr_segments)
     corpus = build_corpus(config.n_changed, config.n_noisy,
                           config.distortion_fraction, corpus_seed,
                           signatures=signatures, params=config.corpus)
 
-    profiles: dict[str, NoiseProfile] = {}
-    if "snr" in config.detectors:
-        monitoring = build_corpus(0, monitoring_size(config.monitor_fraction, len(corpus)),
-                                  config.distortion_fraction, monitor_seed,
-                                  signatures=signatures, params=config.corpus)
-        profiles = learn_monitoring_profiles(monitoring, config.snr_segments)
-
+    # Keep verdicts and sw's noise kinds, not outcomes, so memory does not
+    # grow with the outcomes' diagnostics.
     labels = [pair.label for pair in corpus]
-    verdicts: dict[str, list[Verdict]] = {}
-    sw_outcomes = None
+    verdicts: dict[str, list[Verdict]] = {det: [] for det in config.detectors}
+    sw_kinds: list[str | None] = []
     for det in config.detectors:
-        if det == "sw":
-            sw_outcomes = [
-                sliding_window_detect(pair.existing, pair.recomputed, config.thresholds)
-                for pair in corpus
-            ]
-            verdicts[det] = [o.verdict for o in sw_outcomes]
-        else:
-            verdicts[det] = [detect_pair(pair, det, config, profiles) for pair in corpus]
+        for pair in corpus:
+            outcome = detect_pair(pair, det, config, profiles)
+            verdicts[det].append(outcome.verdict)
+            if det == "sw":
+                sw_kinds.append(outcome.noise_kind)
 
     rng = np.random.default_rng(sample_ss)
     cells: dict[str, dict[int, dict[str, float | None]]] = {
@@ -219,14 +209,13 @@ def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
             cells[det][size] = {name: fn(counts) for name, fn in METRICS.items()}
 
     out = {"cells": cells}
-    if sw_outcomes is not None:
-        noisy = [(pair, o) for pair, o in zip(corpus, sw_outcomes)
+    if "sw" in config.detectors:
+        noisy = [(pair.noise.kind, verdict, kind)
+                 for pair, verdict, kind in zip(corpus, verdicts["sw"], sw_kinds)
                  if pair.label is Label.NOISY]
         if noisy:
-            hits = sum(
-                1 for pair, o in noisy
-                if o.verdict is Verdict.NOISE and o.noise_kind == pair.noise.kind
-            )
+            hits = sum(1 for truth, verdict, kind in noisy
+                       if verdict is Verdict.NOISE and kind == truth)
             out["sw_noise_kind_accuracy"] = hits / len(noisy)
     return out
 

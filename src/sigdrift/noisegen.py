@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import QoSSeries, Signature, population_std, slice_signature
+from .core import QoSSeries, Signature, population_std
 from .errors import AlignmentError, ParseError
 
 
@@ -132,7 +132,7 @@ class SnrValue:
 
     The infinite case is an explicit flag rather than float('inf') so it
     never enters arithmetic by accident; comparisons go through
-    :meth:`is_less_than`.
+    :meth:`is_less_than`, which is also ``<``, so ``min`` picks the lowest.
     """
 
     ratio: float
@@ -182,11 +182,34 @@ def snr(signal, noise) -> SnrValue:
     return SnrValue(float(np.mean(s ** 2)) / denom)
 
 
-def residual(existing: Signature, recomputed: Signature) -> list[np.ndarray]:
-    """Per-row noise estimate: existing minus recomputed."""
+def residual(existing: Signature, recomputed: Signature) -> np.ndarray:
+    """Noise estimate, one row per parameter: existing minus recomputed."""
     if existing.grid != recomputed.grid or existing.parameters != recomputed.parameters:
         raise AlignmentError("signatures must share grid and parameters")
-    return [e.values - r.values for e, r in zip(existing.rows, recomputed.rows)]
+    # In place on the fresh copy `matrix` returns: on long grids every
+    # extra (rows, L) temporary costs more in page faults than the
+    # subtraction itself.
+    noise = existing.matrix
+    for row, rec in zip(noise, recomputed.rows):
+        row -= rec.values
+    return noise
+
+
+def segment_snrs(signal, noise, segments: int) -> list[SnrValue]:
+    """:func:`snr` of each of `segments` equal column blocks of two
+    ``(rows, L)`` arrays.  L must split into whole segments, so that
+    every point is checked."""
+    if segments < 1:
+        raise ValueError("need at least one segment")
+    length = signal.shape[1]
+    seg_len, rest = divmod(length, segments)
+    if rest:
+        raise AlignmentError(f"a {length}-point grid does not split "
+                             f"into {segments} equal segments")
+    if seg_len < 2:
+        raise ValueError("segments too short for the grid")
+    return [snr(signal[:, start:start + seg_len], noise[:, start:start + seg_len])
+            for start in range(0, length, seg_len)]
 
 
 @dataclass(frozen=True)
@@ -208,32 +231,16 @@ class NoiseProfile:
         return len(self.segment_snrs)
 
 
-def learn_noise_profile(existing: Signature, recomputed_per_segment,
+def learn_noise_profile(existing: Signature, recomputed: Signature,
                         segments: int) -> NoiseProfile:
-    """Per-segment SNR of existing vs the residual in that segment.
+    """Per-segment SNR of existing against the residual of a recomputed
+    signature taken over a noise-only monitoring period.
 
-    ``recomputed_per_segment`` holds one recomputed signature per
-    segment, each covering segment i of the monitoring period, i.e. grid
-    indices [i*seg, (i+1)*seg) with seg = grid.length / segments.  The
-    grid must split into whole segments, so that every point is checked.
+    Segment i covers grid indices [i*seg, (i+1)*seg) with
+    seg = grid.length / segments; see :func:`segment_snrs`.
     """
-    recomputed_per_segment = list(recomputed_per_segment)
-    if segments < 1:
-        raise ValueError("need at least one segment")
-    if len(recomputed_per_segment) != segments:
-        raise AlignmentError(f"expected {segments} slices, got {len(recomputed_per_segment)}")
-    seg_len, rest = divmod(existing.grid.length, segments)
-    if rest:
-        raise AlignmentError(f"a {existing.grid.length}-point grid does not split "
-                             f"into {segments} equal segments")
-    if seg_len < 2:
-        raise ValueError("segments too short for the grid")
-    snrs = []
-    for i, rec in enumerate(recomputed_per_segment):
-        part = slice_signature(existing, i * seg_len, seg_len)
-        res = residual(part, rec)
-        snrs.append(snr(part.matrix, np.stack(res)))
-    return NoiseProfile(tuple(snrs), seg_len)
+    snrs = segment_snrs(existing.matrix, residual(existing, recomputed), segments)
+    return NoiseProfile(tuple(snrs), existing.grid.length // segments)
 
 
 def combine_min(profiles) -> NoiseProfile:
@@ -245,13 +252,7 @@ def combine_min(profiles) -> NoiseProfile:
     for p in profiles[1:]:
         if p.segments != first.segments or p.segment_length != first.segment_length:
             raise AlignmentError("profiles must share segmentation")
-    merged = []
-    for i in range(first.segments):
-        best = first.segment_snrs[i]
-        for p in profiles[1:]:
-            if p.segment_snrs[i].is_less_than(best):
-                best = p.segment_snrs[i]
-        merged.append(best)
+    merged = [min(column) for column in zip(*(p.segment_snrs for p in profiles))]
     return NoiseProfile(tuple(merged), first.segment_length)
 
 

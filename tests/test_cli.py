@@ -242,6 +242,23 @@ def test_gen_data_writes_nothing_when_a_setting_fails(tmp_path, capsys, flag, va
     capsys.readouterr()
 
 
+def test_evaluate_fails_before_building_the_evaluation_corpus(tmp_path, caplog,
+                                                              monkeypatch):
+    import sigdrift.evaluate as evaluate
+
+    asked = []
+
+    def recording(n_changed, n_noisy, *args, **kwargs):
+        asked.append((n_changed, n_noisy))
+        return build_corpus(n_changed, n_noisy, *args, **kwargs)
+    monkeypatch.setattr(evaluate, "build_corpus", recording)
+    assert main(["evaluate", "--seed", "1", "--jobs", "1", "--snr-segments", "7",
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert "does not split into 7 equal segments" in caplog.text
+    # only the monitoring corpus (0 changed, 0.2 * 6000 noisy) was built
+    assert asked == [(0, 1200)]
+
+
 def test_jobs_is_only_accepted_where_it_is_read(tmp_path, capsys):
     ex, rec = _write_pair(tmp_path)
     assert main(["detect", "--existing", str(ex), "--recomputed", str(rec),

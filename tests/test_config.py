@@ -149,7 +149,7 @@ def test_key_types_snapshot():
 
 
 def test_defaults_build_the_default_experiment():
-    assert RunConfig().experiment_config() == ExperimentConfig()
+    assert RunConfig().build(ExperimentConfig) == ExperimentConfig()
 
 
 def test_non_default_table_covers_every_key():
@@ -167,7 +167,7 @@ def test_every_key_reaches_its_component(tmp_path, key):
     expected = list(value) if isinstance(value, tuple) else value
     assert config.as_dict() == {**DEFAULTS, key: expected}
     if path is not None:
-        assert _lookup(config.experiment_config(), path) == value
+        assert _lookup(config.build(ExperimentConfig), path) == value
 
 
 def test_precedence_flag_over_file_over_env_over_default(tmp_path, monkeypatch):

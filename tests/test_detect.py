@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from sigdrift.core import QoSSeries, Signature, TimeGrid, slice_signature
 from sigdrift.detect import (DetectorThresholds, Verdict, cusum_detect,
                              sliding_window_detect, snr_detect, write_outcome)
 from sigdrift.errors import AlignmentError
@@ -230,23 +229,20 @@ def test_snr_rejects_a_profile_that_leaves_grid_points_unchecked():
 
 def test_snr_equal_baseline_is_not_a_change(ex):
     noisy = inject(ex, DistortionNoise(20.0), seed=3)
-    slices = [slice_signature(noisy, i * 60, 60) for i in range(6)]
-    learned = learn_noise_profile(ex, slices, 6)
+    learned = learn_noise_profile(ex, noisy, 6)
     # the baseline was learned from this exact pair: strictly-below never holds
     assert snr_detect(ex, noisy, learned).verdict is Verdict.NO_CHANGE
 
 
 def test_snr_scale_invariance(ex):
     noisy = inject(ex, DistortionNoise(18.0), seed=3)
-    slices = [slice_signature(noisy, i * 60, 60) for i in range(6)]
-    base_verdict = snr_detect(ex, noisy, learn_noise_profile(ex, slices, 6)).verdict
+    base_verdict = snr_detect(ex, noisy, learn_noise_profile(ex, noisy, 6)).verdict
 
     alpha = 3.7
     ex_s = raw_signature(alpha * ex.matrix[0])
     noisy_s = raw_signature(alpha * noisy.matrix[0])
-    slices_s = [slice_signature(noisy_s, i * 60, 60) for i in range(6)]
     scaled_verdict = snr_detect(
-        ex_s, noisy_s, learn_noise_profile(ex_s, slices_s, 6)).verdict
+        ex_s, noisy_s, learn_noise_profile(ex_s, noisy_s, 6)).verdict
     assert scaled_verdict is base_verdict
 
 

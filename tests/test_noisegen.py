@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigdrift.core import population_std, slice_signature
 from sigdrift.errors import AlignmentError, ParseError
@@ -9,11 +11,12 @@ from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
                                SnrValue, SpikeNoise, combine_min, inject,
                                learn_noise_profile, profile_from_dict,
                                profile_to_dict, read_profile, read_spec,
-                               residual, snr, spec_from_dict, spec_to_dict,
+                               residual, segment_snrs, snr, spec_from_dict,
+                               spec_to_dict,
                                write_profile, write_spec)
 from sigdrift.similarity import pcc
 
-from conftest import unit_signature, wavy_row
+from conftest import raw_signature, unit_signature, wavy_row
 
 
 @pytest.fixture
@@ -169,8 +172,7 @@ def test_residual_alignment(sig):
 # ------------------------------------------------------------ noise profile
 
 def test_zero_residual_profile_is_all_infinite(sig):
-    slices = [slice_signature(sig, i * 60, 60) for i in range(6)]
-    profile = learn_noise_profile(sig, slices, 6)
+    profile = learn_noise_profile(sig, sig, 6)
     assert profile.segments == 6
     assert profile.segment_length == 60
     assert all(s.infinite for s in profile.segment_snrs)
@@ -178,9 +180,10 @@ def test_zero_residual_profile_is_all_infinite(sig):
 
 def test_single_noisy_segment_shows_up(sig):
     noisy = inject(sig, DistortionNoise(20.0), seed=7)
-    slices = [slice_signature(noisy if i == 2 else sig, i * 60, 60)
-              for i in range(6)]
-    profile = learn_noise_profile(sig, slices, 6)
+    values = sig.matrix[0].copy()
+    values[120:180] = noisy.matrix[0, 120:180]
+    spliced = raw_signature(values, parameters=sig.parameters)
+    profile = learn_noise_profile(sig, spliced, 6)
     flags = [s.infinite for s in profile.segment_snrs]
     assert flags == [True, True, False, True, True, True]
     assert profile.segment_snrs[2].db == pytest.approx(20.0, abs=1.5)
@@ -188,22 +191,34 @@ def test_single_noisy_segment_shows_up(sig):
 
 def test_degenerate_single_segment(sig):
     noisy = inject(sig, DistortionNoise(20.0), seed=7)
-    profile = learn_noise_profile(sig, [noisy], 1)
-    direct = snr(sig.matrix, np.stack(residual(sig, noisy)))
+    profile = learn_noise_profile(sig, noisy, 1)
+    direct = snr(sig.matrix, residual(sig, noisy))
     assert profile.segment_snrs[0].ratio == direct.ratio
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 3), segments=st.sampled_from([1, 2, 3, 5, 6, 12]),
+       seed=st.integers(0, 2**16))
+def test_profile_equals_snr_of_each_segment_slice(rows, segments, seed):
+    # bit for bit: learned baselines decide verdicts with a strict <
+    ex = unit_signature(np.stack([wavy_row(360, seed=seed + r) for r in range(rows)]))
+    rec = inject(ex, DistortionNoise(15.0), seed=seed)
+    seg = 360 // segments
+    want = []
+    for i in range(segments):
+        part, rec_part = slice_signature(ex, i * seg, seg), slice_signature(rec, i * seg, seg)
+        want.append(snr(part.matrix, part.matrix - rec_part.matrix))
+    profile = learn_noise_profile(ex, rec, segments)
+    assert profile == NoiseProfile(tuple(want), seg)
+    assert segment_snrs(ex.matrix, residual(ex, rec), segments) == want
 
 
 def test_profile_grid_must_split_into_whole_segments():
     sig = unit_signature(wavy_row(365, seed=3))
-    slices = [slice_signature(sig, i * 60, 60) for i in range(6)]
     with pytest.raises(AlignmentError, match="365-point grid"):
-        learn_noise_profile(sig, slices, 6)
-
-
-def test_profile_segment_count_must_match(sig):
-    slices = [slice_signature(sig, i * 60, 60) for i in range(5)]
-    with pytest.raises(AlignmentError):
-        learn_noise_profile(sig, slices, 6)
+        learn_noise_profile(sig, sig, 6)
+    with pytest.raises(ValueError, match="too short"):
+        learn_noise_profile(sig, sig, 365)
 
 
 def test_combine_min_keeps_noisiest():

@@ -2,11 +2,21 @@
 
 The SNR verdicts of some pairs are decided by rounding (a pair can sit
 exactly on its learned baseline), so "close" is not enough: these pin
-the exact bytes of an evaluate report and of learned noise profiles.
+the exact bytes of an evaluate report, of learned noise profiles and of
+detector outcomes on multi-row signatures.
 """
 import hashlib
+import json
+
+import numpy as np
 
 from sigdrift.cli import main
+from sigdrift.datagen import make_changed
+from sigdrift.detect import cusum_detect, sliding_window_detect, snr_detect
+from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, SpikeNoise, inject,
+                               learn_noise_profile)
+
+from conftest import unit_signature, wavy_row
 
 C10_REPORT_SHA256 = "4d9102d64606567fc80f112d885b8753b7c6c7d237c39012b449769639ab139b"
 
@@ -23,6 +33,33 @@ SNR_PROFILES = {
                    '93.4161645636599, 62.371975645075416, 86.2400441432429, '
                    '96.92932325488728, 43.04451032341312]}\n',
 }
+
+MULTI_ROW_SHA256 = "42cbfcebb73e1216616a9155dadf3cd6dc31ef312d7ca24c52178aeade1314e7"
+
+
+def _three_rows(seed):
+    walk = np.random.default_rng(seed).standard_normal(360).cumsum()
+    return [wavy_row(360, seed=seed), walk, np.roll(wavy_row(360, seed=seed + 1), 45)]
+
+
+def test_multi_row_detector_outcomes_are_pinned():
+    """Every corpus the CLI builds has one row per signature; this pins
+    the per-row paths of all three detectors on 3-row signatures."""
+    params = ("cpu", "disk", "net")
+    alpha = unit_signature(_three_rows(1), provider_id="alpha", parameters=params)
+    bravo = unit_signature(_three_rows(5), provider_id="bravo", parameters=params)
+    recomputed = [inject(alpha, SpikeNoise(100, 4, 12.0), 11),
+                  inject(alpha, AttenuationNoise(0.7), 12),
+                  inject(alpha, DistortionNoise(20.0), 13),
+                  make_changed(alpha, bravo, (120, 90), 14).recomputed]
+    profile = learn_noise_profile(alpha, inject(alpha, DistortionNoise(20.0), 15), 6)
+    outcomes = [outcome.to_dict()
+                for rec in recomputed
+                for outcome in (sliding_window_detect(alpha, rec),
+                                snr_detect(alpha, rec, profile),
+                                cusum_detect(alpha, rec))]
+    digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
+    assert digest == MULTI_ROW_SHA256
 
 
 def test_c10_sized_evaluate_report_is_pinned(tmp_path):

@@ -26,7 +26,7 @@ from .detect import (DetectorThresholds, Verdict, cusum_detect,
 from .errors import SigdriftError
 from .evaluate import (ExperimentConfig, learn_monitoring_profiles, monitoring_size,
                        repeat_seeds, repeat_streams, report_to_csv, run_experiment,
-                       sensitivity_analysis, write_report)
+                       sensitivity_analysis)
 from .noisegen import (inject, read_profile, read_spec, spec_from_dict,
                        write_profile)
 from .signature import generate_signature, read_cohorts, read_experiences
@@ -35,10 +35,14 @@ from .similarity import SimilarityMethod
 log = logging.getLogger("sigdrift")
 
 
+def _add_verbose(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
     parser.add_argument("--seed", type=int, help="random seed (overrides SIGDRIFT_SEED)")
-    parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
+    _add_verbose(parser)
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
@@ -111,6 +115,7 @@ def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if out:
         Path(out).write_text(text, encoding="utf-8")
+        log.info("wrote %s", out)
     else:
         sys.stdout.write(text)
 
@@ -258,11 +263,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
              config.repeats, list(config.sample_sizes))
     report = run_experiment(config.build(ExperimentConfig), config.seed,
                             config.effective_jobs())
-    if args.out:
-        write_report(report, args.out)
-        log.info("wrote %s", args.out)
-    else:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _emit(report, args.out)
     if args.csv:
         Path(args.csv).write_text(report_to_csv(report), encoding="utf-8")
     return 0
@@ -273,12 +274,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     result = sensitivity_analysis(config.build(ExperimentConfig), config.seed,
                                   config.sensitivity_levels,
                                   config.effective_jobs())
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(result, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        log.info("wrote %s", args.out)
-    else:
-        sys.stdout.write(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    _emit(result, args.out)
     return 0
 
 
@@ -302,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("gen-signature", help="build a signature from trial cohorts")
-    _add_common(p)
+    _add_verbose(p)
     p.add_argument("--cohorts", required=True, help="trial cohort CSV")
     p.add_argument("--provider", help="provider id to stamp on the signature")
     p.add_argument("--out", required=True, help="signature CSV to write")

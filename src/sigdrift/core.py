@@ -1,4 +1,4 @@
-"""Core domain types: time grids, QoS series, signatures, trial experiences.
+"""Core domain types: time grids, signatures and their rows, trial experiences.
 
 A signature is a small matrix: one row per QoS parameter, one column per
 grid timestamp.  Rows produced by signature generation have unit
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,77 +48,58 @@ class TimeGrid:
             raise ValueError("grid resolution label must be non-empty")
 
 
-@dataclass(frozen=True, eq=False)
-class QoSSeries:
-    """One QoS parameter's values over a grid."""
+class QoSSeries(NamedTuple):
+    """One QoS parameter's row of a signature: a read-only view of its matrix."""
 
     parameter: str
     values: np.ndarray
-    unit: str = ""
-
-    def __post_init__(self):
-        if not self.parameter:
-            raise ValueError("parameter name must be non-empty")
-        arr = _freeze(self.values)
-        if arr.ndim != 1:
-            raise ValueError("series values must be one-dimensional")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("series values must be finite (no NaN/inf)")
-        object.__setattr__(self, "values", arr)
-
-    def __len__(self) -> int:
-        return int(self.values.size)
-
-    @property
-    def std(self) -> float:
-        return population_std(self.values)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QoSSeries):
-            return NotImplemented
-        return (
-            self.parameter == other.parameter
-            and self.unit == other.unit
-            and np.array_equal(self.values, other.values)
-        )
 
 
 @dataclass(frozen=True, eq=False)
 class Signature:
     """Per-parameter performance matrix for one provider.
 
-    Structural invariants (checked here): at least one row, unique
-    parameter names, every row as long as the grid, no constant rows.
-    Unit-std normalization is established by the generation and file
-    ingest paths, not re-checked on every instance, because noisy and
-    spliced copies legitimately leave unit scale.
+    ``matrix`` holds one float64 row per entry of ``parameters`` over the
+    grid; it is copied and made read-only once, here.  Structural
+    invariants (checked here): at least one row, non-empty unique
+    parameter names, a finite ``(rows, grid.length)`` matrix, no constant
+    rows.  Unit-std normalization is established by the generation and
+    file ingest paths, not re-checked on every instance, because noisy
+    and spliced copies legitimately leave unit scale.
 
     ``provider_id`` and ``renormalized`` are provenance, not data: the
     on-disk format does not carry them, so equality ignores them.
     """
 
-    rows: tuple[QoSSeries, ...]
+    parameters: tuple[str, ...]
+    matrix: np.ndarray
     grid: TimeGrid
     provider_id: str = ""
     renormalized: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
-        rows = tuple(self.rows)
-        object.__setattr__(self, "rows", rows)
+        names = tuple(self.parameters)
+        matrix = _freeze(self.matrix)
+        object.__setattr__(self, "parameters", names)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "renormalized", frozenset(self.renormalized))
-        if not rows:
+        if not names:
             raise ValueError("signature needs at least one row")
-        names = [r.parameter for r in rows]
+        if not all(names):
+            raise ValueError("parameter name must be non-empty")
         if len(set(names)) != len(names):
             raise ValueError("duplicate QoS parameter in signature")
-        for r in rows:
-            if len(r) != self.grid.length:
-                raise ValueError(
-                    f"row {r.parameter!r} has {len(r)} points, grid has {self.grid.length}"
-                )
-            if r.std <= _CONSTANT_EPS:
+        if matrix.ndim != 2 or matrix.shape[0] != len(names):
+            raise ValueError(f"need one 1-D row per parameter ({len(names)}), "
+                             f"got an array of shape {matrix.shape}")
+        if matrix.shape[1] != self.grid.length:
+            raise ValueError(f"rows have {matrix.shape[1]} points, grid has {self.grid.length}")
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("signature values must be finite (no NaN/inf)")
+        for name, values in zip(names, matrix):
+            if population_std(values) <= _CONSTANT_EPS:
                 raise ConstantSeriesError(
-                    f"row {r.parameter!r} is constant; signatures reject zero-variance rows"
+                    f"row {name!r} is constant; signatures reject zero-variance rows"
                 )
 
     @classmethod
@@ -130,32 +112,27 @@ class Signature:
             std = population_std(arr)
             if std <= _CONSTANT_EPS:
                 raise ConstantSeriesError(f"row {name!r} is constant")
-            rows.append(QoSSeries(name, arr / std))
-        return cls(tuple(rows), grid, provider_id)
+            rows.append(arr / std)
+        return cls(tuple(raw), rows, grid, provider_id)
 
     @property
-    def parameters(self) -> tuple[str, ...]:
-        return tuple(r.parameter for r in self.rows)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Rows stacked into a (n_rows, grid.length) array."""
-        return np.stack([r.values for r in self.rows])
+    def rows(self) -> tuple[QoSSeries, ...]:
+        return tuple(QoSSeries(p, v) for p, v in zip(self.parameters, self.matrix))
 
     @property
     def is_normalized(self) -> bool:
-        return all(abs(r.std - 1.0) <= STD_TOLERANCE for r in self.rows)
+        return all(abs(population_std(v) - 1.0) <= STD_TOLERANCE for v in self.matrix)
 
     def row(self, parameter: str) -> QoSSeries:
-        for r in self.rows:
-            if r.parameter == parameter:
-                return r
-        raise KeyError(f"no row for parameter {parameter!r}")
+        if parameter not in self.parameters:
+            raise KeyError(f"no row for parameter {parameter!r}")
+        return QoSSeries(parameter, self.matrix[self.parameters.index(parameter)])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Signature):
             return NotImplemented
-        return self.grid == other.grid and self.rows == other.rows
+        return (self.grid == other.grid and self.parameters == other.parameters
+                and np.array_equal(self.matrix, other.matrix))
 
 
 def slice_signature(sig: Signature, start: int, length: int) -> Signature:
@@ -164,10 +141,8 @@ def slice_signature(sig: Signature, start: int, length: int) -> Signature:
         raise ValueError("slice needs at least two points")
     if start < 0 or start + length > sig.grid.length:
         raise ValueError("slice exceeds the grid")
-    rows = tuple(
-        QoSSeries(r.parameter, r.values[start:start + length], r.unit) for r in sig.rows
-    )
-    return Signature(rows, TimeGrid(length, sig.grid.resolution), sig.provider_id)
+    return Signature(sig.parameters, sig.matrix[:, start:start + length],
+                     TimeGrid(length, sig.grid.resolution), sig.provider_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,10 +183,10 @@ class TrialExperience:
 
 def write_signature(sig: Signature, path) -> None:
     lines = ["parameter," + ",".join(f"t{i}" for i in range(sig.grid.length))]
-    for r in sig.rows:
-        if "," in r.parameter or "\n" in r.parameter:
-            raise ValueError(f"parameter name {r.parameter!r} not representable in CSV")
-        lines.append(r.parameter + "," + ",".join(repr(float(v)) for v in r.values))
+    for name, values in zip(sig.parameters, sig.matrix):
+        if "," in name or "\n" in name:
+            raise ValueError(f"parameter name {name!r} not representable in CSV")
+        lines.append(name + "," + ",".join(repr(float(v)) for v in values))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -232,6 +207,7 @@ def read_signature(path, provider_id: str | None = None) -> Signature:
     if len(lines) == 1:
         raise ParseError(f"{path}: no data rows")
 
+    names = []
     rows = []
     renormalized = set()
     for ln in lines[1:]:
@@ -251,10 +227,12 @@ def read_signature(path, provider_id: str | None = None) -> Signature:
         if abs(std - 1.0) > STD_TOLERANCE:
             values = values / std
             renormalized.add(name)
-        rows.append(QoSSeries(name, values))
+        names.append(name)
+        rows.append(values)
 
     return Signature(
-        tuple(rows),
+        tuple(names),
+        rows,
         TimeGrid(length),
         provider_id if provider_id is not None else path.stem,
         frozenset(renormalized),

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Signature, QoSSeries, TimeGrid, TrialExperience
+from .core import Signature, TimeGrid, TrialExperience
 from .errors import AlignmentError, ParseError
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseSpec,
                        SpikeNoise, inject, spec_from_dict, spec_to_dict)
@@ -389,12 +389,9 @@ def make_changed(original: Signature, donor: Signature,
         raise ValueError("segment length must be at least 1")
     if start < 0 or start + length > original.grid.length:
         raise ValueError("segment exceeds the grid")
-    rows = []
-    for orig_row, donor_row in zip(original.rows, donor.rows):
-        values = orig_row.values.copy()
-        values[start:start + length] = donor_row.values[start:start + length]
-        rows.append(QoSSeries(orig_row.parameter, values, orig_row.unit))
-    spliced = Signature(tuple(rows), original.grid, original.provider_id)
+    matrix = original.matrix.copy()
+    matrix[:, start:start + length] = donor.matrix[:, start:start + length]
+    spliced = Signature(original.parameters, matrix, original.grid, original.provider_id)
     return LabeledPair(
         original, spliced, Label.CHANGED, None,
         {"provider": original.provider_id, "donor": donor.provider_id,

@@ -146,17 +146,15 @@ def sliding_window_detect(existing: Signature, recomputed: Signature,
         raise ValueError("scan window must be shorter than the grid")
 
     decisions = []
-    for ex_row, rec_row in zip(existing.rows, recomputed.rows):
-        x = ex_row.values
-        y = rec_row.values
+    for parameter, x, y in zip(existing.parameters, existing.matrix, recomputed.matrix):
         p = pcc(x, y)
         r = rmse(x, y)
         diag = {"pcc": p, "rmse": r}
         if p >= thresholds.similarity_floor and r <= thresholds.distance_ceiling:
-            decisions.append(RowDecision(ex_row.parameter, Verdict.NO_CHANGE, None, diag))
+            decisions.append(RowDecision(parameter, Verdict.NO_CHANGE, None, diag))
             continue
         if p >= thresholds.similarity_floor and r <= thresholds.attenuation_ceiling:
-            decisions.append(RowDecision(ex_row.parameter, Verdict.NOISE, "attenuation", diag))
+            decisions.append(RowDecision(parameter, Verdict.NOISE, "attenuation", diag))
             continue
         scan = deletion_pcc_scan(x, y, thresholds.window)
         if np.all(np.isnan(scan)):
@@ -168,9 +166,9 @@ def sliding_window_detect(existing: Signature, recomputed: Signature,
         diag["best_window_pcc"] = best
         diag["removed_window_start"] = best_start
         if not math.isnan(best) and best >= thresholds.similarity_floor:
-            decisions.append(RowDecision(ex_row.parameter, Verdict.NOISE, "spike", diag))
+            decisions.append(RowDecision(parameter, Verdict.NOISE, "spike", diag))
         else:
-            decisions.append(RowDecision(ex_row.parameter, Verdict.CHANGE, None, diag))
+            decisions.append(RowDecision(parameter, Verdict.CHANGE, None, diag))
     return _aggregate(decisions)
 
 
@@ -223,8 +221,8 @@ def cusum_detect(existing: Signature, recomputed: Signature,
         raise ValueError("slack must be >= 0 and the decision interval positive")
 
     decisions = []
-    for ex_row, rec_row in zip(existing.rows, recomputed.rows):
-        z = (rec_row.values - ex_row.values) / population_std(ex_row.values)
+    for parameter, x, y in zip(existing.parameters, existing.matrix, recomputed.matrix):
+        z = (y - x) / population_std(x)
         max_pos, max_neg, alarm = cusum_scan(z, slack, decision_interval)
         diag = {
             "cusum_max_pos": max_pos,
@@ -232,5 +230,5 @@ def cusum_detect(existing: Signature, recomputed: Signature,
             "alarm_index": alarm,
         }
         verdict = Verdict.CHANGE if alarm >= 0 else Verdict.NO_CHANGE
-        decisions.append(RowDecision(ex_row.parameter, verdict, None, diag))
+        decisions.append(RowDecision(parameter, verdict, None, diag))
     return _aggregate(decisions)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import QoSSeries, Signature, population_std
+from .core import Signature, population_std
 from .errors import AlignmentError, ParseError
 
 
@@ -102,25 +102,23 @@ def write_spec(spec: NoiseSpec, path) -> None:
 def inject(sig: Signature, spec: NoiseSpec, seed: int) -> Signature:
     """Apply a noise spec to every row; returns an un-renormalized copy."""
     rng = np.random.default_rng(seed)
-    rows = []
-    for r in sig.rows:
-        values = r.values.copy()
+    matrix = sig.matrix.copy()
+    for values in matrix:  # std and power are read before the row changes
         if isinstance(spec, SpikeNoise):
             if spec.position + spec.width > values.size:
                 raise ValueError("spike window exceeds the grid")
             values[spec.position:spec.position + spec.width] += (
-                spec.magnitude * population_std(r.values)
+                spec.magnitude * population_std(values)
             )
         elif isinstance(spec, AttenuationNoise):
             values *= spec.factor
         elif isinstance(spec, DistortionNoise):
-            power = float(np.mean(r.values ** 2))
+            power = float(np.mean(values ** 2))
             sigma = math.sqrt(power / (10.0 ** (spec.target_snr_db / 10.0)))
             values += rng.normal(0.0, sigma, size=values.size)
         else:
             raise TypeError(f"not a noise spec: {spec!r}")
-        rows.append(QoSSeries(r.parameter, values, r.unit))
-    return Signature(tuple(rows), sig.grid, sig.provider_id, sig.renormalized)
+    return Signature(sig.parameters, matrix, sig.grid, sig.provider_id, sig.renormalized)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +184,7 @@ def residual(existing: Signature, recomputed: Signature) -> np.ndarray:
     """Noise estimate, one row per parameter: existing minus recomputed."""
     if existing.grid != recomputed.grid or existing.parameters != recomputed.parameters:
         raise AlignmentError("signatures must share grid and parameters")
-    # In place on the fresh copy `matrix` returns: on long grids every
-    # extra (rows, L) temporary costs more in page faults than the
-    # subtraction itself.
-    noise = existing.matrix
-    for row, rec in zip(noise, recomputed.rows):
-        row -= rec.values
-    return noise
+    return existing.matrix - recomputed.matrix
 
 
 def segment_snrs(signal, noise, segments: int) -> list[SnrValue]:

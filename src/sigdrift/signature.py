@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Signature, QoSSeries, TimeGrid, TrialExperience
+from .core import Signature, TimeGrid, TrialExperience
 from .errors import AlignmentError, ConstantSeriesError, ParseError
 
 
@@ -50,12 +50,12 @@ def generate_signature(cohorts, grid: TimeGrid, provider_id: str = "") -> Signat
     cohorts = list(cohorts)
     if not cohorts:
         raise ValueError("need at least one cohort")
-    seen = set()
+    names = []
     rows = []
     for cohort in cohorts:
-        if cohort.parameter in seen:
+        if cohort.parameter in names:
             raise ValueError(f"parameter {cohort.parameter!r} appears in two cohorts")
-        seen.add(cohort.parameter)
+        names.append(cohort.parameter)
         if cohort.window != (0, grid.length):
             raise AlignmentError(
                 f"cohort for {cohort.parameter!r} covers {cohort.window}, "
@@ -68,8 +68,8 @@ def generate_signature(cohorts, grid: TimeGrid, provider_id: str = "") -> Signat
             raise ConstantSeriesError(
                 f"mean series for {cohort.parameter!r} is constant; cannot normalize"
             )
-        rows.append(QoSSeries(cohort.parameter, mean / std))
-    return Signature(tuple(rows), grid, provider_id)
+        rows.append(mean / std)
+    return Signature(tuple(names), rows, grid, provider_id)
 
 
 def recompute_signature(cohorts, grid: TimeGrid, provider_id: str = "") -> Signature:
@@ -138,6 +138,8 @@ def read_experiences(path) -> list[TrialExperience]:
     if header[:3] != ["user_id", "parameter", "start"] or len(header) < 4:
         raise ParseError(f"{path}: bad header {lines[0]!r}")
     width = len(header) - 3
+    if len(lines) == 1:
+        raise ParseError(f"{path}: no data rows")
 
     experiences = []
     for ln in lines[1:]:

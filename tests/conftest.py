@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigdrift.core import QoSSeries, Signature, TimeGrid
+from sigdrift.core import Signature, TimeGrid
 
 
 def raw_signature(matrix, provider_id="prov", parameters=None, resolution="day"):
@@ -12,8 +12,7 @@ def raw_signature(matrix, provider_id="prov", parameters=None, resolution="day")
     if parameters is None:
         parameters = [f"q{i}" for i in range(matrix.shape[0])]
     grid = TimeGrid(matrix.shape[1], resolution)
-    rows = tuple(QoSSeries(p, row) for p, row in zip(parameters, matrix))
-    return Signature(rows, grid, provider_id=provider_id)
+    return Signature(tuple(parameters), matrix, grid, provider_id=provider_id)
 
 
 def unit_signature(matrix, provider_id="prov", parameters=None):

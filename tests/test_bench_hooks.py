@@ -1,4 +1,5 @@
-"""The functions perfbench's tracer swaps must exist and be called.
+"""The functions perfbench's tracer swaps must exist and be called, and
+perfbench's own checks must run on the program's data types.
 
 A traced benchmark run (``perfbench/run.py --trace 1``) replaces
 ``module.name`` with a timing wrapper, so each target has to stay a
@@ -15,8 +16,11 @@ import pytest
 
 import sigdrift.cli as cli
 import sigdrift.evaluate as evaluate
+from sigdrift.datagen import CorpusParams, build_base_signatures, build_corpus
+from sigdrift.detect import cusum_detect, sliding_window_detect
 
-WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _swap_targets() -> set[tuple[str, str]]:
@@ -87,3 +91,34 @@ def test_cli_calls_its_targets_through_module_globals(tmp_path, monkeypatch):
                          "--profile", str(data / "snr_profiles" / "pooled.json"),
                          "--out", str(tmp_path / f"{det}.json")]) in (0, 2)
     assert [t for t in targets if t not in called] == []
+
+
+def test_perfbench_checks_run_on_a_tiny_corpus(monkeypatch):
+    """The benchmark's checks read ``Signature.rows`` and ``.row()``, the
+    row fields, ``DetectionOutcome.rows`` and ``SnrValue``; run them here,
+    so that changing that API fails the tests and not only a benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checks = importlib.import_module("checks")
+    oracle = importlib.import_module("oracle")
+    workloads = importlib.import_module("workloads")
+    params = CorpusParams(nodes=5, raw_length=720)
+    corpus = build_corpus(4, 8, 0.5, 2, signatures=build_base_signatures(1, params),
+                          params=params)
+
+    counts = workloads.DetectCounts()
+    sw_outcomes = []
+    for pair in corpus:
+        args = (pair.existing, pair.recomputed)
+        sw_outcomes.append(sliding_window_detect(*args))
+        counts.sw(args, sw_outcomes[-1])
+        counts.cusum(args, cusum_detect(*args))
+    assert counts.n["pairs"] == len(corpus) == len(counts.cusum_rows)
+    assert 0 < counts.n["sw_scanned"] == len(counts.scan_rows)
+    workloads.check_gate(corpus, sw_outcomes, "tiny corpus")
+
+    monitoring = corpus[4:]
+    oracle_profiles = oracle.learn_profiles(
+        ((p.existing.provider_id, workloads.rows_of(p.existing),
+          workloads.rows_of(p.recomputed)) for p in monitoring), 6)
+    checks.check_profiles(evaluate.learn_monitoring_profiles(monitoring, 6),
+                          oracle_profiles, "tiny corpus")

@@ -143,6 +143,23 @@ def test_gen_signature_from_cohorts(tmp_path):
     assert sig.grid.length == 4
 
 
+def test_gen_signature_header_only_cohort_file_is_exit_one(tmp_path, caplog):
+    cohorts = tmp_path / "cohorts.csv"
+    cohorts.write_text("user_id,parameter,start,v0,v1,v2,v3\n")
+    assert main(["gen-signature", "--cohorts", str(cohorts),
+                 "--out", str(tmp_path / "sig.csv")]) == 1
+    assert [r.getMessage() for r in caplog.records] == [f"{cohorts}: no data rows"]
+    assert not (tmp_path / "sig.csv").exists()
+
+
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--config", "missing.cfg"]])
+def test_gen_signature_rejects_settings_it_does_not_read(tmp_path, flag):
+    cohorts = tmp_path / "cohorts.csv"
+    cohorts.write_text("user_id,parameter,start,v0,v1,v2\nu1,cpu,0,1.0,2.0,4.0\n")
+    assert main(["gen-signature", "--cohorts", str(cohorts),
+                 "--out", str(tmp_path / "sig.csv"), *flag]) == 1
+
+
 def test_calibrate_emits_thresholds(tmp_path):
     sig_path = tmp_path / "sig.csv"
     write_signature(unit_signature(np.arange(12.0), parameters=["cpu"]), sig_path)

@@ -27,31 +27,47 @@ def test_grid_rejects_short_lengths():
 
 
 def test_series_rejects_nan_and_inf():
+    grid = TimeGrid(3)
     with pytest.raises(ValueError):
-        QoSSeries("cpu", np.array([1.0, np.nan, 2.0]))
+        Signature(("cpu",), [[1.0, np.nan, 2.0]], grid)
     with pytest.raises(ValueError):
-        QoSSeries("cpu", np.array([1.0, np.inf, 2.0]))
+        Signature(("cpu",), [[1.0, np.inf, 2.0]], grid)
     with pytest.raises(ValueError):
-        QoSSeries("cpu", np.array([[1.0, 2.0], [3.0, 4.0]]))
+        Signature(("cpu",), [1.0, 2.0, 3.0], grid)  # a row must be a matrix row
+    with pytest.raises(ValueError):
+        Signature(("cpu",), [[[1.0, 2.0, 3.0]]], grid)
+    with pytest.raises(ValueError):
+        Signature(("",), [[1.0, 2.0, 3.0]], grid)
 
 
 def test_series_values_are_frozen():
-    s = QoSSeries("cpu", np.array([1.0, 2.0, 3.0]))
-    with pytest.raises(ValueError):
-        s.values[0] = 9.0
+    values = np.array([[1.0, 2.0, 3.0]])
+    sig = Signature(("cpu",), values, TimeGrid(3))
+    values[0, 0] = 9.0  # the signature holds its own copy
+    assert sig.matrix[0, 0] == 1.0
+    row = sig.row("cpu")
+    assert isinstance(row, QoSSeries) and row.parameter == "cpu"
+    assert np.shares_memory(row.values, sig.matrix)
+    for frozen in (sig.matrix[0], row.values, sig.rows[0].values):
+        with pytest.raises(ValueError):
+            frozen[0] = 9.0
+    with pytest.raises(KeyError):
+        sig.row("io")
 
 
 def test_signature_shape_checks():
     grid = TimeGrid(4)
-    row = QoSSeries("cpu", np.array([0.5, -0.5, 1.5, -1.5]))
+    row = [0.5, -0.5, 1.5, -1.5]
     with pytest.raises(ValueError):
-        Signature((), grid)
+        Signature((), np.empty((0, 4)), grid)
     with pytest.raises(ValueError):
-        Signature((row, row), grid)  # duplicate parameter name
+        Signature(("cpu", "cpu"), [row, row], grid)  # duplicate parameter name
     with pytest.raises(ValueError):
-        Signature((QoSSeries("cpu", np.array([1.0, 2.0])),), grid)
+        Signature(("cpu", "io"), [row], grid)  # fewer rows than parameters
+    with pytest.raises(ValueError):
+        Signature(("cpu",), [[1.0, 2.0]], grid)
     with pytest.raises(ConstantSeriesError):
-        Signature((QoSSeries("cpu", np.array([2.0, 2.0, 2.0, 2.0])),), grid)
+        Signature(("cpu",), [[2.0, 2.0, 2.0, 2.0]], grid)
 
 
 def test_from_raw_rows_normalizes_scale_only():

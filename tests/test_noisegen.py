@@ -157,9 +157,7 @@ def test_residual_identities(sig):
 
 
 def test_residual_of_constant_shift(sig):
-    from sigdrift.core import QoSSeries, Signature
-    bumped = Signature((QoSSeries("q0", sig.matrix[0] + 3.0),), sig.grid)
-    rows = residual(sig, bumped)
+    rows = residual(sig, raw_signature(sig.matrix + 3.0))
     np.testing.assert_allclose(rows[0], -3.0, atol=1e-12)
 
 

@@ -7,8 +7,7 @@ measurement noise, and decides whether a recomputed signature reflects
 real change or merely a noisy view of the same behaviour.
 """
 from .core import (QoSSeries, Signature, TimeGrid, TrialExperience,
-                   population_std, read_signature, slice_signature,
-                   write_signature)
+                   population_std, read_signature, write_signature)
 from .cpd import (AnomalyThreshold, ChangePoint, EventConfig,
                   calibrate_frequency_threshold, calibrate_similarity_threshold,
                   detect_events, is_anomalous)
@@ -22,7 +21,7 @@ from .errors import (AlignmentError, ConstantSeriesError, ParseError,
 from .evaluate import ExperimentConfig, run_experiment, sensitivity_analysis
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
                        SnrValue, SpikeNoise, inject, learn_noise_profile, snr)
-from .signature import TrialCohort, generate_signature, paa, recompute_signature
+from .signature import TrialCohort, generate_signature, paa
 from .similarity import MeasuredSimilarity, SimilarityMethod, similarity
 
 __version__ = "0.1.0"
@@ -70,11 +69,9 @@ __all__ = [
     "paa",
     "population_std",
     "read_signature",
-    "recompute_signature",
     "run_experiment",
     "sensitivity_analysis",
     "similarity",
-    "slice_signature",
     "sliding_window_detect",
     "snr",
     "snr_detect",

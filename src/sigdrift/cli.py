@@ -179,7 +179,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_gen_signature(args: argparse.Namespace) -> int:
     cohorts = read_cohorts(args.cohorts)
     length = cohorts[0].window[1]
-    sig = generate_signature(cohorts, TimeGrid(length), args.provider or "signature")
+    sig = generate_signature(cohorts, TimeGrid(length))
     write_signature(sig, args.out)
     return 0
 
@@ -300,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-signature", help="build a signature from trial cohorts")
     _add_verbose(p)
     p.add_argument("--cohorts", required=True, help="trial cohort CSV")
-    p.add_argument("--provider", help="provider id to stamp on the signature")
     p.add_argument("--out", required=True, help="signature CSV to write")
     p.set_defaults(func=cmd_gen_signature)
 

@@ -8,7 +8,7 @@ implicitly (detectors must not assume otherwise).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -67,22 +67,20 @@ class Signature:
     file ingest paths, not re-checked on every instance, because noisy
     and spliced copies legitimately leave unit scale.
 
-    ``provider_id`` and ``renormalized`` are provenance, not data: the
-    on-disk format does not carry them, so equality ignores them.
+    ``provider_id`` is provenance, not data: the on-disk format does not
+    carry it, so equality ignores it.
     """
 
     parameters: tuple[str, ...]
     matrix: np.ndarray
     grid: TimeGrid
     provider_id: str = ""
-    renormalized: frozenset[str] = field(default_factory=frozenset)
 
     def __post_init__(self):
         names = tuple(self.parameters)
         matrix = _freeze(self.matrix)
         object.__setattr__(self, "parameters", names)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "renormalized", frozenset(self.renormalized))
         if not names:
             raise ValueError("signature needs at least one row")
         if not all(names):
@@ -102,26 +100,9 @@ class Signature:
                     f"row {name!r} is constant; signatures reject zero-variance rows"
                 )
 
-    @classmethod
-    def from_raw_rows(cls, raw: dict[str, np.ndarray], grid: TimeGrid,
-                      provider_id: str = "") -> "Signature":
-        """Build a normalized signature by scaling each raw row to unit std."""
-        rows = []
-        for name, values in raw.items():
-            arr = np.asarray(values, dtype=np.float64)
-            std = population_std(arr)
-            if std <= _CONSTANT_EPS:
-                raise ConstantSeriesError(f"row {name!r} is constant")
-            rows.append(arr / std)
-        return cls(tuple(raw), rows, grid, provider_id)
-
     @property
     def rows(self) -> tuple[QoSSeries, ...]:
         return tuple(QoSSeries(p, v) for p, v in zip(self.parameters, self.matrix))
-
-    @property
-    def is_normalized(self) -> bool:
-        return all(abs(population_std(v) - 1.0) <= STD_TOLERANCE for v in self.matrix)
 
     def row(self, parameter: str) -> QoSSeries:
         if parameter not in self.parameters:
@@ -133,16 +114,6 @@ class Signature:
             return NotImplemented
         return (self.grid == other.grid and self.parameters == other.parameters
                 and np.array_equal(self.matrix, other.matrix))
-
-
-def slice_signature(sig: Signature, start: int, length: int) -> Signature:
-    """Restrict a signature to grid indices [start, start+length)."""
-    if length < 2:
-        raise ValueError("slice needs at least two points")
-    if start < 0 or start + length > sig.grid.length:
-        raise ValueError("slice exceeds the grid")
-    return Signature(sig.parameters, sig.matrix[:, start:start + length],
-                     TimeGrid(length, sig.grid.resolution), sig.provider_id)
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,8 +161,9 @@ def write_signature(sig: Signature, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def read_signature(path, provider_id: str | None = None) -> Signature:
-    """Read a signature file; rows off unit std are re-normalized and flagged."""
+def read_signature(path) -> Signature:
+    """Read a signature file; its stem is the provider id, and rows off
+    unit std are re-normalized."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     lines = [ln for ln in text.split("\n") if ln]
@@ -209,7 +181,6 @@ def read_signature(path, provider_id: str | None = None) -> Signature:
 
     names = []
     rows = []
-    renormalized = set()
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != length + 1:
@@ -226,14 +197,7 @@ def read_signature(path, provider_id: str | None = None) -> Signature:
             raise ConstantSeriesError(f"{path}: row {name!r} is constant")
         if abs(std - 1.0) > STD_TOLERANCE:
             values = values / std
-            renormalized.add(name)
         names.append(name)
         rows.append(values)
 
-    return Signature(
-        tuple(names),
-        rows,
-        TimeGrid(length),
-        provider_id if provider_id is not None else path.stem,
-        frozenset(renormalized),
-    )
+    return Signature(tuple(names), rows, TimeGrid(length), path.stem)

@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .core import Signature, TrialExperience
 from .errors import AlignmentError, ParseError
 from .similarity import SimilarityMethod, normalize, similarity

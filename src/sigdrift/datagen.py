@@ -27,7 +27,7 @@ import numpy as np
 from .core import Signature, TimeGrid, TrialExperience
 from .errors import AlignmentError, ParseError
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseSpec,
-                       SpikeNoise, inject, spec_from_dict, spec_to_dict)
+                       SpikeNoise, inject, spec_to_dict)
 from .signature import TrialCohort, generate_signature, paa, paa_boundaries
 
 
@@ -89,47 +89,6 @@ def write_trace(trace: WorkloadTrace, path, cores_total: int = 32) -> None:
         for t in range(trace.length):
             lines.append(f"{node},{t},{requested[i, t]},{cores_total}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
-def load_trace(path) -> WorkloadTrace:
-    path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln]
-    if not lines or lines[0] != "node_id,timestamp,cores_requested,cores_total":
-        raise ParseError(f"{path}: bad or missing header")
-    per_node: dict[str, dict[int, float]] = {}
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"{path}: bad row {ln!r}")
-        node = parts[0]
-        try:
-            t = int(parts[1])
-            requested = float(parts[2])
-            total = float(parts[3])
-        except ValueError as exc:
-            raise ParseError(f"{path}: bad row {ln!r}: {exc}") from None
-        if total <= 0:
-            raise ParseError(f"{path}: node {node!r} t={t}: cores_total must be positive")
-        if requested < 0 or requested > total:
-            raise ParseError(f"{path}: node {node!r} t={t}: requested cores out of range")
-        slots = per_node.setdefault(node, {})
-        if t in slots:
-            raise ParseError(f"{path}: duplicate entry for node {node!r} t={t}")
-        slots[t] = requested / total
-
-    if not per_node:
-        raise ParseError(f"{path}: no data rows")
-    lengths = {len(v) for v in per_node.values()}
-    if len(lengths) != 1:
-        raise ParseError(f"{path}: nodes disagree on the number of timestamps")
-    length = lengths.pop()
-    rows = []
-    for node in sorted(per_node):
-        slots = per_node[node]
-        if sorted(slots) != list(range(length)):
-            raise ParseError(f"{path}: node {node!r} timestamps are not 0..{length - 1}")
-        rows.append([slots[t] for t in range(length)])
-    return WorkloadTrace(tuple(sorted(per_node)), np.array(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -290,22 +249,6 @@ def default_profiles() -> list[QoSProfile]:
 
 # ---------------------------------------------------------------------------
 # Performance synthesis
-
-def provider_performance(profile: QoSProfile, demand: float, t: int,
-                         baseline: BaselineMap, seed: int) -> float:
-    """One provider observation: baseline x workload x seasonal x jitter.
-
-    Deterministic for fixed arguments; with jitter_amplitude == 0 the
-    seed has no effect.
-    """
-    if not 0 <= t < profile.grid_span:
-        raise ValueError("t outside the profile's seasonal span")
-    base = baseline_performance(baseline, demand)
-    wmul = float(_RuleLookup(profile.workload_map)(demand))
-    smul = float(_RuleLookup(profile.seasonal_map)(t))
-    u = float(np.random.default_rng(seed).random())
-    return base * wmul * smul * (1.0 + profile.jitter_amplitude * u)
-
 
 def _performance_matrix(profile: QoSProfile, demands: np.ndarray,
                         day_of: np.ndarray, baseline: BaselineMap,

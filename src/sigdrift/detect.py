@@ -19,11 +19,9 @@ stay per-row.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
@@ -107,11 +105,6 @@ def _jsonable(diag: dict) -> dict:
     return out
 
 
-def write_outcome(outcome: DetectionOutcome, path) -> None:
-    Path(path).write_text(json.dumps(outcome.to_dict(), sort_keys=True) + "\n",
-                          encoding="utf-8")
-
-
 def _check_pair(existing: Signature, recomputed: Signature) -> None:
     if existing.grid != recomputed.grid:
         raise AlignmentError("signatures must share the grid")
@@ -120,22 +113,14 @@ def _check_pair(existing: Signature, recomputed: Signature) -> None:
 
 
 def _aggregate(rows: list[RowDecision]) -> DetectionOutcome:
-    verdict = Verdict.NO_CHANGE
-    noise_kind = None
-    deciding = rows[0]
-    for r in rows:
-        if r.verdict is Verdict.CHANGE:
-            verdict = Verdict.CHANGE
-            deciding = r
-            break
-        if r.verdict is Verdict.NOISE and verdict is not Verdict.CHANGE:
-            if noise_kind is None:
-                noise_kind = r.noise_kind
-                deciding = r
-            verdict = Verdict.NOISE
-    if verdict is not Verdict.NOISE:
-        noise_kind = None
-    return DetectionOutcome(verdict, noise_kind, dict(deciding.diagnostics), tuple(rows))
+    """The first change row decides, else the first noise row; with
+    neither, the verdict is no change with row 0's diagnostics."""
+    for verdict in (Verdict.CHANGE, Verdict.NOISE):
+        for r in rows:
+            if r.verdict is verdict:
+                return DetectionOutcome(verdict, r.noise_kind, dict(r.diagnostics),
+                                        tuple(rows))
+    return DetectionOutcome(Verdict.NO_CHANGE, None, dict(rows[0].diagnostics), tuple(rows))
 
 
 def sliding_window_detect(existing: Signature, recomputed: Signature,

@@ -9,10 +9,7 @@ Rates with a zero denominator return None and serialize as JSON null.
 """
 from __future__ import annotations
 
-import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -220,10 +217,6 @@ def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
     return out
 
 
-def _run_repeat_star(args):
-    return _run_repeat(*args)
-
-
 def _summary(values: list) -> dict:
     clean = [v for v in values if v is not None]
     if len(clean) != len(values) or not clean:
@@ -234,12 +227,15 @@ def _summary(values: list) -> dict:
 
 def run_experiment(config: ExperimentConfig, seed: int, jobs: int = 1) -> dict:
     """Run `repeats` fresh corpora and aggregate metrics per detector and size."""
-    work = [(config, s) for s in repeat_streams(seed, config.repeats)]
+    configs = [config] * config.repeats
+    streams = repeat_streams(seed, config.repeats)
     if jobs > 1 and config.repeats > 1:
+        # Imported here: the pool's modules would slow every CLI start.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, config.repeats)) as pool:
-            results = list(pool.map(_run_repeat_star, work))
+            results = list(pool.map(_run_repeat, configs, streams))
     else:
-        results = [_run_repeat(*w) for w in work]
+        results = list(map(_run_repeat, configs, streams))
 
     detectors: dict[str, dict[str, dict[str, dict]]] = {}
     for det in config.detectors:
@@ -282,11 +278,6 @@ def sensitivity_analysis(config: ExperimentConfig, seed: int,
 
 def _level_key(level: float) -> str:
     return repr(float(level))
-
-
-def write_report(report: dict, path) -> None:
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
 
 
 def report_to_csv(report: dict) -> str:

@@ -118,7 +118,7 @@ def inject(sig: Signature, spec: NoiseSpec, seed: int) -> Signature:
             values += rng.normal(0.0, sigma, size=values.size)
         else:
             raise TypeError(f"not a noise spec: {spec!r}")
-    return Signature(sig.parameters, matrix, sig.grid, sig.provider_id, sig.renormalized)
+    return Signature(sig.parameters, matrix, sig.grid, sig.provider_id)
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +129,8 @@ class SnrValue:
     """A signal-to-noise ratio; infinite when the noise term is all zero.
 
     The infinite case is an explicit flag rather than float('inf') so it
-    never enters arithmetic by accident; comparisons go through
-    :meth:`is_less_than`, which is also ``<``, so ``min`` picks the lowest.
+    never enters arithmetic by accident; ``<`` orders it above every
+    finite ratio, so ``min`` picks the lowest.
     """
 
     ratio: float
@@ -152,15 +152,12 @@ class SnrValue:
             return -math.inf
         return 10.0 * math.log10(self.ratio)
 
-    def is_less_than(self, other: "SnrValue") -> bool:
+    def __lt__(self, other: "SnrValue") -> bool:
         if self.infinite:
             return False
         if other.infinite:
             return True
         return self.ratio < other.ratio
-
-    def __lt__(self, other: "SnrValue") -> bool:
-        return self.is_less_than(other)
 
 
 def snr(signal, noise) -> SnrValue:

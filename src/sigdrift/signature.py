@@ -72,11 +72,6 @@ def generate_signature(cohorts, grid: TimeGrid, provider_id: str = "") -> Signat
     return Signature(tuple(names), rows, grid, provider_id)
 
 
-def recompute_signature(cohorts, grid: TimeGrid, provider_id: str = "") -> Signature:
-    """Same construction as :func:`generate_signature`, run on fresh trials."""
-    return generate_signature(cohorts, grid, provider_id)
-
-
 def paa_boundaries(length: int, target_length: int) -> np.ndarray:
     """Frame boundaries for PAA: round-half-up of j*length/target."""
     if target_length < 1:

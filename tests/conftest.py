@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigdrift.core import Signature, TimeGrid
+from sigdrift.core import Signature, TimeGrid, population_std
 
 
 def raw_signature(matrix, provider_id="prov", parameters=None, resolution="day"):
@@ -22,9 +22,8 @@ def unit_signature(matrix, provider_id="prov", parameters=None):
         matrix = matrix[None, :]
     if parameters is None:
         parameters = [f"q{i}" for i in range(matrix.shape[0])]
-    grid = TimeGrid(matrix.shape[1])
-    named = {p: row for p, row in zip(parameters, matrix)}
-    return Signature.from_raw_rows(named, grid, provider_id=provider_id)
+    rows = [row / population_std(row) for row in matrix]
+    return Signature(tuple(parameters), rows, TimeGrid(matrix.shape[1]), provider_id)
 
 
 def wavy_row(length, seed=0, mean=0.0):

@@ -136,8 +136,7 @@ def test_gen_signature_from_cohorts(tmp_path):
         "u1,cpu,0,1.0,2.0,3.0,4.0\n"
         "u2,cpu,0,2.0,4.0,6.0,8.0\n")
     out = tmp_path / "sig.csv"
-    assert main(["gen-signature", "--cohorts", str(cohorts),
-                 "--provider", "p9", "--out", str(out)]) == 0
+    assert main(["gen-signature", "--cohorts", str(cohorts), "--out", str(out)]) == 0
     sig = read_signature(out)
     assert sig.provider_id == "sig"  # stem wins on read; file stores values only
     assert sig.grid.length == 4
@@ -152,7 +151,8 @@ def test_gen_signature_header_only_cohort_file_is_exit_one(tmp_path, caplog):
     assert not (tmp_path / "sig.csv").exists()
 
 
-@pytest.mark.parametrize("flag", [["--seed", "1"], ["--config", "missing.cfg"]])
+@pytest.mark.parametrize("flag", [["--seed", "1"], ["--config", "missing.cfg"],
+                                  ["--provider", "p9"]])
 def test_gen_signature_rejects_settings_it_does_not_read(tmp_path, flag):
     cohorts = tmp_path / "cohorts.csv"
     cohorts.write_text("user_id,parameter,start,v0,v1,v2\nu1,cpu,0,1.0,2.0,4.0\n")

@@ -104,7 +104,7 @@ EXPERIMENT_FLAGS = CORPUS_FLAGS + ["--detectors", "--repeats", "--sample-sizes",
                                    "--snr-mode"]
 OPTIONS = {
     "gen-data": COMMON + CORPUS_FLAGS + ["--out"],
-    "gen-signature": ["--cohorts", "--help", "--out", "--provider", "--verbose", "-h"],
+    "gen-signature": ["--cohorts", "--help", "--out", "--verbose", "-h"],
     "inject": COMMON + ["--out", "--signature", "--spec"],
     "detect": COMMON + ["--detector", "--existing", "--out", "--profile",
                         "--recomputed", "--snr-mode"],

@@ -2,12 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sigdrift.core import (QoSSeries, Signature, TimeGrid, TrialExperience,
-                           population_std, read_signature, slice_signature,
-                           write_signature)
+                           population_std, read_signature, write_signature)
 from sigdrift.errors import ConstantSeriesError, ParseError
 
 from conftest import raw_signature, unit_signature, wavy_row
@@ -70,39 +67,12 @@ def test_signature_shape_checks():
         Signature(("cpu",), [[2.0, 2.0, 2.0, 2.0]], grid)
 
 
-def test_from_raw_rows_normalizes_scale_only():
-    sig = unit_signature([[2.0, 4.0, 6.0]])
-    # scale-only: values divided by population std, no centering
-    expected = np.array([2.0, 4.0, 6.0]) / math.sqrt(8.0 / 3.0)
-    np.testing.assert_allclose(sig.matrix[0], expected, atol=1e-12)
-    assert sig.is_normalized
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=64).filter(
-    lambda v: max(v) - min(v) > 1e-2))
-def test_from_raw_rows_always_unit_std(values):
-    sig = unit_signature([values])
-    assert abs(population_std(sig.matrix[0]) - 1.0) < 1e-6
-
-
 def test_equality_ignores_provider_id():
     a = unit_signature(wavy_row(30), provider_id="a")
     b = unit_signature(wavy_row(30), provider_id="b")
     assert a == b
     c = unit_signature(wavy_row(30, seed=9), provider_id="a")
     assert a != c
-
-
-def test_slice_signature():
-    sig = unit_signature(wavy_row(60))
-    part = slice_signature(sig, 10, 20)
-    assert part.grid.length == 20
-    np.testing.assert_array_equal(part.matrix[0], sig.matrix[0][10:30])
-    with pytest.raises(ValueError):
-        slice_signature(sig, 10, 1)
-    with pytest.raises(ValueError):
-        slice_signature(sig, 50, 20)
 
 
 def test_trial_experience_window():
@@ -124,7 +94,6 @@ def test_signature_round_trip_is_bit_exact(tmp_path):
     assert back == sig
     np.testing.assert_array_equal(back.matrix, sig.matrix)
     assert back.parameters == ("cpu", "io")
-    assert not back.renormalized
     # provider id defaults to the file stem
     assert back.provider_id == "sig"
 
@@ -134,7 +103,6 @@ def test_read_renormalizes_off_unit_rows(tmp_path):
     path.write_text("parameter,t0,t1,t2,t3\ncpu,0.5,-0.5,1.5,-1.5\n")
     sig = read_signature(path)
     # population std of the raw row is sqrt(1.25) ~ 1.118; reader rescales
-    assert "cpu" in sig.renormalized
     assert abs(population_std(sig.matrix[0]) - 1.0) < 1e-12
     np.testing.assert_allclose(
         sig.matrix[0], np.array([0.5, -0.5, 1.5, -1.5]) / math.sqrt(1.25))
@@ -173,4 +141,4 @@ def test_file_has_header_and_one_line_per_row(tmp_path):
 def test_raw_signature_helper_keeps_values():
     sig = raw_signature([[1.0, 2.0, 4.0]])
     np.testing.assert_array_equal(sig.matrix[0], [1.0, 2.0, 4.0])
-    assert not sig.is_normalized
+    assert abs(population_std(sig.matrix[0]) - 1.0) > 1e-9

@@ -5,12 +5,11 @@ import pytest
 
 from sigdrift.core import TimeGrid, population_std
 from sigdrift.datagen import (BaselineMap, CorpusParams, IntervalRule, Label,
-                              QoSProfile, baseline_performance,
+                              QoSProfile, _performance_matrix, baseline_performance,
                               build_base_signatures, build_corpus,
                               build_provider_signatures, default_baseline,
-                              default_profiles, load_trace, make_changed,
-                              make_noisy, manifest_entry, profile_from_dict,
-                              profile_to_dict, provider_performance,
+                              default_profiles, make_changed, make_noisy,
+                              manifest_entry, profile_from_dict, profile_to_dict,
                               synthesize_trace, write_manifest, write_trace)
 from sigdrift.errors import AlignmentError, ParseError
 from sigdrift.noisegen import AttenuationNoise, DistortionNoise, SpikeNoise
@@ -18,23 +17,6 @@ from sigdrift.similarity import pcc, rmse
 
 
 # ------------------------------------------------------------------- traces
-
-def test_trace_row_becomes_demand_fraction(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("node_id,timestamp,cores_requested,cores_total\n"
-                    "n1,0,16,32\nn1,1,8,32\n")
-    trace = load_trace(path)
-    assert trace.demands.shape == (1, 2)
-    assert trace.demands[0, 0] == 0.5
-    assert trace.demands[0, 1] == 0.25
-
-
-def test_trace_rejects_over_requested_cores(tmp_path):
-    path = tmp_path / "t.csv"
-    path.write_text("node_id,timestamp,cores_requested,cores_total\nn1,0,40,32\n")
-    with pytest.raises(ParseError):
-        load_trace(path)
-
 
 def test_synthesize_trace_matches_frame():
     trace = synthesize_trace(31, 6486, seed=0)
@@ -51,8 +33,14 @@ def test_trace_round_trip(tmp_path):
     trace = synthesize_trace(4, 50, seed=3)
     path = tmp_path / "trace.csv"
     write_trace(trace, path)
-    back = load_trace(path)
-    np.testing.assert_allclose(back.demands, trace.demands, atol=1e-12)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "node_id,timestamp,cores_requested,cores_total"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [(r[0], int(r[1])) for r in rows] == [
+        (node, t) for node in trace.node_ids for t in range(trace.length)]
+    demands = np.array([int(r[2]) / int(r[3]) for r in rows])
+    np.testing.assert_allclose(demands.reshape(trace.demands.shape), trace.demands,
+                               atol=1e-12)
 
 
 # ------------------------------------------------------------ baseline map
@@ -95,30 +83,34 @@ def _example_profile(jitter=0.0):
     return QoSProfile("example", workload, seasonal, jitter)
 
 
-def test_provider_performance_worked_example():
+def _performance(profile, demand, t, bmap, seed):
+    """One observation: one node at `demand`, one raw timestamp on grid day `t`."""
+    return float(_performance_matrix(profile, np.array([[demand]]), np.array([t]),
+                                     bmap, np.random.default_rng(seed))[0, 0])
+
+
+def test_performance_matrix_worked_example():
     bmap = BaselineMap(((0.0, 2100.0), (0.6, 1500.0), (1.0, 900.0)))
     profile = _example_profile()
     # demand 0.6 -> baseline 1500, workload band multiplier 1.10
-    assert provider_performance(profile, 0.6, 10, bmap, seed=1) == pytest.approx(
-        1650.0, abs=1e-9)
+    assert _performance(profile, 0.6, 10, bmap, seed=1) == pytest.approx(1650.0, abs=1e-9)
     # December band adds one percent on top
-    assert provider_performance(profile, 0.6, 340, bmap, seed=1) == pytest.approx(
-        1666.5, abs=1e-9)
+    assert _performance(profile, 0.6, 340, bmap, seed=1) == pytest.approx(1666.5, abs=1e-9)
 
 
 def test_zero_jitter_ignores_seed():
     bmap = default_baseline()
     profile = _example_profile(jitter=0.0)
-    a = provider_performance(profile, 0.3, 5, bmap, seed=1)
-    b = provider_performance(profile, 0.3, 5, bmap, seed=999)
+    a = _performance(profile, 0.3, 5, bmap, seed=1)
+    b = _performance(profile, 0.3, 5, bmap, seed=999)
     assert a == b
 
 
 def test_jitter_is_bounded_and_seeded():
     bmap = BaselineMap(((0.0, 2.0), (1.0, 1.0)))
     profile = _example_profile(jitter=0.05)
-    base = provider_performance(_example_profile(0.0), 0.3, 5, bmap, seed=1)
-    vals = [provider_performance(profile, 0.3, 5, bmap, seed=s) for s in range(20)]
+    base = _performance(_example_profile(0.0), 0.3, 5, bmap, seed=1)
+    vals = [_performance(profile, 0.3, 5, bmap, seed=s) for s in range(20)]
     assert all(base <= v <= base * 1.05 for v in vals)
     assert len(set(vals)) > 1
 

@@ -1,10 +1,8 @@
-import json
-
 import numpy as np
 import pytest
 
 from sigdrift.detect import (DetectorThresholds, Verdict, cusum_detect,
-                             sliding_window_detect, snr_detect, write_outcome)
+                             sliding_window_detect, snr_detect)
 from sigdrift.errors import AlignmentError
 from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
                                SnrValue, SpikeNoise, inject,
@@ -110,6 +108,22 @@ def test_sw_multi_row_aggregation(ex):
     out = sliding_window_detect(two, suspect, TH)
     assert out.verdict is Verdict.CHANGE  # any changed row wins
     assert [r.verdict for r in out.rows] == [Verdict.NO_CHANGE, Verdict.CHANGE]
+
+
+def test_sw_change_row_outranks_an_earlier_noise_row():
+    quiet = wavy_row(360, seed=3)
+    mixed = quiet.copy()
+    mixed[180:270] = -mixed[180:270]
+    two = unit_signature(np.vstack([wavy_row(360, seed=3, mean=1.5), quiet]),
+                         parameters=["a", "b"])
+    # row a: 0.8x damping lands in the attenuation band; row b: mirrored segment
+    suspect = raw_signature(np.vstack([0.8 * two.matrix[0], mixed]), parameters=["a", "b"])
+    out = sliding_window_detect(two, suspect, TH)
+    assert [(r.verdict, r.noise_kind) for r in out.rows] == [
+        (Verdict.NOISE, "attenuation"), (Verdict.CHANGE, None)]
+    assert out.verdict is Verdict.CHANGE
+    assert out.noise_kind is None
+    assert out.diagnostics == out.rows[1].diagnostics
 
 
 def test_sw_pair_checks(ex):
@@ -268,7 +282,7 @@ def test_snr_profile_must_fit_grid(ex):
 
 # ----------------------------------------------------------------- outcomes
 
-def test_outcome_serialization(tmp_path, ex):
+def test_outcome_serialization(ex):
     mixed = ex.matrix[0].copy()
     mixed[180:270] = -mixed[180:270]
     out = sliding_window_detect(ex, raw_signature(mixed), TH)
@@ -276,9 +290,6 @@ def test_outcome_serialization(tmp_path, ex):
     assert payload["verdict"] == "change"
     assert payload["noise_kind"] is None
     assert payload["diagnostics"]["rows"][0]["parameter"] == "q0"
-    path = tmp_path / "outcome.json"
-    write_outcome(out, path)
-    assert json.loads(path.read_text())["verdict"] == "change"
 
 
 def test_nan_diagnostics_serialize_as_null(ex):

@@ -7,7 +7,7 @@ from sigdrift.core import TimeGrid, TrialExperience
 from sigdrift.errors import AlignmentError, ConstantSeriesError
 from sigdrift.signature import (TrialCohort, generate_signature, paa,
                                 paa_boundaries, read_cohorts, read_experiences,
-                                recompute_signature, write_cohorts)
+                                write_cohorts)
 
 
 def _cohort(parameter, users, start=0):
@@ -94,13 +94,6 @@ def test_common_positive_scale_cancels(seed, scale):
     a = generate_signature([_cohort("cpu", users)], TimeGrid(8))
     b = generate_signature([_cohort("cpu", scale * users)], TimeGrid(8))
     np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-9)
-
-
-def test_recompute_is_an_alias():
-    cohort = _cohort("cpu", [[2.0, 4.0, 6.0]])
-    a = generate_signature([cohort], TimeGrid(3))
-    b = recompute_signature([cohort], TimeGrid(3))
-    assert a == b
 
 
 def test_generate_requires_full_grid_window():

@@ -1,7 +1,19 @@
 """Numeric kernels for the detector inner loops, in plain numpy.
 
 ``tests/test_kernels.py`` pins both outputs bit for bit: verdicts that sit
-on a threshold are decided by rounding, so summation order matters.
+on a threshold are decided by rounding, so summation order matters.  The
+per-pair code here, in ``similarity``, ``noisegen`` and ``core`` cuts
+numpy calls only in ways that keep every sum the same
+(``tests/test_parity.py`` checks each against the plain numpy form):
+
+- ``cumsum`` and ``ufunc.accumulate`` along an axis add in sequence, so
+  one call on stacked rows equals one call per row.
+- ``np.add.reduce(a, axis) / n`` is the ufunc sequence ``a.mean(axis)``
+  runs (pairwise summation along a contiguous axis), without its Python
+  wrapper; ``core._std`` does the same for ``a.std(axis)``.
+- Not allowed until rounding-decided verdicts are handled explicitly:
+  ``einsum``, and dot products reordered or moved off BLAS ``@``, which
+  round differently.
 """
 from __future__ import annotations
 
@@ -32,38 +44,24 @@ def deletion_pcc_scan(x: np.ndarray, y: np.ndarray, window: int) -> np.ndarray:
 
     # Centering by the global means keeps the running sums small and the
     # variance subtraction below well conditioned.
-    x0 = x - x.mean()
-    y0 = y - y.mean()
+    xy0 = np.array((x, y))
+    xy0 -= np.add.reduce(xy0, axis=1, keepdims=True) / n
 
-    zeros = np.zeros(1)
-    csx = np.concatenate([zeros, np.cumsum(x0)])
-    csy = np.concatenate([zeros, np.cumsum(y0)])
-    csxx = np.concatenate([zeros, np.cumsum(x0 * x0)])
-    csyy = np.concatenate([zeros, np.cumsum(y0 * y0)])
-    csxy = np.concatenate([zeros, np.cumsum(x0 * y0)])
-
-    # Sums over each deletion block [w, w+window).
-    wsx = csx[window:] - csx[:-window]
-    wsy = csy[window:] - csy[:-window]
-    wsxx = csxx[window:] - csxx[:-window]
-    wsyy = csyy[window:] - csyy[:-window]
-    wsxy = csxy[window:] - csxy[:-window]
+    # Prefix sums of x0, y0, x0², y0², x0·y0, each after a leading zero;
+    # then the sums left over after deleting each block [w, w+window):
+    # rows sx, sy, sxx, syy, sxy.
+    cs = np.zeros((5, n + 1))
+    np.concatenate((xy0, xy0 * xy0, xy0[:1] * xy0[1:])).cumsum(axis=1, out=cs[:, 1:])
+    rest = cs[:, -1:] - (cs[:, window:] - cs[:, :-window])
 
     m = n - window
-    sx = csx[-1] - wsx
-    sy = csy[-1] - wsy
-    sxx = csxx[-1] - wsxx
-    syy = csyy[-1] - wsyy
-    sxy = csxy[-1] - wsxy
-
-    num = m * sxy - sx * sy
-    varx = m * sxx - sx * sx
-    vary = m * syy - sy * sy
-    denom = np.sqrt(np.clip(varx, 0.0, None) * np.clip(vary, 0.0, None))
+    num = m * rest[4] - rest[0] * rest[1]
+    var = m * rest[2:4] - rest[:2] * rest[:2]  # varx, vary
+    var.clip(0.0, None, out=var)
+    denom = np.sqrt(var[0] * var[1])
     out = np.full(n - window + 1, np.nan)
-    ok = denom > 0.0
-    out[ok] = num[ok] / denom[ok]
-    np.clip(out, -1.0, 1.0, out=out)
+    np.divide(num, denom, out=out, where=denom > 0.0)
+    out.clip(-1.0, 1.0, out=out)
     return out
 
 
@@ -87,13 +85,13 @@ def cusum_scan(z: np.ndarray, slack: float, threshold: float):
     if z.size == 0:
         return 0.0, 0.0, -1
 
-    def one_side(a: np.ndarray) -> np.ndarray:
-        s = np.concatenate([[0.0], np.cumsum(a)])
-        running_min = np.minimum.accumulate(s)
-        return s[1:] - running_min[1:]
-
-    pos = one_side(z - slack)
-    neg = one_side(-z - slack)
-    crossed = (pos > threshold) | (neg > threshold)
-    alarm = int(np.argmax(crossed)) if crossed.any() else -1
-    return float(pos.max()), float(neg.max()), alarm
+    # Row 0 is the upper side (a = z - slack), row 1 the lower (a = -z - slack).
+    s = np.zeros((2, z.size + 1))
+    np.array((z - slack, -z - slack)).cumsum(axis=1, out=s[:, 1:])
+    sides = s[:, 1:] - np.minimum.accumulate(s, axis=1)[:, 1:]
+    crossed = (sides > threshold).any(axis=0)
+    alarm = int(crossed.argmax())
+    if not crossed[alarm]:
+        alarm = -1
+    max_pos, max_neg = sides.max(axis=1).tolist()
+    return max_pos, max_neg, alarm

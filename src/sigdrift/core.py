@@ -23,9 +23,17 @@ STD_TOLERANCE = 1e-9
 _CONSTANT_EPS = 1e-12
 
 
+def _std(arr: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """Population std over `axis` (all axes when None): the ufunc sequence
+    ``ndarray.std`` runs, without its Python wrapper, so bit-identical."""
+    n = arr.size if axis is None else arr.shape[axis]
+    d = arr - np.add.reduce(arr, axis=axis, keepdims=True) / n
+    return np.sqrt(np.add.reduce(d * d, axis=axis) / n)
+
+
 def population_std(values: np.ndarray) -> float:
     """Population (ddof=0) standard deviation."""
-    return float(np.asarray(values, dtype=np.float64).std())
+    return float(_std(np.asarray(values, dtype=np.float64)))
 
 
 def _freeze(values) -> np.ndarray:
@@ -92,13 +100,12 @@ class Signature:
                              f"got an array of shape {matrix.shape}")
         if matrix.shape[1] != self.grid.length:
             raise ValueError(f"rows have {matrix.shape[1]} points, grid has {self.grid.length}")
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             raise ValueError("signature values must be finite (no NaN/inf)")
-        for name, values in zip(names, matrix):
-            if population_std(values) <= _CONSTANT_EPS:
-                raise ConstantSeriesError(
-                    f"row {name!r} is constant; signatures reject zero-variance rows"
-                )
+        constant = np.flatnonzero(_std(matrix, axis=1) <= _CONSTANT_EPS)
+        if constant.size:
+            raise ConstantSeriesError(f"row {names[constant[0]]!r} is constant; "
+                                      "signatures reject zero-variance rows")
 
     @property
     def rows(self) -> tuple[QoSSeries, ...]:

@@ -123,6 +123,17 @@ def _aggregate(rows: list[RowDecision]) -> DetectionOutcome:
     return DetectionOutcome(Verdict.NO_CHANGE, None, dict(rows[0].diagnostics), tuple(rows))
 
 
+def _first_max(scan: np.ndarray) -> tuple[int, float]:
+    """Index and value of the first maximum of `scan`, skipping NaN, as
+    ``np.nanargmax`` picks it; ``(-1, nan)`` when every entry is NaN."""
+    filled = np.where(np.isnan(scan), -np.inf, scan)
+    start = int(filled.argmax())
+    best = float(filled[start])
+    if best == -math.inf:
+        return -1, math.nan
+    return start, best
+
+
 def sliding_window_detect(existing: Signature, recomputed: Signature,
                           thresholds: DetectorThresholds = DetectorThresholds()
                           ) -> DetectionOutcome:
@@ -141,13 +152,7 @@ def sliding_window_detect(existing: Signature, recomputed: Signature,
         if p >= thresholds.similarity_floor and r <= thresholds.attenuation_ceiling:
             decisions.append(RowDecision(parameter, Verdict.NOISE, "attenuation", diag))
             continue
-        scan = deletion_pcc_scan(x, y, thresholds.window)
-        if np.all(np.isnan(scan)):
-            best = float("nan")
-            best_start = -1
-        else:
-            best_start = int(np.nanargmax(scan))
-            best = float(scan[best_start])
+        best_start, best = _first_max(deletion_pcc_scan(x, y, thresholds.window))
         diag["best_window_pcc"] = best
         diag["removed_window_start"] = best_start
         if not math.isnan(best) and best >= thresholds.similarity_floor:

@@ -100,8 +100,11 @@ def write_spec(spec: NoiseSpec, path) -> None:
 
 
 def inject(sig: Signature, spec: NoiseSpec, seed: int) -> Signature:
-    """Apply a noise spec to every row; returns an un-renormalized copy."""
-    rng = np.random.default_rng(seed)
+    """Apply a noise spec to every row; returns an un-renormalized copy.
+
+    Only distortion draws random numbers; `seed` seeds those draws."""
+    if isinstance(spec, DistortionNoise):
+        rng = np.random.default_rng(seed)
     matrix = sig.matrix.copy()
     for values in matrix:  # std and power are read before the row changes
         if isinstance(spec, SpikeNoise):
@@ -113,7 +116,7 @@ def inject(sig: Signature, spec: NoiseSpec, seed: int) -> Signature:
         elif isinstance(spec, AttenuationNoise):
             values *= spec.factor
         elif isinstance(spec, DistortionNoise):
-            power = float(np.mean(values ** 2))
+            power = float(np.add.reduce(values * values) / values.size)
             sigma = math.sqrt(power / (10.0 ** (spec.target_snr_db / 10.0)))
             values += rng.normal(0.0, sigma, size=values.size)
         else:
@@ -160,21 +163,23 @@ class SnrValue:
         return self.ratio < other.ratio
 
 
-def snr(signal, noise) -> SnrValue:
-    """Mean-square(signal) over mean-square(noise).
+def _snr_value(signal_ms: float, noise_ms: float) -> SnrValue:
+    """SNR from two mean squares.  A noise mean square of zero (all-zero
+    noise, or squares so small they underflow) gives the infinite value."""
+    if noise_ms <= 0.0:
+        return SnrValue.unbounded()
+    return SnrValue(signal_ms / noise_ms)
 
-    Arrays of any shape are pooled.  A noise term whose mean square is
-    zero (all zero, or so small that its squares underflow) gives the
-    infinite value.
-    """
+
+def snr(signal, noise) -> SnrValue:
+    """Mean-square(signal) over mean-square(noise); arrays of any shape
+    are pooled.  See :func:`_snr_value` for the infinite case."""
     s = np.asarray(signal, dtype=np.float64)
     n = np.asarray(noise, dtype=np.float64)
     if s.size == 0 or n.size == 0:
         raise ValueError("signal and noise must be non-empty")
-    denom = float(np.mean(n ** 2))
-    if denom <= 0.0:
-        return SnrValue.unbounded()
-    return SnrValue(float(np.mean(s ** 2)) / denom)
+    return _snr_value(float(np.add.reduce(s * s, axis=None) / s.size),
+                      float(np.add.reduce(n * n, axis=None) / n.size))
 
 
 def residual(existing: Signature, recomputed: Signature) -> np.ndarray:
@@ -197,8 +202,15 @@ def segment_snrs(signal, noise, segments: int) -> list[SnrValue]:
                              f"into {segments} equal segments")
     if seg_len < 2:
         raise ValueError("segments too short for the grid")
-    return [snr(signal[:, start:start + seg_len], noise[:, start:start + seg_len])
-            for start in range(0, length, seg_len)]
+    rows = signal.shape[0]
+
+    def mean_squares(a: np.ndarray) -> list[float]:
+        # Row i holds a[:, i*seg_len:(i+1)*seg_len] in C order, so each
+        # row's sum is the one np.mean of that column block takes.
+        blocks = a.reshape(rows, segments, seg_len).transpose(1, 0, 2).reshape(segments, -1)
+        return (np.add.reduce(blocks * blocks, axis=1) / blocks.shape[1]).tolist()
+
+    return [_snr_value(s, n) for s, n in zip(mean_squares(signal), mean_squares(noise))]
 
 
 @dataclass(frozen=True)

@@ -71,14 +71,15 @@ def euclidean(a, b) -> float:
 def rmse(a, b) -> float:
     """Root mean square error; euclidean(a, b) / sqrt(len)."""
     x, y = _pair(a, b)
-    return float(np.sqrt(np.mean((x - y) ** 2)))
+    d = x - y
+    return math.sqrt(np.add.reduce(d * d) / d.size)
 
 
 def pcc(a, b) -> float:
     """Pearson correlation coefficient, clamped to [-1, 1]."""
     x, y = _pair(a, b, 2)
-    dx = x - x.mean()
-    dy = y - y.mean()
+    dx = x - np.add.reduce(x) / x.size
+    dy = y - np.add.reduce(y) / y.size
     denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
     if denom <= 0.0:
         raise ConstantSeriesError("correlation undefined for constant input")

@@ -67,6 +67,13 @@ def test_signature_shape_checks():
         Signature(("cpu",), [[2.0, 2.0, 2.0, 2.0]], grid)
 
 
+def test_constant_row_error_names_the_first_constant_row():
+    flat = [2.0, 2.0, 2.0, 2.0]
+    with pytest.raises(ConstantSeriesError, match="row 'io' is constant"):
+        Signature(("cpu", "io", "net"), [[0.5, -0.5, 1.5, -1.5], flat, flat],
+                  TimeGrid(4))
+
+
 def test_equality_ignores_provider_id():
     a = unit_signature(wavy_row(30), provider_id="a")
     b = unit_signature(wavy_row(30), provider_id="b")

@@ -44,15 +44,20 @@ def deletion_pcc_scan(x: np.ndarray, y: np.ndarray, window: int) -> np.ndarray:
 
     # Centering by the global means keeps the running sums small and the
     # variance subtraction below well conditioned.
-    xy0 = np.array((x, y))
+    terms = np.empty((5, n))  # rows x0, y0, x0², y0², x0·y0
+    xy0 = terms[:2]
+    xy0[0] = x
+    xy0[1] = y
     xy0 -= np.add.reduce(xy0, axis=1, keepdims=True) / n
+    np.square(xy0, out=terms[2:4])
+    np.multiply(xy0[0], xy0[1], out=terms[4])
 
-    # Prefix sums of x0, y0, x0², y0², x0·y0, each after a leading zero;
-    # then the sums left over after deleting each block [w, w+window):
-    # rows sx, sy, sxx, syy, sxy.
+    # Prefix sums of each row after a leading zero; then the sums left
+    # over after deleting each block [w, w+window): sx, sy, sxx, syy, sxy.
     cs = np.zeros((5, n + 1))
-    np.concatenate((xy0, xy0 * xy0, xy0[:1] * xy0[1:])).cumsum(axis=1, out=cs[:, 1:])
-    rest = cs[:, -1:] - (cs[:, window:] - cs[:, :-window])
+    terms.cumsum(axis=1, out=cs[:, 1:])
+    rest = np.subtract(cs[:, window:], cs[:, :-window])
+    np.subtract(cs[:, -1:], rest, out=rest)
 
     m = n - window
     num = m * rest[4] - rest[0] * rest[1]
@@ -85,10 +90,14 @@ def cusum_scan(z: np.ndarray, slack: float, threshold: float):
     if z.size == 0:
         return 0.0, 0.0, -1
 
-    # Row 0 is the upper side (a = z - slack), row 1 the lower (a = -z - slack).
+    a = np.empty((2, z.size))  # the upper side's steps, then the lower's
+    np.subtract(z, slack, out=a[0])
+    np.subtract(-z, slack, out=a[1])
     s = np.zeros((2, z.size + 1))
-    np.array((z - slack, -z - slack)).cumsum(axis=1, out=s[:, 1:])
-    sides = s[:, 1:] - np.minimum.accumulate(s, axis=1)[:, 1:]
+    a.cumsum(axis=1, out=s[:, 1:])
+    # Written over the steps: one large temporary fewer, which on long
+    # rows is most of the cost.
+    sides = np.subtract(s[:, 1:], np.minimum.accumulate(s, axis=1)[:, 1:], out=a)
     crossed = (sides > threshold).any(axis=0)
     alarm = int(crossed.argmax())
     if not crossed[alarm]:

@@ -28,7 +28,7 @@ def _std(arr: np.ndarray, axis: int | None = None) -> np.ndarray:
     ``ndarray.std`` runs, without its Python wrapper, so bit-identical."""
     n = arr.size if axis is None else arr.shape[axis]
     d = arr - np.add.reduce(arr, axis=axis, keepdims=True) / n
-    return np.sqrt(np.add.reduce(d * d, axis=axis) / n)
+    return np.sqrt(np.add.reduce(np.square(d, out=d), axis=axis) / n)
 
 
 def population_std(values: np.ndarray) -> float:

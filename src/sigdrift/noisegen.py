@@ -116,7 +116,7 @@ def inject(sig: Signature, spec: NoiseSpec, seed: int) -> Signature:
         elif isinstance(spec, AttenuationNoise):
             values *= spec.factor
         elif isinstance(spec, DistortionNoise):
-            power = float(np.add.reduce(values * values) / values.size)
+            power = float(np.add.reduce(np.square(values)) / values.size)
             sigma = math.sqrt(power / (10.0 ** (spec.target_snr_db / 10.0)))
             values += rng.normal(0.0, sigma, size=values.size)
         else:
@@ -178,8 +178,8 @@ def snr(signal, noise) -> SnrValue:
     n = np.asarray(noise, dtype=np.float64)
     if s.size == 0 or n.size == 0:
         raise ValueError("signal and noise must be non-empty")
-    return _snr_value(float(np.add.reduce(s * s, axis=None) / s.size),
-                      float(np.add.reduce(n * n, axis=None) / n.size))
+    return _snr_value(float(np.add.reduce(np.square(s), axis=None) / s.size),
+                      float(np.add.reduce(np.square(n), axis=None) / n.size))
 
 
 def residual(existing: Signature, recomputed: Signature) -> np.ndarray:
@@ -208,7 +208,7 @@ def segment_snrs(signal, noise, segments: int) -> list[SnrValue]:
         # Row i holds a[:, i*seg_len:(i+1)*seg_len] in C order, so each
         # row's sum is the one np.mean of that column block takes.
         blocks = a.reshape(rows, segments, seg_len).transpose(1, 0, 2).reshape(segments, -1)
-        return (np.add.reduce(blocks * blocks, axis=1) / blocks.shape[1]).tolist()
+        return (np.add.reduce(np.square(blocks), axis=1) / blocks.shape[1]).tolist()
 
     return [_snr_value(s, n) for s, n in zip(mean_squares(signal), mean_squares(noise))]
 

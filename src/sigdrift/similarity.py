@@ -72,7 +72,7 @@ def rmse(a, b) -> float:
     """Root mean square error; euclidean(a, b) / sqrt(len)."""
     x, y = _pair(a, b)
     d = x - y
-    return math.sqrt(np.add.reduce(d * d) / d.size)
+    return math.sqrt(np.add.reduce(np.square(d, out=d)) / d.size)
 
 
 def pcc(a, b) -> float:

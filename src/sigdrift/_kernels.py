@@ -44,7 +44,7 @@ def deletion_pcc_scan(x: np.ndarray, y: np.ndarray, window: int) -> np.ndarray:
 
     # Centering by the global means keeps the running sums small and the
     # variance subtraction below well conditioned.
-    terms = np.empty((5, n))  # rows x0, y0, x0², y0², x0·y0
+    terms = np.empty((5, n))  # rows x0, y0, x0*x0, y0*y0, x0*y0
     xy0 = terms[:2]
     xy0[0] = x
     xy0[1] = y

@@ -103,8 +103,7 @@ def inject(sig: Signature, spec: NoiseSpec, seed: int) -> Signature:
     """Apply a noise spec to every row; returns an un-renormalized copy.
 
     Only distortion draws random numbers; `seed` seeds those draws."""
-    if isinstance(spec, DistortionNoise):
-        rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed) if isinstance(spec, DistortionNoise) else None
     matrix = sig.matrix.copy()
     for values in matrix:  # std and power are read before the row changes
         if isinstance(spec, SpikeNoise):

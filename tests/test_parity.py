@@ -25,7 +25,7 @@ from sigdrift.similarity import pcc, rmse
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 
 
-def _rows(min_len=3, max_len=200):
+def _rows(min_len, max_len=200):
     return hnp.arrays(np.float64, st.integers(min_len, max_len), elements=FINITE)
 
 

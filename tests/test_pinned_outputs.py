@@ -34,6 +34,11 @@ SNR_PROFILES = {
                    '96.92932325488728, 43.04451032341312]}\n',
 }
 
+# `evaluate --seed 42 --repeats 1` at the paper defaults (6,000 pairs).
+# At this size 137 of its SNR segment comparisons equal their baseline
+# exactly, so a summation-order change that flips any verdict shows here.
+PAPER_REPORT_SHA256 = "28f549695dbb3c8269302ea8cfd6fd9ca635a3102809fb0d8cc23104c52d4506"
+
 MULTI_ROW_SHA256 = "42cbfcebb73e1216616a9155dadf3cd6dc31ef312d7ca24c52178aeade1314e7"
 
 
@@ -78,3 +83,10 @@ def test_gen_data_snr_profiles_are_pinned(tmp_path):
     written = {p.name: p.read_text(encoding="utf-8")
                for p in (out / "snr_profiles").iterdir()}
     assert written == SNR_PROFILES
+
+
+def test_paper_scale_evaluate_report_is_pinned(tmp_path):
+    out = tmp_path / "report.json"
+    assert main(["evaluate", "--seed", "42", "--jobs", "1", "--repeats", "1",
+                 "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PAPER_REPORT_SHA256

@@ -8,7 +8,7 @@ implicitly (detectors must not assume otherwise).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,6 +22,10 @@ STD_TOLERANCE = 1e-9
 #: population std below this means the series is constant for our purposes.
 _CONSTANT_EPS = 1e-12
 
+#: Bytes of a stack that one pass over it works on at a time, so that no
+#: temporary grows with the number of signatures in the stack.
+BLOCK_BYTES = 1 << 22
+
 
 def _std(arr: np.ndarray, axis: int | None = None) -> np.ndarray:
     """Population std over `axis` (all axes when None): the ufunc sequence
@@ -34,6 +38,41 @@ def _std(arr: np.ndarray, axis: int | None = None) -> np.ndarray:
 def population_std(values: np.ndarray) -> float:
     """Population (ddof=0) standard deviation."""
     return float(_std(np.asarray(values, dtype=np.float64)))
+
+
+def block_slices(count: int, item_bytes: int) -> list[slice]:
+    """Slices of ``range(count)``, each covering about ``BLOCK_BYTES`` of
+    items that take ``item_bytes`` each (at least one item per slice)."""
+    step = max(1, BLOCK_BYTES // max(1, item_bytes))
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def check_stack(stack: np.ndarray, parameters: tuple[str, ...]) -> np.ndarray:
+    """Check a ``(N, rows, L)`` float64 stack of signature matrices and
+    return its ``(N, rows)`` row population stds, read-only.
+
+    The checks are the ones every signature passes: finite values and no
+    constant row.  Matrices are checked in order and the first failing
+    one decides the error, a non-finite value before a constant row.
+    The stack is read in blocks of ``BLOCK_BYTES``, so the temporaries
+    stay that small however long the stack is.
+    """
+    count, rows, length = stack.shape
+    stds = np.empty((count, rows))
+    for block in block_slices(count, rows * length * stack.itemsize):
+        values = stack[block]
+        finite = np.isfinite(values).all(axis=(1, 2))
+        ok = finite.size if finite.all() else int(finite.argmin())
+        checked = stds[block][:ok]
+        checked[...] = _std(values[:ok], axis=-1)
+        constant = np.flatnonzero(checked.ravel() <= _CONSTANT_EPS)
+        if constant.size:
+            raise ConstantSeriesError(f"row {parameters[constant[0] % rows]!r} is constant; "
+                                      "signatures reject zero-variance rows")
+        if ok < finite.size:
+            raise ValueError("signature values must be finite (no NaN/inf)")
+    stds.setflags(write=False)
+    return stds
 
 
 def _freeze(values) -> np.ndarray:
@@ -69,11 +108,13 @@ class Signature:
 
     ``matrix`` holds one float64 row per entry of ``parameters`` over the
     grid; it is copied and made read-only once, here.  Structural
-    invariants (checked here): at least one row, non-empty unique
-    parameter names, a finite ``(rows, grid.length)`` matrix, no constant
-    rows.  Unit-std normalization is established by the generation and
-    file ingest paths, not re-checked on every instance, because noisy
-    and spliced copies legitimately leave unit scale.
+    invariants (checked here, by :func:`check_stack`): at least one row,
+    non-empty unique parameter names, a finite ``(rows, grid.length)``
+    matrix, no constant rows.  ``row_stds`` holds each row's population
+    std as that check computed it, read-only.  Unit-std normalization is
+    established by the generation and file ingest paths, not re-checked
+    on every instance, because noisy and spliced copies legitimately
+    leave unit scale.
 
     ``provider_id`` is provenance, not data: the on-disk format does not
     carry it, so equality ignores it.
@@ -83,6 +124,7 @@ class Signature:
     matrix: np.ndarray
     grid: TimeGrid
     provider_id: str = ""
+    row_stds: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         names = tuple(self.parameters)
@@ -100,12 +142,18 @@ class Signature:
                              f"got an array of shape {matrix.shape}")
         if matrix.shape[1] != self.grid.length:
             raise ValueError(f"rows have {matrix.shape[1]} points, grid has {self.grid.length}")
-        if not np.isfinite(matrix).all():
-            raise ValueError("signature values must be finite (no NaN/inf)")
-        constant = np.flatnonzero(_std(matrix, axis=1) <= _CONSTANT_EPS)
-        if constant.size:
-            raise ConstantSeriesError(f"row {names[constant[0]]!r} is constant; "
-                                      "signatures reject zero-variance rows")
+        object.__setattr__(self, "row_stds", check_stack(matrix[None], names)[0])
+
+    @classmethod
+    def _checked(cls, parameters: tuple[str, ...], matrix: np.ndarray, grid: TimeGrid,
+                 provider_id: str, row_stds: np.ndarray) -> "Signature":
+        """A signature over a read-only ``(rows, grid.length)`` matrix that
+        :func:`check_stack` has passed, with the stds it returned: no
+        copy and no second check."""
+        sig = object.__new__(cls)
+        vars(sig).update(parameters=parameters, matrix=matrix, grid=grid,
+                         provider_id=provider_id, row_stds=row_stds)
+        return sig
 
     @property
     def rows(self) -> tuple[QoSSeries, ...]:

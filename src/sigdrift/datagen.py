@@ -21,13 +21,14 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Signature, TimeGrid, TrialExperience
+from .core import Signature, TimeGrid, TrialExperience, check_stack
 from .errors import AlignmentError, ParseError
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseSpec,
-                       SpikeNoise, inject, spec_to_dict)
+                       SpikeNoise, apply_noise, spec_to_dict)
 from .signature import TrialCohort, generate_signature, paa, paa_boundaries
 
 
@@ -320,6 +321,53 @@ class LabeledPair:
     provenance: dict
 
 
+class _Splice(NamedTuple):
+    """Columns [start, stop) of base signature `donor`, spliced in."""
+
+    donor: int
+    start: int
+    stop: int
+
+
+def _build_pairs(bases: list[Signature], base_of: list[int],
+                 edits: list[_Splice | NoiseSpec],
+                 provenances: list[dict]) -> list[LabeledPair]:
+    """Pair i is ``bases[base_of[i]]`` against a copy of it with
+    ``edits[i]`` applied: a splice (a changed pair) or noise seeded with
+    ``provenances[i]["seed"]`` (a noisy pair).
+
+    The copies fill one ``(N, rows, L)`` stack, which is checked once and
+    then made read-only; each recomputed signature is a view of its slice.
+    """
+    first = bases[0]
+    for base in bases[1:]:
+        if base.grid != first.grid or base.parameters != first.parameters:
+            raise AlignmentError("base signatures must share grid and parameters")
+    matrices = np.stack([base.matrix for base in bases])
+    stack = np.empty((len(base_of),) + first.matrix.shape)
+    # mode="raise" would buffer a hidden copy of the whole stack.
+    np.take(matrices, np.array(base_of, dtype=np.intp), axis=0, out=stack, mode="clip")
+    for values, base, edit, provenance in zip(stack, base_of, edits, provenances):
+        if isinstance(edit, _Splice):
+            values[:, edit.start:edit.stop] = matrices[edit.donor, :, edit.start:edit.stop]
+        else:
+            apply_noise(values, bases[base].row_stds, edit, provenance["seed"])
+    row_stds = check_stack(stack, first.parameters)
+    stack.setflags(write=False)
+
+    pairs = []
+    for values, stds, base, edit, provenance in zip(stack, row_stds, base_of, edits,
+                                                    provenances):
+        existing = bases[base]
+        recomputed = Signature._checked(existing.parameters, values, existing.grid,
+                                        existing.provider_id, stds)
+        if isinstance(edit, _Splice):
+            pairs.append(LabeledPair(existing, recomputed, Label.CHANGED, None, provenance))
+        else:
+            pairs.append(LabeledPair(existing, recomputed, Label.NOISY, edit, provenance))
+    return pairs
+
+
 def make_changed(original: Signature, donor: Signature,
                  segment: tuple[int, int], seed: int) -> LabeledPair:
     """Splice the donor's values over `segment` into a copy of the original."""
@@ -332,22 +380,16 @@ def make_changed(original: Signature, donor: Signature,
         raise ValueError("segment length must be at least 1")
     if start < 0 or start + length > original.grid.length:
         raise ValueError("segment exceeds the grid")
-    matrix = original.matrix.copy()
-    matrix[:, start:start + length] = donor.matrix[:, start:start + length]
-    spliced = Signature(original.parameters, matrix, original.grid, original.provider_id)
-    return LabeledPair(
-        original, spliced, Label.CHANGED, None,
-        {"provider": original.provider_id, "donor": donor.provider_id,
-         "segment_start": start, "segment_length": length, "seed": seed},
-    )
+    return _build_pairs(
+        [original, donor], [0], [_Splice(1, start, start + length)],
+        [{"provider": original.provider_id, "donor": donor.provider_id,
+          "segment_start": start, "segment_length": length, "seed": seed}])[0]
 
 
 def make_noisy(original: Signature, spec: NoiseSpec, seed: int) -> LabeledPair:
-    noisy = inject(original, spec, seed)
-    return LabeledPair(
-        original, noisy, Label.NOISY, spec,
-        {"provider": original.provider_id, "noise": spec_to_dict(spec), "seed": seed},
-    )
+    return _build_pairs(
+        [original], [0], [spec],
+        [{"provider": original.provider_id, "noise": spec_to_dict(spec), "seed": seed}])[0]
 
 
 @dataclass(frozen=True)
@@ -436,7 +478,12 @@ def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
     grid_length = signatures[0].grid.length
     pair_seeds = [int(s) for s in ss_pair_seeds.generate_state(n_changed + n_noisy,
                                                                dtype=np.uint64)]
-    pairs: list[LabeledPair] = []
+    # Draw every pair's parameters first, one scalar draw at a time in the
+    # order of the pair-at-a-time build (a vectorized draw changes the
+    # stream), then fill all pairs in one stack.
+    base_of: list[int] = []
+    edits: list[_Splice | NoiseSpec] = []
+    provenances: list[dict] = []
 
     rng_changed = np.random.default_rng(ss_changed)
     for i in range(n_changed):
@@ -445,10 +492,14 @@ def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
         if donor >= base:
             donor += 1
         start = int(rng_changed.integers(0, grid_length - params.changed_segment + 1))
-        pair = make_changed(signatures[base], signatures[donor],
-                            (start, params.changed_segment), pair_seeds[i])
-        pair.provenance["index"] = i
-        pairs.append(pair)
+        if signatures[donor].provider_id == signatures[base].provider_id:
+            raise ValueError("donor must be a different provider")
+        base_of.append(base)
+        edits.append(_Splice(donor, start, start + params.changed_segment))
+        provenances.append({"provider": signatures[base].provider_id,
+                            "donor": signatures[donor].provider_id,
+                            "segment_start": start, "segment_length": params.changed_segment,
+                            "seed": pair_seeds[i], "index": i})
 
     n_spike, n_distortion, n_attenuation = _noise_counts(
         n_noisy, distortion_fraction, params)
@@ -467,11 +518,13 @@ def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
         else:
             spec = AttenuationNoise(float(rng_noisy.uniform(
                 params.attenuation_low, params.attenuation_high)))
-        pair = make_noisy(signatures[base], spec, pair_seeds[idx])
-        pair.provenance["index"] = idx
-        pairs.append(pair)
+        base_of.append(base)
+        edits.append(spec)
+        provenances.append({"provider": signatures[base].provider_id,
+                            "noise": spec_to_dict(spec), "seed": pair_seeds[idx],
+                            "index": idx})
 
-    return pairs
+    return _build_pairs(signatures, base_of, edits, provenances)
 
 
 # ---------------------------------------------------------------------------

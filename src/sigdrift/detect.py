@@ -26,9 +26,9 @@ from enum import Enum
 import numpy as np
 
 from ._kernels import cusum_scan, deletion_pcc_scan
-from .core import Signature, population_std
+from .core import Signature
 from .errors import AlignmentError
-from .noisegen import NoiseProfile, residual, segment_snrs
+from .noisegen import NoiseProfile, residual, snr_ratios
 from .similarity import pcc, rmse
 
 
@@ -177,29 +177,36 @@ def snr_detect(existing: Signature, recomputed: Signature, profile: NoiseProfile
 
     ex = existing.matrix
     res = residual(existing, recomputed)
+    # Ratios are floats with inf for an unbounded SNR, so `<` orders them
+    # as SnrValue does.
+    floors = [s.ratio for s in profile.segment_snrs]
 
     if mode == "aggregate":
-        current = segment_snrs(ex, res, 1)[0]
-        baseline = min(profile.segment_snrs)
+        current = snr_ratios(ex, res, 1).item()
+        baseline = min(floors)
         diag = {
-            "snr_current": [None if current.infinite else current.ratio],
-            "snr_baseline": [None if baseline.infinite else baseline.ratio],
+            "snr_current": [_finite_or_none(current)],
+            "snr_baseline": [_finite_or_none(baseline)],
         }
         verdict = Verdict.CHANGE if current < baseline else Verdict.NO_CHANGE
         return DetectionOutcome(verdict, None, diag)
     if mode != "segments":
         raise ValueError(f"unknown snr mode {mode!r}")
 
-    currents = segment_snrs(ex, res, profile.segments)
-    below = [current < floor for current, floor in zip(currents, profile.segment_snrs)]
-    violated = below.index(True) if any(below) else -1
+    currents = snr_ratios(ex, res, profile.segments).tolist()
+    violated = next((i for i, (current, floor) in enumerate(zip(currents, floors))
+                     if current < floor), -1)
     diag = {
-        "snr_current": [None if c.infinite else c.ratio for c in currents],
-        "snr_baseline": [None if s.infinite else s.ratio for s in profile.segment_snrs],
+        "snr_current": [_finite_or_none(c) for c in currents],
+        "snr_baseline": [_finite_or_none(f) for f in floors],
         "violated_segment": violated,
     }
     verdict = Verdict.CHANGE if violated >= 0 else Verdict.NO_CHANGE
     return DetectionOutcome(verdict, None, diag)
+
+
+def _finite_or_none(ratio: float) -> float | None:
+    return None if ratio == math.inf else ratio
 
 
 def cusum_detect(existing: Signature, recomputed: Signature,
@@ -211,8 +218,9 @@ def cusum_detect(existing: Signature, recomputed: Signature,
         raise ValueError("slack must be >= 0 and the decision interval positive")
 
     decisions = []
-    for parameter, x, y in zip(existing.parameters, existing.matrix, recomputed.matrix):
-        z = (y - x) / population_std(x)
+    for parameter, x, y, std in zip(existing.parameters, existing.matrix, recomputed.matrix,
+                                    existing.row_stds.tolist()):
+        z = (y - x) / std
         max_pos, max_neg, alarm = cusum_scan(z, slack, decision_interval)
         diag = {
             "cusum_max_pos": max_pos,

@@ -13,10 +13,12 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
+from .core import block_slices
 from .datagen import CorpusParams, Label, LabeledPair, build_base_signatures, build_corpus
 from .detect import (DetectionOutcome, DetectorThresholds, Verdict, cusum_detect,
                      sliding_window_detect, snr_detect)
-from .noisegen import NoiseProfile, combine_min, learn_noise_profile
+from .errors import AlignmentError
+from .noisegen import NoiseProfile, profile_from_ratios, residual, snr_ratios
 
 
 @dataclass(frozen=True)
@@ -117,20 +119,36 @@ def learn_monitoring_profiles(pairs: list[LabeledPair], segments: int
                               ) -> dict[str, NoiseProfile]:
     """Per-provider baseline: segment-wise worst SNR over monitoring pairs.
 
-    Each monitoring pair contributes one profile, learned from its
-    existing and recomputed signatures; folding with min keeps the
-    noisiest level ever observed per segment.  A pooled profile under
-    the key "" covers providers that never appeared.  The grid must split
-    into `segments` equal parts.
+    Each monitoring pair gives one SNR ratio per segment, of its existing
+    signature against the residual of its recomputed one; the minimum
+    keeps the noisiest level ever observed per segment.  A pooled profile
+    under the key "" covers providers that never appeared.  All pairs
+    share one matrix shape, whose grid must split into `segments` equal
+    parts.  The ratios are computed over stacked pairs, a bounded block
+    at a time.
     """
-    by_provider: dict[str, list[NoiseProfile]] = {}
-    for pair in pairs:
-        profile = learn_noise_profile(pair.existing, pair.recomputed, segments)
-        by_provider.setdefault(pair.existing.provider_id, []).append(profile)
-    if not by_provider:
+    pairs = list(pairs)
+    if not pairs:
         raise ValueError("no monitoring pairs to learn from")
-    merged = {pid: combine_min(ps) for pid, ps in by_provider.items()}
-    merged[""] = combine_min(p for ps in by_provider.values() for p in ps)
+    shape = pairs[0].existing.matrix.shape
+    blocks = []
+    for block in block_slices(len(pairs), 2 * pairs[0].existing.matrix.nbytes):
+        chunk = pairs[block]
+        if any(pair.existing.matrix.shape != shape for pair in chunk):
+            raise AlignmentError("monitoring pairs must share grid and row count")
+        blocks.append(snr_ratios(np.stack([pair.existing.matrix for pair in chunk]),
+                                 np.stack([residual(pair.existing, pair.recomputed)
+                                           for pair in chunk]),
+                                 segments))
+    ratios = np.concatenate(blocks)
+    by_provider: dict[str, list[int]] = {}
+    for i, pair in enumerate(pairs):
+        by_provider.setdefault(pair.existing.provider_id, []).append(i)
+    segment_length = shape[1] // segments
+    merged = {pid: profile_from_ratios(np.minimum.reduce(ratios[indices], axis=0),
+                                       segment_length)
+              for pid, indices in by_provider.items()}
+    merged[""] = profile_from_ratios(np.minimum.reduce(ratios, axis=0), segment_length)
     return merged
 
 

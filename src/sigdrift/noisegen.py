@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Signature, population_std
+from .core import Signature
 from .errors import AlignmentError, ParseError
 
 
@@ -99,27 +99,32 @@ def write_spec(spec: NoiseSpec, path) -> None:
                           encoding="utf-8")
 
 
-def inject(sig: Signature, spec: NoiseSpec, seed: int) -> Signature:
-    """Apply a noise spec to every row; returns an un-renormalized copy.
-
-    Only distortion draws random numbers; `seed` seeds those draws."""
-    rng = np.random.default_rng(seed) if isinstance(spec, DistortionNoise) else None
-    matrix = sig.matrix.copy()
-    for values in matrix:  # std and power are read before the row changes
-        if isinstance(spec, SpikeNoise):
-            if spec.position + spec.width > values.size:
-                raise ValueError("spike window exceeds the grid")
-            values[spec.position:spec.position + spec.width] += (
-                spec.magnitude * population_std(values)
-            )
-        elif isinstance(spec, AttenuationNoise):
-            values *= spec.factor
-        elif isinstance(spec, DistortionNoise):
-            power = float(np.add.reduce(np.square(values)) / values.size)
+def apply_noise(matrix: np.ndarray, row_stds: np.ndarray, spec: NoiseSpec,
+                seed: int) -> None:
+    """Apply a noise spec in place to every row of a ``(rows, L)`` matrix
+    whose rows have population stds ``row_stds`` (a spike is sized by the
+    untouched row).  Only distortion draws random numbers: a generator
+    seeded with `seed` draws them row after row."""
+    if isinstance(spec, SpikeNoise):
+        if spec.position + spec.width > matrix.shape[1]:
+            raise ValueError("spike window exceeds the grid")
+        matrix[:, spec.position:spec.position + spec.width] += spec.magnitude * row_stds[:, None]
+    elif isinstance(spec, AttenuationNoise):
+        matrix *= spec.factor
+    elif isinstance(spec, DistortionNoise):
+        rng = np.random.default_rng(seed)
+        powers = np.add.reduce(np.square(matrix), axis=1) / matrix.shape[1]
+        for values, power in zip(matrix, powers.tolist()):
             sigma = math.sqrt(power / (10.0 ** (spec.target_snr_db / 10.0)))
             values += rng.normal(0.0, sigma, size=values.size)
-        else:
-            raise TypeError(f"not a noise spec: {spec!r}")
+    else:
+        raise TypeError(f"not a noise spec: {spec!r}")
+
+
+def inject(sig: Signature, spec: NoiseSpec, seed: int) -> Signature:
+    """A copy of `sig` with `spec` applied to every row by :func:`apply_noise`."""
+    matrix = sig.matrix.copy()
+    apply_noise(matrix, sig.row_stds, spec, seed)
     return Signature(sig.parameters, matrix, sig.grid, sig.provider_id)
 
 
@@ -162,23 +167,27 @@ class SnrValue:
         return self.ratio < other.ratio
 
 
-def _snr_value(signal_ms: float, noise_ms: float) -> SnrValue:
-    """SNR from two mean squares.  A noise mean square of zero (all-zero
-    noise, or squares so small they underflow) gives the infinite value."""
-    if noise_ms <= 0.0:
-        return SnrValue.unbounded()
-    return SnrValue(signal_ms / noise_ms)
+def _ratios(signal_ms, noise_ms) -> np.ndarray:
+    """Signal over noise mean squares, elementwise; ``inf`` where the noise
+    mean square is zero (all-zero noise, or squares so small they
+    underflow) or the quotient overflows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(noise_ms > 0.0, signal_ms / noise_ms, math.inf)
+
+
+def _snr_value(ratio: float) -> SnrValue:
+    return SnrValue.unbounded() if ratio == math.inf else SnrValue(ratio)
 
 
 def snr(signal, noise) -> SnrValue:
     """Mean-square(signal) over mean-square(noise); arrays of any shape
-    are pooled.  See :func:`_snr_value` for the infinite case."""
+    are pooled.  See :func:`_ratios` for the infinite case."""
     s = np.asarray(signal, dtype=np.float64)
     n = np.asarray(noise, dtype=np.float64)
     if s.size == 0 or n.size == 0:
         raise ValueError("signal and noise must be non-empty")
-    return _snr_value(float(np.add.reduce(np.square(s), axis=None) / s.size),
-                      float(np.add.reduce(np.square(n), axis=None) / n.size))
+    return _snr_value(float(_ratios(np.add.reduce(np.square(s), axis=None) / s.size,
+                                    np.add.reduce(np.square(n), axis=None) / n.size)))
 
 
 def residual(existing: Signature, recomputed: Signature) -> np.ndarray:
@@ -188,28 +197,41 @@ def residual(existing: Signature, recomputed: Signature) -> np.ndarray:
     return existing.matrix - recomputed.matrix
 
 
-def segment_snrs(signal, noise, segments: int) -> list[SnrValue]:
-    """:func:`snr` of each of `segments` equal column blocks of two
-    ``(rows, L)`` arrays.  L must split into whole segments, so that
-    every point is checked."""
+def _segment_mean_squares(a: np.ndarray, segments: int) -> np.ndarray:
+    """Mean square of each of `segments` equal column blocks of a
+    ``(..., rows, L)`` array, shape ``(..., segments)``."""
+    *lead, rows, length = a.shape
+    seg_len = length // segments
+    # Row i of the last two axes holds a[..., :, i*seg_len:(i+1)*seg_len]
+    # in C order, so each sum along the contiguous last axis is the one
+    # np.mean of that column block takes.
+    blocks = np.square(a).reshape(*lead, rows, segments, seg_len).swapaxes(-3, -2)
+    blocks = blocks.reshape(*lead, segments, rows * seg_len)
+    return np.add.reduce(blocks, axis=-1) / blocks.shape[-1]
+
+
+def snr_ratios(signal: np.ndarray, noise: np.ndarray, segments: int) -> np.ndarray:
+    """SNR ratio of each of `segments` equal column blocks of two
+    ``(..., rows, L)`` arrays, shape ``(..., segments)``, with ``inf`` for
+    the unbounded case of :func:`_ratios`.  L must split into whole
+    segments, so that every point is checked."""
     if segments < 1:
         raise ValueError("need at least one segment")
-    length = signal.shape[1]
+    length = signal.shape[-1]
     seg_len, rest = divmod(length, segments)
     if rest:
         raise AlignmentError(f"a {length}-point grid does not split "
                              f"into {segments} equal segments")
     if seg_len < 2:
         raise ValueError("segments too short for the grid")
-    rows = signal.shape[0]
+    return _ratios(_segment_mean_squares(signal, segments),
+                   _segment_mean_squares(noise, segments))
 
-    def mean_squares(a: np.ndarray) -> list[float]:
-        # Row i holds a[:, i*seg_len:(i+1)*seg_len] in C order, so each
-        # row's sum is the one np.mean of that column block takes.
-        blocks = a.reshape(rows, segments, seg_len).transpose(1, 0, 2).reshape(segments, -1)
-        return (np.add.reduce(np.square(blocks), axis=1) / blocks.shape[1]).tolist()
 
-    return [_snr_value(s, n) for s, n in zip(mean_squares(signal), mean_squares(noise))]
+def segment_snrs(signal, noise, segments: int) -> list[SnrValue]:
+    """:func:`snr` of each of `segments` equal column blocks of two
+    ``(rows, L)`` arrays; see :func:`snr_ratios`."""
+    return [_snr_value(r) for r in snr_ratios(signal, noise, segments).tolist()]
 
 
 @dataclass(frozen=True)
@@ -231,29 +253,22 @@ class NoiseProfile:
         return len(self.segment_snrs)
 
 
+def profile_from_ratios(ratios, segment_length: int) -> NoiseProfile:
+    """A profile over per-segment SNR ratios, ``inf`` meaning unbounded."""
+    return NoiseProfile(tuple(_snr_value(r) for r in np.asarray(ratios).tolist()),
+                        segment_length)
+
+
 def learn_noise_profile(existing: Signature, recomputed: Signature,
                         segments: int) -> NoiseProfile:
     """Per-segment SNR of existing against the residual of a recomputed
     signature taken over a noise-only monitoring period.
 
     Segment i covers grid indices [i*seg, (i+1)*seg) with
-    seg = grid.length / segments; see :func:`segment_snrs`.
+    seg = grid.length / segments; see :func:`snr_ratios`.
     """
-    snrs = segment_snrs(existing.matrix, residual(existing, recomputed), segments)
-    return NoiseProfile(tuple(snrs), existing.grid.length // segments)
-
-
-def combine_min(profiles) -> NoiseProfile:
-    """Fold profiles segment-wise, keeping the lowest (noisiest) baseline."""
-    profiles = list(profiles)
-    if not profiles:
-        raise ValueError("nothing to combine")
-    first = profiles[0]
-    for p in profiles[1:]:
-        if p.segments != first.segments or p.segment_length != first.segment_length:
-            raise AlignmentError("profiles must share segmentation")
-    merged = [min(column) for column in zip(*(p.segment_snrs for p in profiles))]
-    return NoiseProfile(tuple(merged), first.segment_length)
+    ratios = snr_ratios(existing.matrix, residual(existing, recomputed), segments)
+    return profile_from_ratios(ratios, existing.grid.length // segments)
 
 
 def profile_to_dict(profile: NoiseProfile) -> dict:

@@ -90,6 +90,22 @@ def test_detect_snr_requires_profile(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_detect_snr_with_an_overflowing_ratio_is_no_change(tmp_path, capsys):
+    # unit-std rows that read back unchanged; the residual [0, 1e-154]
+    # has a mean square of 5e-309, so the SNR ratio overflows to unbounded
+    ex, rec, prof = tmp_path / "ex.csv", tmp_path / "rec.csv", tmp_path / "p.json"
+    write_signature(raw_signature([2.0, 0.0]), ex)
+    write_signature(raw_signature([2.0, -1e-154]), rec)
+    write_profile(NoiseProfile((SnrValue(100.0),), 2), prof)
+    out = tmp_path / "o.json"
+    assert main(["detect", "--existing", str(ex), "--recomputed", str(rec),
+                 "--detector", "snr", "--profile", str(prof), "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["verdict"] == "no_change"
+    assert payload["diagnostics"]["snr_current"] == [None]
+    capsys.readouterr()
+
+
 def test_detect_snr_profile_must_cover_the_grid(tmp_path, capsys):
     base = unit_signature(wavy_row(365, seed=3))
     ex = tmp_path / "ex.csv"

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigdrift.core import Signature, _std, population_std
+from sigdrift.core import Signature, TimeGrid, check_stack, population_std
 from sigdrift.datagen import CorpusParams, Label, LabeledPair, _noise_counts, build_corpus
 from sigdrift.evaluate import learn_monitoring_profiles
 from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
@@ -167,9 +167,14 @@ def test_monitoring_profiles_match_per_pair_profiles_folded_with_min(
 @settings(max_examples=200, deadline=None)
 @given(rows=st.integers(1, 3), length=st.integers(2, 400), pairs=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([1e-3, 1.0, 1e4]))
-def test_stacked_row_stds_are_population_std_of_each_row(rows, length, pairs, seed, scale):
+def test_row_stds_are_population_std_of_each_row(rows, length, pairs, seed, scale):
     stack = np.random.default_rng(seed).standard_normal((pairs, rows, length)) * scale
-    stds = _std(stack, axis=-1)
+    names = tuple(f"q{r}" for r in range(rows))
+    stacked = check_stack(stack, names)  # the corpus path: one check per stack
     for p in range(pairs):
+        sig = Signature(names, stack[p], TimeGrid(length))
         for r in range(rows):
-            assert stds[p, r].tobytes() == np.float64(population_std(stack[p, r])).tobytes()
+            want = np.float64(population_std(stack[p, r])).tobytes()
+            assert sig.row_stds[r].tobytes() == want
+            assert stacked[p, r].tobytes() == want
+    assert not sig.row_stds.flags.writeable and not stacked.flags.writeable

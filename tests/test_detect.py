@@ -260,6 +260,17 @@ def test_snr_scale_invariance(ex):
     assert scaled_verdict is base_verdict
 
 
+def test_snr_overflowing_current_ratio_is_unbounded():
+    # residual [0, 5.18e-153]: the ratio overflows, and an unbounded SNR
+    # is never below a baseline
+    ex = raw_signature([99.0, 0.0])
+    rec = raw_signature([99.0, -5.18e-153])
+    for mode in ("segments", "aggregate"):
+        out = snr_detect(ex, rec, NoiseProfile((SnrValue(100.0),), 2), mode=mode)
+        assert out.verdict is Verdict.NO_CHANGE
+        assert out.diagnostics["snr_current"] == [None]
+
+
 def test_snr_aggregate_mode(ex):
     values = ex.matrix[0].copy()
     seg = slice(120, 180)

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from sigdrift.datagen import Label, build_base_signatures, build_corpus
+from sigdrift.datagen import Label, LabeledPair, build_base_signatures, build_corpus
 from sigdrift.detect import Verdict
 from sigdrift.errors import AlignmentError
 from sigdrift.evaluate import (ConfusionCounts, ExperimentConfig, accuracy, f1,
                                fp_rate, learn_monitoring_profiles,
                                report_to_csv, run_experiment,
                                sensitivity_analysis, score, tp_rate)
+from sigdrift.noisegen import learn_noise_profile
+
+from conftest import raw_signature, unit_signature, wavy_row
 
 TINY = ExperimentConfig(n_changed=8, n_noisy=8, distortion_fraction=0.5,
                         sample_sizes=(16,), repeats=2, monitor_fraction=0.2)
@@ -119,6 +122,33 @@ def test_monitoring_profiles_reject_a_grid_segments_do_not_split():
     monitor = build_corpus(0, 4, 0.5, seed=5, signatures=build_base_signatures(seed=42))
     with pytest.raises(AlignmentError, match="360-point grid"):
         learn_monitoring_profiles(monitor, segments=7)
+
+
+def _monitoring_pair(existing, residual_rows):
+    recomputed = raw_signature(existing.matrix - np.asarray(residual_rows),
+                               existing.provider_id, existing.parameters)
+    return LabeledPair(existing, recomputed, Label.NOISY, None, {})
+
+
+def test_monitoring_profiles_keep_the_noisiest_segment():
+    """Lowest baseline per segment, and an infinite one above any finite."""
+    a = unit_signature(wavy_row(20, seed=1), provider_id="a")
+    b = unit_signature(wavy_row(20, seed=2), provider_id="b")
+    quiet_start = _monitoring_pair(a, [[0.0] * 10 + [0.1] * 10])
+    loud = _monitoring_pair(a, [[0.2] * 10 + [0.05] * 10])
+    silent = _monitoring_pair(b, [[0.0] * 20])
+    profiles = learn_monitoring_profiles([quiet_start, loud, silent], segments=2)
+    first, second = (learn_noise_profile(p.existing, p.recomputed, 2).segment_snrs
+                     for p in (quiet_start, loud))
+    assert first[0].infinite and not second[0].infinite and second[1].ratio > first[1].ratio
+    assert profiles["a"].segment_snrs == (second[0], first[1])
+    assert profiles["b"].segment_snrs == learn_noise_profile(b, b, 2).segment_snrs
+    assert all(s.infinite for s in profiles["b"].segment_snrs)
+    assert profiles[""] == profiles["a"]
+    assert profiles["a"].segment_length == 10
+    longer = unit_signature(wavy_row(40, seed=3), provider_id="c")
+    with pytest.raises(AlignmentError, match="share grid"):
+        learn_monitoring_profiles([loud, _monitoring_pair(longer, [[0.1] * 40])], segments=2)
 
 
 def test_pooled_profile_is_segmentwise_worst():

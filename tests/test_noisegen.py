@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sigdrift.core import population_std
 from sigdrift.errors import AlignmentError, ParseError
 from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
-                               SnrValue, SpikeNoise, combine_min, inject,
+                               SnrValue, SpikeNoise, inject,
                                learn_noise_profile, profile_from_dict,
                                profile_to_dict, read_profile, read_spec,
                                residual, segment_snrs, snr, spec_from_dict,
@@ -211,24 +211,25 @@ def test_profile_equals_snr_of_each_segment_slice(rows, segments, seed):
     assert segment_snrs(ex.matrix, residual(ex, rec), segments) == want
 
 
+def test_overflowing_snr_ratio_is_unbounded():
+    """A tiny but non-zero noise mean square (here 2.7e-305) overflows the
+    ratio to inf: the SNR is unbounded, not an error."""
+    signal = np.array([[99.0, 0.0]])
+    noise = np.array([[5.18e-153, 5.18e-153]])
+    assert snr(signal, noise) == SnrValue.unbounded()
+    assert segment_snrs(signal, noise, 1) == [SnrValue.unbounded()]
+    existing = raw_signature(signal)
+    recomputed = raw_signature(signal - noise)
+    assert residual(existing, recomputed)[0, 1] == 5.18e-153
+    assert learn_noise_profile(existing, recomputed, 1).segment_snrs == (SnrValue.unbounded(),)
+
+
 def test_profile_grid_must_split_into_whole_segments():
     sig = unit_signature(wavy_row(365, seed=3))
     with pytest.raises(AlignmentError, match="365-point grid"):
         learn_noise_profile(sig, sig, 6)
     with pytest.raises(ValueError, match="too short"):
         learn_noise_profile(sig, sig, 365)
-
-
-def test_combine_min_keeps_noisiest():
-    a = NoiseProfile((SnrValue(100.0), SnrValue.unbounded()), 10)
-    b = NoiseProfile((SnrValue(80.0), SnrValue(200.0)), 10)
-    merged = combine_min([a, b])
-    assert merged.segment_snrs[0].ratio == 80.0
-    assert merged.segment_snrs[1].ratio == 200.0
-    with pytest.raises(AlignmentError):
-        combine_min([a, NoiseProfile((SnrValue(1.0),), 10)])
-    with pytest.raises(ValueError):
-        combine_min([])
 
 
 def test_profile_round_trip_with_infinities(tmp_path):

@@ -23,8 +23,10 @@ STD_TOLERANCE = 1e-9
 _CONSTANT_EPS = 1e-12
 
 #: Bytes of a stack that one pass over it works on at a time, so that no
-#: temporary grows with the number of signatures in the stack.
-BLOCK_BYTES = 1 << 22
+#: temporary grows with the number of signatures in the stack.  Blocks
+#: this small also stay in cache, and the allocator reuses their memory
+#: rather than keeping megabytes of freed temporaries resident.
+BLOCK_BYTES = 1 << 18
 
 
 def _std(arr: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -151,8 +153,9 @@ class Signature:
         :func:`check_stack` has passed, with the stds it returned: no
         copy and no second check."""
         sig = object.__new__(cls)
-        vars(sig).update(parameters=parameters, matrix=matrix, grid=grid,
-                         provider_id=provider_id, row_stds=row_stds)
+        for name, value in (("parameters", parameters), ("matrix", matrix), ("grid", grid),
+                            ("provider_id", provider_id), ("row_stds", row_stds)):
+            object.__setattr__(sig, name, value)
         return sig
 
     @property

@@ -18,7 +18,7 @@ from .datagen import CorpusParams, Label, LabeledPair, build_base_signatures, bu
 from .detect import (DetectionOutcome, DetectorThresholds, Verdict, cusum_detect,
                      sliding_window_detect, snr_detect)
 from .errors import AlignmentError
-from .noisegen import NoiseProfile, profile_from_ratios, residual, snr_ratios
+from .noisegen import NoiseProfile, check_aligned, profile_from_ratios, snr_ratios
 
 
 @dataclass(frozen=True)
@@ -134,12 +134,13 @@ def learn_monitoring_profiles(pairs: list[LabeledPair], segments: int
     blocks = []
     for block in block_slices(len(pairs), 2 * pairs[0].existing.matrix.nbytes):
         chunk = pairs[block]
-        if any(pair.existing.matrix.shape != shape for pair in chunk):
-            raise AlignmentError("monitoring pairs must share grid and row count")
-        blocks.append(snr_ratios(np.stack([pair.existing.matrix for pair in chunk]),
-                                 np.stack([residual(pair.existing, pair.recomputed)
-                                           for pair in chunk]),
-                                 segments))
+        for pair in chunk:
+            if pair.existing.matrix.shape != shape:
+                raise AlignmentError("monitoring pairs must share grid and row count")
+            check_aligned(pair.existing, pair.recomputed)
+        signal = np.stack([pair.existing.matrix for pair in chunk])
+        noise = np.stack([pair.recomputed.matrix for pair in chunk])
+        blocks.append(snr_ratios(signal, np.subtract(signal, noise, out=noise), segments))
     ratios = np.concatenate(blocks)
     by_provider: dict[str, list[int]] = {}
     for i, pair in enumerate(pairs):

@@ -190,10 +190,15 @@ def snr(signal, noise) -> SnrValue:
                                     np.add.reduce(np.square(n), axis=None) / n.size)))
 
 
-def residual(existing: Signature, recomputed: Signature) -> np.ndarray:
-    """Noise estimate, one row per parameter: existing minus recomputed."""
+def check_aligned(existing: Signature, recomputed: Signature) -> None:
+    """Raise unless the two signatures share grid and parameters."""
     if existing.grid != recomputed.grid or existing.parameters != recomputed.parameters:
         raise AlignmentError("signatures must share grid and parameters")
+
+
+def residual(existing: Signature, recomputed: Signature) -> np.ndarray:
+    """Noise estimate, one row per parameter: existing minus recomputed."""
+    check_aligned(existing, recomputed)
     return existing.matrix - recomputed.matrix
 
 

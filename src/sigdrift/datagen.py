@@ -257,8 +257,15 @@ def _performance_matrix(profile: QoSProfile, demands: np.ndarray,
     base = baseline_performance(baseline, demands)
     wmul = _RuleLookup(profile.workload_map)(demands)
     smul = _RuleLookup(profile.seasonal_map)(day_of)
-    jitter = 1.0 + profile.jitter_amplitude * rng.random(demands.shape)
-    return base * wmul * smul[None, :] * jitter
+    # base * wmul * smul * (1 + amplitude * U), left to right as written,
+    # in place: on long traces each temporary is a (nodes, raw) array.
+    perf = base * wmul
+    perf *= smul[None, :]
+    jitter = rng.random(demands.shape)
+    jitter *= profile.jitter_amplitude
+    jitter += 1.0
+    perf *= jitter
+    return perf
 
 
 def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,

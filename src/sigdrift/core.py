@@ -22,11 +22,11 @@ STD_TOLERANCE = 1e-9
 #: population std below this means the series is constant for our purposes.
 _CONSTANT_EPS = 1e-12
 
-#: Bytes of a stack that one pass over it works on at a time, so that no
-#: temporary grows with the number of signatures in the stack.  Blocks
-#: this small also stay in cache, and the allocator reuses their memory
-#: rather than keeping megabytes of freed temporaries resident.
-BLOCK_BYTES = 1 << 18
+#: Bytes of signature matrices that a corpus build or profile learning
+#: stores or works on at a time, so that no allocation grows with the
+#: corpus.  Blocks this small stay in cache, and the allocator serves
+#: them from memory freed earlier instead of mapping fresh pages.
+BLOCK_BYTES = 1 << 17
 
 
 def _std(arr: np.ndarray, axis: int | None = None) -> np.ndarray:
@@ -56,23 +56,18 @@ def check_stack(stack: np.ndarray, parameters: tuple[str, ...]) -> np.ndarray:
     The checks are the ones every signature passes: finite values and no
     constant row.  Matrices are checked in order and the first failing
     one decides the error, a non-finite value before a constant row.
-    The stack is read in blocks of ``BLOCK_BYTES``, so the temporaries
-    stay that small however long the stack is.
+    The temporaries are as large as the stack, so a corpus is checked
+    one block (see ``BLOCK_BYTES``) at a time.
     """
-    count, rows, length = stack.shape
-    stds = np.empty((count, rows))
-    for block in block_slices(count, rows * length * stack.itemsize):
-        values = stack[block]
-        finite = np.isfinite(values).all(axis=(1, 2))
-        ok = finite.size if finite.all() else int(finite.argmin())
-        checked = stds[block][:ok]
-        checked[...] = _std(values[:ok], axis=-1)
-        constant = np.flatnonzero(checked.ravel() <= _CONSTANT_EPS)
-        if constant.size:
-            raise ConstantSeriesError(f"row {parameters[constant[0] % rows]!r} is constant; "
-                                      "signatures reject zero-variance rows")
-        if ok < finite.size:
-            raise ValueError("signature values must be finite (no NaN/inf)")
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    ok = finite.size if finite.all() else int(finite.argmin())
+    stds = _std(stack[:ok], axis=-1)
+    constant = np.flatnonzero(stds.ravel() <= _CONSTANT_EPS)
+    if constant.size:
+        raise ConstantSeriesError(f"row {parameters[constant[0] % stack.shape[1]]!r} is "
+                                  "constant; signatures reject zero-variance rows")
+    if ok < finite.size:
+        raise ValueError("signature values must be finite (no NaN/inf)")
     stds.setflags(write=False)
     return stds
 

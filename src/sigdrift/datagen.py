@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Signature, TimeGrid, TrialExperience, check_stack
+from .core import Signature, TimeGrid, TrialExperience, block_slices, check_stack
 from .errors import AlignmentError, ParseError
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseSpec,
                        SpikeNoise, apply_noise, spec_to_dict)
@@ -343,35 +343,42 @@ def _build_pairs(bases: list[Signature], base_of: list[int],
     ``edits[i]`` applied: a splice (a changed pair) or noise seeded with
     ``provenances[i]["seed"]`` (a noisy pair).
 
-    The copies fill one ``(N, rows, L)`` stack, which is checked once and
-    then made read-only; each recomputed signature is a view of its slice.
+    The copies fill ``(pairs, rows, L)`` block arrays of about
+    ``BLOCK_BYTES`` each.  Each block is checked once and then made
+    read-only, and each recomputed signature is a view of its slice.
+    Blocks, not one array for the whole corpus, so that a corpus reuses
+    freed memory of the size its pairs take, as pair-at-a-time copies do.
     """
     first = bases[0]
     for base in bases[1:]:
         if base.grid != first.grid or base.parameters != first.parameters:
             raise AlignmentError("base signatures must share grid and parameters")
     matrices = np.stack([base.matrix for base in bases])
-    stack = np.empty((len(base_of),) + first.matrix.shape)
-    # mode="raise" would buffer a hidden copy of the whole stack.
-    np.take(matrices, np.array(base_of, dtype=np.intp), axis=0, out=stack, mode="clip")
-    for values, base, edit, provenance in zip(stack, base_of, edits, provenances):
-        if isinstance(edit, _Splice):
-            values[:, edit.start:edit.stop] = matrices[edit.donor, :, edit.start:edit.stop]
-        else:
-            apply_noise(values, bases[base].row_stds, edit, provenance["seed"])
-    row_stds = check_stack(stack, first.parameters)
-    stack.setflags(write=False)
-
+    indices = np.array(base_of, dtype=np.intp)
     pairs = []
-    for values, stds, base, edit, provenance in zip(stack, row_stds, base_of, edits,
-                                                    provenances):
-        existing = bases[base]
-        recomputed = Signature._checked(existing.parameters, values, existing.grid,
-                                        existing.provider_id, stds)
-        if isinstance(edit, _Splice):
-            pairs.append(LabeledPair(existing, recomputed, Label.CHANGED, None, provenance))
-        else:
-            pairs.append(LabeledPair(existing, recomputed, Label.NOISY, edit, provenance))
+    for block in block_slices(len(base_of), first.matrix.nbytes):
+        base_ids, block_edits, block_provenances = base_of[block], edits[block], provenances[block]
+        stack = np.empty((len(base_ids),) + first.matrix.shape)
+        # mode="raise" would buffer a hidden copy of the block.
+        np.take(matrices, indices[block], axis=0, out=stack, mode="clip")
+        for values, base, edit, provenance in zip(stack, base_ids, block_edits,
+                                                  block_provenances):
+            if isinstance(edit, _Splice):
+                values[:, edit.start:edit.stop] = matrices[edit.donor, :, edit.start:edit.stop]
+            else:
+                apply_noise(values, bases[base].row_stds, edit, provenance["seed"])
+        row_stds = check_stack(stack, first.parameters)
+        stack.setflags(write=False)
+
+        for values, stds, base, edit, provenance in zip(stack, row_stds, base_ids, block_edits,
+                                                        block_provenances):
+            existing = bases[base]
+            recomputed = Signature._checked(existing.parameters, values, existing.grid,
+                                            existing.provider_id, stds)
+            if isinstance(edit, _Splice):
+                pairs.append(LabeledPair(existing, recomputed, Label.CHANGED, None, provenance))
+            else:
+                pairs.append(LabeledPair(existing, recomputed, Label.NOISY, edit, provenance))
     return pairs
 
 

@@ -1,6 +1,6 @@
-"""The corpus build and profile learning hold a whole corpus in one stack,
-but every temporary they make stays one bounded block: the memory they
-use beyond what they return must stay below the size of the corpus."""
+"""The corpus build and profile learning work one bounded block of pairs
+at a time: the memory they use beyond what they return must stay below
+the size of the corpus."""
 import tracemalloc
 
 import numpy as np
@@ -11,7 +11,7 @@ from sigdrift.noisegen import learn_noise_profile
 
 from conftest import unit_signature, wavy_row
 
-LENGTH = 23_040  # the long grid: one pair is 184 KB, a few dozen span several blocks
+LENGTH = 23_040  # the long grid: one pair (184 KB) fills a block
 PAIRS = 64
 
 

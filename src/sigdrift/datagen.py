@@ -494,7 +494,7 @@ def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
                                                                dtype=np.uint64)]
     # Draw every pair's parameters first, one scalar draw at a time in the
     # order of the pair-at-a-time build (a vectorized draw changes the
-    # stream), then fill all pairs in one stack.
+    # stream), then fill the pairs a block at a time.
     base_of: list[int] = []
     edits: list[_Splice | NoiseSpec] = []
     provenances: list[dict] = []

@@ -147,6 +147,31 @@ def test_snr_value_ordering():
     assert SnrValue(0.0).db == -math.inf
 
 
+def test_snr_value_orders_every_finite_ratio_below_unbounded():
+    mixed = [SnrValue(3.0), SnrValue.unbounded(), SnrValue(0.0), SnrValue(1e300), SnrValue(3.0)]
+    assert sorted(mixed) == [SnrValue(0.0), SnrValue(3.0), SnrValue(3.0), SnrValue(1e300),
+                             SnrValue.unbounded()]
+    assert min(mixed) == SnrValue(0.0)
+    assert max(mixed) == SnrValue.unbounded()
+    assert min(SnrValue.unbounded(), SnrValue(1e300)) == SnrValue(1e300)
+    assert SnrValue(1e300) < SnrValue.unbounded()
+    assert SnrValue.unbounded() > SnrValue(1e300)
+    assert not SnrValue.unbounded() < SnrValue.unbounded()
+    assert SnrValue(2.0) == SnrValue(2.0) != SnrValue(2.5)
+    assert SnrValue.unbounded() == SnrValue.unbounded() != SnrValue(1e300)
+    assert SnrValue.unbounded().infinite and SnrValue.unbounded().ratio == math.inf
+    assert not SnrValue(1e300).infinite and not SnrValue(0.0).infinite
+    assert SnrValue(0.0).db == -math.inf
+    assert SnrValue.unbounded().db == math.inf
+    assert SnrValue(100.0).db == 20.0
+
+
+@pytest.mark.parametrize("ratio", [-1.0, -math.inf, math.nan])
+def test_snr_value_rejects_negative_and_nan_ratios(ratio):
+    with pytest.raises(ValueError):
+        SnrValue(ratio)
+
+
 # ---------------------------------------------------------------- residual
 
 def test_residual_identities(sig):
@@ -240,6 +265,17 @@ def test_profile_round_trip_with_infinities(tmp_path):
     path = tmp_path / "profile.json"
     write_profile(profile, path)
     assert read_profile(path) == profile
+
+
+@pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN", "1e400", "-1"])
+def test_profile_file_spells_unbounded_only_as_null(tmp_path, token):
+    path = tmp_path / "profile.json"
+    path.write_text('{"segment_length": 60, "segment_snrs": [5.0, null]}\n', encoding="utf-8")
+    assert read_profile(path) == NoiseProfile((SnrValue(5.0), SnrValue.unbounded()), 60)
+    path.write_text(f'{{"segment_length": 60, "segment_snrs": [5.0, {token}]}}\n',
+                    encoding="utf-8")
+    with pytest.raises(ParseError):
+        read_profile(path)
 
 
 def test_bad_profile_payload():

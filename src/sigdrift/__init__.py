@@ -22,7 +22,7 @@ from .evaluate import ExperimentConfig, run_experiment, sensitivity_analysis
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
                        SnrValue, SpikeNoise, inject, learn_noise_profile, snr)
 from .signature import TrialCohort, generate_signature, paa
-from .similarity import MeasuredSimilarity, SimilarityMethod, similarity
+from .similarity import SimilarityMethod, similarity
 
 __version__ = "0.1.0"
 
@@ -40,7 +40,6 @@ __all__ = [
     "ExperimentConfig",
     "Label",
     "LabeledPair",
-    "MeasuredSimilarity",
     "NoiseProfile",
     "ParseError",
     "QoSSeries",

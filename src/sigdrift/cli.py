@@ -375,10 +375,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except SigdriftError as exc:
-        log.error("%s", exc)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (SigdriftError, OSError, ValueError, KeyError) as exc:
         log.error("%s", exc)
         return 1
 

@@ -95,7 +95,9 @@ class RunSettings:
         })
 
     def effective_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
+        if self.jobs < 0:
+            raise ValueError(f"jobs must be 0 (one worker per core) or positive, got {self.jobs}")
+        return self.jobs or (os.cpu_count() or 1)
 
 
 RunConfig = make_dataclass("RunConfig", _flat_fields(ExperimentConfig),

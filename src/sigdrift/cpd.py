@@ -50,7 +50,7 @@ def _experience_similarity(exp: TrialExperience, sig: Signature,
     if start + length > sig.grid.length:
         raise AlignmentError("trial window exceeds the grid")
     segment = row.values[start:start + length]
-    return similarity(segment, normalize(exp.values), method).value
+    return similarity(segment, normalize(exp.values), method)
 
 
 def calibrate_similarity_threshold(past, sig: Signature,

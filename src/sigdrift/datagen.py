@@ -61,13 +61,13 @@ class WorkloadTrace:
         return int(self.demands.shape[1])
 
 
-def synthesize_trace(nodes: int, length: int, seed: int,
-                     cores_total: int = 32) -> WorkloadTrace:
+CORES_TOTAL = 32  # cores per trace node
+
+
+def synthesize_trace(nodes: int, length: int, seed: int) -> WorkloadTrace:
     """Bounded random-walk demand per node, quantized to whole cores."""
     if nodes < 1 or length < 2:
         raise ValueError("need at least one node and two timestamps")
-    if cores_total < 1:
-        raise ValueError("cores_total must be positive")
     rng = np.random.default_rng(seed)
     start = rng.uniform(0.25, 0.75, size=(nodes, 1))
     steps = rng.normal(0.0, 0.015, size=(nodes, length - 1))
@@ -75,20 +75,20 @@ def synthesize_trace(nodes: int, length: int, seed: int,
     # Reflect into [0, 1]: fold the walk back at both edges.
     folded = np.abs(np.mod(walk, 2.0))
     folded = np.where(folded > 1.0, 2.0 - folded, folded)
-    requested = np.rint(folded * cores_total)
+    requested = np.rint(folded * CORES_TOTAL)
     return WorkloadTrace(
         tuple(f"node-{i:02d}" for i in range(nodes)),
-        requested / cores_total,
+        requested / CORES_TOTAL,
     )
 
 
-def write_trace(trace: WorkloadTrace, path, cores_total: int = 32) -> None:
+def write_trace(trace: WorkloadTrace, path) -> None:
     """Trace CSV: node_id,timestamp,cores_requested,cores_total."""
     lines = ["node_id,timestamp,cores_requested,cores_total"]
-    requested = np.rint(trace.demands * cores_total).astype(int)
+    requested = np.rint(trace.demands * CORES_TOTAL).astype(int)
     for i, node in enumerate(trace.node_ids):
         for t in range(trace.length):
-            lines.append(f"{node},{t},{requested[i, t]},{cores_total}")
+            lines.append(f"{node},{t},{requested[i, t]},{CORES_TOTAL}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -215,14 +215,6 @@ def profile_from_dict(payload: dict) -> QoSProfile:
         raise ParseError(f"bad profile payload: {exc}") from None
 
 
-def read_profile(path) -> QoSProfile:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return profile_from_dict(payload)
-
-
 def write_profile(profile: QoSProfile, path) -> None:
     Path(path).write_text(
         json.dumps(profile_to_dict(profile), indent=2, sort_keys=True) + "\n",
@@ -269,7 +261,6 @@ def _performance_matrix(profile: QoSProfile, demands: np.ndarray,
 
 
 def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
-                              baseline: BaselineMap | None = None,
                               parameters: tuple[str, ...] = ("throughput",),
                               seed: int | np.random.SeedSequence = 0) -> list[Signature]:
     """One signature per profile: every trace node acts as a trial user.
@@ -280,8 +271,6 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
     profiles = list(profiles)
     if not profiles:
         raise ValueError("need at least one profile")
-    if baseline is None:
-        baseline = default_baseline()
     if grid.length > trace.length:
         raise AlignmentError("grid cannot be finer than the trace")
     for p in profiles:
@@ -296,6 +285,7 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = ss.spawn(len(profiles))
+    baseline = default_baseline()
     signatures = []
     for profile, stream in zip(profiles, streams):
         rng = np.random.default_rng(stream)
@@ -388,8 +378,6 @@ def make_changed(original: Signature, donor: Signature,
     start, length = segment
     if donor.provider_id == original.provider_id:
         raise ValueError("donor must be a different provider")
-    if donor.grid != original.grid or donor.parameters != original.parameters:
-        raise AlignmentError("donor must share grid and parameters")
     if length < 1:
         raise ValueError("segment length must be at least 1")
     if start < 0 or start + length > original.grid.length:
@@ -466,9 +454,10 @@ def _noise_counts(n_noisy: int, distortion_fraction: float,
 
 
 def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
-                 seed: int, signatures: list[Signature] | None = None,
+                 seed: int, signatures: list[Signature],
                  params: CorpusParams = CorpusParams()) -> list[LabeledPair]:
-    """Deterministic labeled corpus: changed pairs first, then noisy pairs.
+    """Deterministic labeled corpus over base `signatures`: changed pairs
+    first, then noisy pairs.
 
     Changed and noisy pairs consume independent random streams, so
     changing only the noise composition leaves the changed pairs
@@ -479,10 +468,9 @@ def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
     if not 0.0 <= distortion_fraction <= 1.0:
         raise ValueError("distortion fraction must be in [0, 1]")
 
-    ss = np.random.SeedSequence(seed)
-    ss_sigs, ss_changed, ss_noisy, ss_pair_seeds = ss.spawn(4)
-    if signatures is None:
-        signatures = build_base_signatures(ss_sigs.generate_state(1)[0], params)
+    # The first child once seeded default base signatures; it is still
+    # spawned so that the other three streams keep their seeds.
+    _, ss_changed, ss_noisy, ss_pair_seeds = np.random.SeedSequence(seed).spawn(4)
     k = len(signatures)
     if n_changed > 0 and k < 2:
         raise ValueError("changed pairs need at least two base signatures")

@@ -28,7 +28,7 @@ import numpy as np
 from ._kernels import cusum_scan, deletion_pcc_scan
 from .core import Signature
 from .errors import AlignmentError
-from .noisegen import NoiseProfile, residual, snr_ratios
+from .noisegen import NoiseProfile, check_aligned, residual, snr_ratios
 from .similarity import pcc, rmse
 
 
@@ -105,13 +105,6 @@ def _jsonable(diag: dict) -> dict:
     return out
 
 
-def _check_pair(existing: Signature, recomputed: Signature) -> None:
-    if existing.grid != recomputed.grid:
-        raise AlignmentError("signatures must share the grid")
-    if existing.parameters != recomputed.parameters:
-        raise AlignmentError("signatures must cover the same parameters")
-
-
 def _aggregate(rows: list[RowDecision]) -> DetectionOutcome:
     """The first change row decides, else the first noise row; with
     neither, the verdict is no change with row 0's diagnostics."""
@@ -137,7 +130,7 @@ def _first_max(scan: np.ndarray) -> tuple[int, float]:
 def sliding_window_detect(existing: Signature, recomputed: Signature,
                           thresholds: DetectorThresholds = DetectorThresholds()
                           ) -> DetectionOutcome:
-    _check_pair(existing, recomputed)
+    check_aligned(existing, recomputed)
     if thresholds.window >= existing.grid.length - 1:
         raise ValueError("scan window must be shorter than the grid")
 
@@ -169,14 +162,13 @@ def snr_detect(existing: Signature, recomputed: Signature, profile: NoiseProfile
     ``mode="aggregate"`` instead compares one whole-period SNR against
     the lowest baseline segment.
     """
-    _check_pair(existing, recomputed)
+    res = residual(existing, recomputed)
     seg = profile.segment_length
     if profile.segments * seg != existing.grid.length:
         raise AlignmentError(f"profile covers {profile.segments * seg} points, "
                              f"the grid {existing.grid.length}")
 
     ex = existing.matrix
-    res = residual(existing, recomputed)
     # Ratios are floats with inf for an unbounded SNR, so `<` orders them
     # as SnrValue does.
     floors = [s.ratio for s in profile.segment_snrs]
@@ -213,7 +205,7 @@ def cusum_detect(existing: Signature, recomputed: Signature,
                  slack: float = 0.5, decision_interval: float = 5.0
                  ) -> DetectionOutcome:
     """Two-sided CUSUM on standardized deviations; change on a strict crossing."""
-    _check_pair(existing, recomputed)
+    check_aligned(existing, recomputed)
     if slack < 0 or decision_interval <= 0:
         raise ValueError("slack must be >= 0 and the decision interval positive")
 

@@ -74,6 +74,13 @@ METRICS = {"fp_rate": fp_rate, "tp_rate": tp_rate, "accuracy": accuracy, "f1": f
 DETECTOR_NAMES = ("sw", "snr", "cusum")
 
 
+def _check_distinct(name: str, values) -> None:
+    """A list setting names at least one value, each once: an empty list
+    would run nothing and a repeated value would share one report key."""
+    if not values or len(set(values)) != len(values):
+        raise ValueError(f"{name} must list at least one value, each once; got {list(values)}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one benchmark run depends on, minus the seed."""
@@ -97,6 +104,8 @@ class ExperimentConfig:
         object.__setattr__(self, "detectors", tuple(self.detectors))
         if self.repeats < 1:
             raise ValueError("need at least one repeat")
+        for name in ("sample_sizes", "detectors"):
+            _check_distinct(name, getattr(self, name))
         unknown = set(self.detectors) - set(DETECTOR_NAMES)
         if unknown:
             raise ValueError(f"unknown detectors: {sorted(unknown)}")
@@ -284,6 +293,7 @@ def sensitivity_analysis(config: ExperimentConfig, seed: int,
                          levels: tuple[float, ...] = (0.5, 0.25, 0.0),
                          jobs: int = 1) -> dict:
     """Re-run the experiment at several distortion fractions, same seed."""
+    _check_distinct("sensitivity levels", [_level_key(level) for level in levels])
     runs = {}
     for level in levels:
         level_config = replace(config, distortion_fraction=level)

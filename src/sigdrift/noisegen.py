@@ -131,40 +131,31 @@ def inject(sig: Signature, spec: NoiseSpec, seed: int) -> Signature:
 # ---------------------------------------------------------------------------
 # SNR
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class SnrValue:
-    """A signal-to-noise ratio; infinite when the noise term is all zero.
-
-    The infinite case is an explicit flag rather than float('inf') so it
-    never enters arithmetic by accident; ``<`` orders it above every
-    finite ratio, so ``min`` picks the lowest.
-    """
+    """A signal-to-noise ratio; ``inf`` when it is unbounded (see
+    :func:`_ratios`), which orders it above every finite ratio, so ``min``
+    picks the lowest."""
 
     ratio: float
-    infinite: bool = False
 
     def __post_init__(self):
-        if not self.infinite and (self.ratio < 0 or not math.isfinite(self.ratio)):
-            raise ValueError("SNR ratio must be finite and non-negative")
+        if not self.ratio >= 0.0:  # also false for NaN
+            raise ValueError("SNR ratio must be non-negative")
 
     @classmethod
     def unbounded(cls) -> "SnrValue":
-        return cls(ratio=math.inf, infinite=True)
+        return cls(math.inf)
+
+    @property
+    def infinite(self) -> bool:
+        return self.ratio == math.inf
 
     @property
     def db(self) -> float:
-        if self.infinite:
-            return math.inf
         if self.ratio == 0.0:
             return -math.inf
         return 10.0 * math.log10(self.ratio)
-
-    def __lt__(self, other: "SnrValue") -> bool:
-        if self.infinite:
-            return False
-        if other.infinite:
-            return True
-        return self.ratio < other.ratio
 
 
 def _ratios(signal_ms, noise_ms) -> np.ndarray:
@@ -175,10 +166,6 @@ def _ratios(signal_ms, noise_ms) -> np.ndarray:
         return np.where(noise_ms > 0.0, signal_ms / noise_ms, math.inf)
 
 
-def _snr_value(ratio: float) -> SnrValue:
-    return SnrValue.unbounded() if ratio == math.inf else SnrValue(ratio)
-
-
 def snr(signal, noise) -> SnrValue:
     """Mean-square(signal) over mean-square(noise); arrays of any shape
     are pooled.  See :func:`_ratios` for the infinite case."""
@@ -186,8 +173,8 @@ def snr(signal, noise) -> SnrValue:
     n = np.asarray(noise, dtype=np.float64)
     if s.size == 0 or n.size == 0:
         raise ValueError("signal and noise must be non-empty")
-    return _snr_value(float(_ratios(np.add.reduce(np.square(s), axis=None) / s.size,
-                                    np.add.reduce(np.square(n), axis=None) / n.size)))
+    return SnrValue(float(_ratios(np.add.reduce(np.square(s), axis=None) / s.size,
+                                  np.add.reduce(np.square(n), axis=None) / n.size)))
 
 
 def check_aligned(existing: Signature, recomputed: Signature) -> None:
@@ -233,12 +220,6 @@ def snr_ratios(signal: np.ndarray, noise: np.ndarray, segments: int) -> np.ndarr
                    _segment_mean_squares(noise, segments))
 
 
-def segment_snrs(signal, noise, segments: int) -> list[SnrValue]:
-    """:func:`snr` of each of `segments` equal column blocks of two
-    ``(rows, L)`` arrays; see :func:`snr_ratios`."""
-    return [_snr_value(r) for r in snr_ratios(signal, noise, segments).tolist()]
-
-
 @dataclass(frozen=True)
 class NoiseProfile:
     """Per-segment baseline SNR learned over a monitoring period."""
@@ -260,8 +241,7 @@ class NoiseProfile:
 
 def profile_from_ratios(ratios, segment_length: int) -> NoiseProfile:
     """A profile over per-segment SNR ratios, ``inf`` meaning unbounded."""
-    return NoiseProfile(tuple(_snr_value(r) for r in np.asarray(ratios).tolist()),
-                        segment_length)
+    return NoiseProfile(tuple(map(SnrValue, np.asarray(ratios).tolist())), segment_length)
 
 
 def learn_noise_profile(existing: Signature, recomputed: Signature,
@@ -283,12 +263,19 @@ def profile_to_dict(profile: NoiseProfile) -> dict:
     }
 
 
+def _ratio_from_json(value) -> float:
+    """A profile file spells an unbounded SNR only as ``null``."""
+    if value is None:
+        return math.inf
+    ratio = float(value)
+    if not math.isfinite(ratio):
+        raise ValueError(f"SNR ratio {value!r} is not finite; unbounded is null")
+    return ratio
+
+
 def profile_from_dict(payload: dict) -> NoiseProfile:
     try:
-        snrs = tuple(
-            SnrValue.unbounded() if r is None else SnrValue(float(r))
-            for r in payload["segment_snrs"]
-        )
+        snrs = tuple(SnrValue(_ratio_from_json(r)) for r in payload["segment_snrs"])
         return NoiseProfile(snrs, int(payload["segment_length"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad noise profile: {exc}") from None

@@ -2,12 +2,12 @@
 
 PCC and CS read "higher is more similar"; ED and RMSE are distances and
 read the other way.  Callers that need one code path use
-:func:`similarity`, which reports the polarity next to the value.
+:func:`similarity`; the method's ``higher_is_more_similar`` gives the
+polarity.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -24,16 +24,6 @@ class SimilarityMethod(Enum):
     @property
     def higher_is_more_similar(self) -> bool:
         return self in (SimilarityMethod.PCC, SimilarityMethod.CS)
-
-
-@dataclass(frozen=True)
-class MeasuredSimilarity:
-    value: float
-    method: SimilarityMethod
-
-    @property
-    def higher_is_more_similar(self) -> bool:
-        return self.method.higher_is_more_similar
 
 
 def _series(a, minimum: int = 1) -> np.ndarray:
@@ -104,6 +94,6 @@ _DISPATCH = {
 }
 
 
-def similarity(a, b, method: SimilarityMethod) -> MeasuredSimilarity:
-    """Compute one of the four measures, tagged with its polarity."""
-    return MeasuredSimilarity(_DISPATCH[method](a, b), method)
+def similarity(a, b, method: SimilarityMethod) -> float:
+    """The value of one of the four measures."""
+    return _DISPATCH[method](a, b)

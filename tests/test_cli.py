@@ -351,6 +351,31 @@ def test_sensitivity_tiny_run(tmp_path):
     assert set(payload["runs"]) == {"0.5", "0.0"}
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("evaluate", "--detectors", "", "each once"),
+    ("evaluate", "--sample-sizes", "", "each once"),
+    ("evaluate", "--detectors", "sw,sw", "each once"),
+    ("evaluate", "--sample-sizes", "8,8", "each once"),
+    ("sensitivity", "--levels", "", "each once"),
+    ("sensitivity", "--levels", "0.5,0.5", "each once"),
+    ("evaluate", "--jobs", "-3", "0 (one worker per core) or positive"),
+    ("sensitivity", "--jobs", "-3", "0 (one worker per core) or positive"),
+])
+def test_bad_list_or_jobs_setting_exits_1_before_any_work(tmp_path, monkeypatch, caplog,
+                                                          command, flag, value, message):
+    import sigdrift.evaluate as evaluate
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a repeat started")
+    monkeypatch.setattr(evaluate, "build_base_signatures", no_work)
+    out = tmp_path / "r.json"
+    assert main([command, "--seed", "1", "--jobs", "1", "--n-changed", "8",
+                 "--n-noisy", "8", "--repeats", "1", "--sample-sizes", "8",
+                 flag, value, "--out", str(out)]) == 1
+    assert message in caplog.text
+    assert not out.exists()
+
+
 def test_config_file_layering(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("n_changed = 8\nn_noisy = 8\nrepeats = 1\n"

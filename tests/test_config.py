@@ -2,6 +2,7 @@
 import argparse
 import json
 import logging
+import os
 from dataclasses import fields
 
 import pytest
@@ -255,3 +256,10 @@ def test_flags_parse_to_the_same_values_as_the_config_file():
     assert {key: getattr(config, key) for key in expected} == expected
     untouched = set(DEFAULTS) - set(expected)
     assert {k: config.as_dict()[k] for k in untouched} == {k: DEFAULTS[k] for k in untouched}
+
+
+def test_jobs_zero_means_every_core_and_negative_is_an_error():
+    assert RunConfig(jobs=0).effective_jobs() == (os.cpu_count() or 1)
+    assert RunConfig(jobs=3).effective_jobs() == 3
+    with pytest.raises(ValueError, match=r"jobs must be 0 \(one worker per core\) or positive"):
+        RunConfig(jobs=-3).effective_jobs()

@@ -24,7 +24,7 @@ def _exp(values, start, user="u"):
 
 def _measured(exp, method):
     seg = RAMP_SIG.row("cpu").values[exp.trial_start:exp.trial_start + 4]
-    return similarity(seg, normalize(exp.values), method).value
+    return similarity(seg, normalize(exp.values), method)
 
 
 # ------------------------------------------------------- threshold calibration

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sigdrift.core import TimeGrid, population_std
+from sigdrift.core import Signature, TimeGrid, population_std
 from sigdrift.datagen import (BaselineMap, CorpusParams, IntervalRule, Label,
                               QoSProfile, _performance_matrix, baseline_performance,
                               build_base_signatures, build_corpus,
@@ -204,6 +204,13 @@ def test_make_changed_guards():
         make_changed(sigs[0], sigs[1], (0, 0), seed=0)
     with pytest.raises(ValueError):
         make_changed(sigs[0], sigs[1], (300, 90), seed=0)
+
+
+def test_make_changed_rejects_a_misaligned_donor():
+    sigs = build_base_signatures(seed=42)
+    renamed = Signature(("latency",), sigs[1].matrix, sigs[1].grid, sigs[1].provider_id)
+    with pytest.raises(AlignmentError, match="base signatures must share grid and parameters"):
+        make_changed(sigs[0], renamed, (0, 90), seed=0)
 
 
 def test_make_noisy_labels_carry_the_kind():

@@ -317,3 +317,17 @@ def test_nan_diagnostics_serialize_as_null(ex):
     assert row["best_window_pcc"] is None
     assert row["removed_window_start"] == -1
     assert row["verdict"] == "change"
+
+
+@pytest.mark.parametrize("detect", [
+    lambda ex, rec: sliding_window_detect(ex, rec, TH),
+    lambda ex, rec: snr_detect(ex, rec, _flat_profile(100.0)),
+    lambda ex, rec: snr_detect(ex, rec, _flat_profile(100.0), mode="aggregate"),
+    cusum_detect,
+])
+def test_every_detector_rejects_a_misaligned_pair_alike(ex, detect):
+    # a 100-point pair also misfits the profile: the pair check comes first
+    for other in (unit_signature(wavy_row(100)),
+                  unit_signature(wavy_row(360, seed=3), parameters=["different"])):
+        with pytest.raises(AlignmentError, match="^signatures must share grid and parameters$"):
+            detect(ex, other)

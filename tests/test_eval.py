@@ -102,6 +102,21 @@ def test_experiment_config_validation():
     assert payload["thresholds"]["similarity_floor"] == 0.60
 
 
+@pytest.mark.parametrize("field, value", [
+    ("detectors", ()), ("detectors", ("sw", "snr", "sw")),
+    ("sample_sizes", ()), ("sample_sizes", (8, 16, 8)),
+])
+def test_list_settings_name_each_value_once(field, value):
+    with pytest.raises(ValueError, match="each once"):
+        ExperimentConfig(n_changed=8, n_noisy=8, **{field: value})
+
+
+@pytest.mark.parametrize("levels", [(), (0.5, 0.25, 0.5), (0, 0.0)])
+def test_sensitivity_levels_name_each_fraction_once(levels):
+    with pytest.raises(ValueError, match="each once"):
+        sensitivity_analysis(TINY, seed=11, levels=levels, jobs=1)
+
+
 # --------------------------------------------------------------- monitoring
 
 def test_monitoring_profiles_cover_all_providers_plus_pooled():

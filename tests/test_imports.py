@@ -7,6 +7,7 @@ from pathlib import Path
 import sigdrift
 
 PACKAGE = Path(sigdrift.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -25,6 +26,70 @@ def test_modules_use_every_name_they_import():
     unused = {path.name: names for path in sorted(PACKAGE.glob("*.py"))
               if path.name != "__init__.py" and (names := _unused_imports(path))}
     assert unused == {}
+
+
+def _imported_module(node: ast.ImportFrom, in_package: bool) -> str | None:
+    """The sigdrift module a ``from ... import`` reads: ``.mod`` inside the
+    package or ``sigdrift.mod`` anywhere; ``""`` for the package itself."""
+    if node.level:
+        return (node.module or "") if in_package and node.level == 1 else None
+    if node.module == "sigdrift":
+        return ""
+    if node.module and node.module.startswith("sigdrift."):
+        return node.module.removeprefix("sigdrift.")
+    return None
+
+
+def _references(path: Path, modules: set[str]) -> set[tuple[str, str]]:
+    """(module, name) pairs `path` refers to: ``from .mod import name``,
+    ``from sigdrift.mod import name``, and ``alias.name`` or
+    ``sigdrift.mod.name`` where an import binds ``alias`` to the module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    in_package = path.parent == PACKAGE
+    aliases: dict[str, set[str]] = {}
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = _imported_module(node, in_package)
+            for a in node.names:
+                if module == "" and a.name in modules:
+                    aliases.setdefault(a.asname or a.name, set()).add(a.name)
+                elif module in modules:
+                    refs.add((module, a.name))
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                package, _, module = a.name.partition(".")
+                if package == "sigdrift" and a.asname and module in modules:
+                    aliases.setdefault(a.asname, set()).add(module)
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        value = node.value
+        if isinstance(value, ast.Name):
+            refs |= {(module, node.attr) for module in aliases.get(value.id, ())}
+        elif (isinstance(value, ast.Attribute) and isinstance(value.value, ast.Name)
+              and value.value.id == "sigdrift" and value.attr in modules):
+            refs.add((value.attr, node.attr))
+    return refs
+
+
+def test_every_module_level_definition_is_referenced():
+    """A function or class no module, test or benchmark refers to is dead.
+    A reference is a use in its own module, an import of it from its
+    module, or an attribute access on its module."""
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(PACKAGE.glob("*.py"))}
+    sources = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+               *(ROOT / "perfbench").glob("*.py")]
+    refs = set().union(*(_references(path, set(modules)) for path in sources))
+    dead = []
+    for module, tree in modules.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name not in used and (module, node.name) not in refs):
+                dead.append(f"{module}.{node.name}")
+    assert dead == []
 
 
 def test_cli_import_leaves_out_the_process_pool():

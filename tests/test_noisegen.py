@@ -11,7 +11,7 @@ from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
                                SnrValue, SpikeNoise, inject,
                                learn_noise_profile, profile_from_dict,
                                profile_to_dict, read_profile, read_spec,
-                               residual, segment_snrs, snr, spec_from_dict,
+                               residual, snr, snr_ratios, spec_from_dict,
                                spec_to_dict,
                                write_profile, write_spec)
 from sigdrift.similarity import pcc
@@ -233,7 +233,7 @@ def test_profile_equals_snr_of_each_segment_slice(rows, segments, seed):
         want.append(snr(part, part - rec_part))
     profile = learn_noise_profile(ex, rec, segments)
     assert profile == NoiseProfile(tuple(want), seg)
-    assert segment_snrs(ex.matrix, residual(ex, rec), segments) == want
+    assert list(map(SnrValue, snr_ratios(ex.matrix, residual(ex, rec), segments).tolist())) == want
 
 
 def test_overflowing_snr_ratio_is_unbounded():
@@ -242,7 +242,7 @@ def test_overflowing_snr_ratio_is_unbounded():
     signal = np.array([[99.0, 0.0]])
     noise = np.array([[5.18e-153, 5.18e-153]])
     assert snr(signal, noise) == SnrValue.unbounded()
-    assert segment_snrs(signal, noise, 1) == [SnrValue.unbounded()]
+    assert snr_ratios(signal, noise, 1).tolist() == [math.inf]
     existing = raw_signature(signal)
     recomputed = raw_signature(signal - noise)
     assert residual(existing, recomputed)[0, 1] == 5.18e-153

@@ -19,7 +19,7 @@ from sigdrift._kernels import cusum_scan, deletion_pcc_scan
 from sigdrift.core import population_std
 from sigdrift.detect import _first_max
 from sigdrift.errors import ConstantSeriesError
-from sigdrift.noisegen import SnrValue, segment_snrs, snr
+from sigdrift.noisegen import SnrValue, snr, snr_ratios
 from sigdrift.similarity import pcc, rmse
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
@@ -121,7 +121,7 @@ def test_pcc_and_rmse_match_the_numpy_formulas(data, n):
 @given(data=st.data(), rows=st.sampled_from([1, 3]),
        segments=st.sampled_from([1, 2, 3, 6, 12]), seg_len=st.integers(2, 40),
        zero_segment=st.integers(-1, 11))
-def test_segment_snrs_match_snr_of_each_column_block(data, rows, segments, seg_len,
+def test_snr_ratios_match_snr_of_each_column_block(data, rows, segments, seg_len,
                                                      zero_segment):
     shape = (rows, segments * seg_len)
     signal = data.draw(hnp.arrays(np.float64, shape, elements=FINITE))
@@ -130,7 +130,7 @@ def test_segment_snrs_match_snr_of_each_column_block(data, rows, segments, seg_l
         noise[:, zero_segment * seg_len:(zero_segment + 1) * seg_len] = 0.0
     want = _bits(lambda: [_ref_snr(signal[:, a:a + seg_len], noise[:, a:a + seg_len])
                           for a in range(0, shape[1], seg_len)])
-    assert _bits(lambda: segment_snrs(signal, noise, segments)) == want
+    assert _bits(lambda: map(SnrValue, snr_ratios(signal, noise, segments).tolist())) == want
     assert _bits(lambda: [snr(signal, noise)]) == _bits(lambda: [_ref_snr(signal, noise)])
 
 

@@ -11,7 +11,7 @@ import json
 import numpy as np
 
 from sigdrift.cli import main
-from sigdrift.datagen import make_changed
+from sigdrift.datagen import build_base_signatures, make_changed, synthesize_trace, write_trace
 from sigdrift.detect import cusum_detect, sliding_window_detect, snr_detect
 from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, SpikeNoise, inject,
                                learn_noise_profile)
@@ -41,6 +41,13 @@ PAPER_REPORT_SHA256 = "28f549695dbb3c8269302ea8cfd6fd9ca635a3102809fb0d8cc23104c
 
 MULTI_ROW_SHA256 = "42cbfcebb73e1216616a9155dadf3cd6dc31ef312d7ca24c52178aeade1314e7"
 
+# Provider ids and matrix bytes of `build_base_signatures(seed=42)` at the
+# paper defaults (31 nodes, 6,486 raw points, 360-point grid).
+BASE_SIGNATURES_SHA256 = "3dc9b20b939794c97403ebdb268d40f306fbdd546877cd0eb62d86751b7af7f9"
+
+# `write_trace` bytes for `synthesize_trace(4, 720, seed=5)`.
+TRACE_CSV_SHA256 = "372efbc7e534b2caf4efb98b455647a39fb3fb7b1a8b0a83b20a735539a629c1"
+
 
 def _three_rows(seed):
     walk = np.random.default_rng(seed).standard_normal(360).cumsum()
@@ -65,6 +72,20 @@ def test_multi_row_detector_outcomes_are_pinned():
                                 cusum_detect(alpha, rec))]
     digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
     assert digest == MULTI_ROW_SHA256
+
+
+def test_paper_base_signatures_are_pinned():
+    digest = hashlib.sha256()
+    for sig in build_base_signatures(seed=42):
+        digest.update(sig.provider_id.encode())
+        digest.update(sig.matrix.tobytes())
+    assert digest.hexdigest() == BASE_SIGNATURES_SHA256
+
+
+def test_trace_csv_is_pinned(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_trace(synthesize_trace(4, 720, seed=5), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == TRACE_CSV_SHA256
 
 
 def test_c10_sized_evaluate_report_is_pinned(tmp_path):

@@ -18,8 +18,8 @@ from .core import TimeGrid, read_signature, write_signature
 from .cpd import (EventConfig, calibrate_frequency_threshold,
                   calibrate_similarity_threshold, detect_events, read_flags)
 from .datagen import (CorpusParams, base_signature_seeds, build_corpus,
-                      build_provider_signatures, default_profiles, manifest_entry,
-                      synthesize_trace, write_manifest, write_trace)
+                      build_provider_signatures, check_profile_spans, default_profiles,
+                      manifest_entry, synthesize_trace, write_manifest, write_trace)
 from .datagen import write_profile as write_provider_profile
 from .detect import (DetectorThresholds, Verdict, cusum_detect,
                      sliding_window_detect, snr_detect)
@@ -133,9 +133,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
     # Build everything before writing, so a setting that fails leaves no
     # partial tree behind.
+    profiles = default_profiles()
+    check_profile_spans(profiles, params.grid_length)
     log.info("synthesizing trace and provider signatures")
     trace = synthesize_trace(params.nodes, params.raw_length, trace_seed)
-    profiles = default_profiles()
     signatures = build_provider_signatures(
         profiles, trace, TimeGrid(params.grid_length, params.resolution),
         parameters=(params.parameter,),

@@ -8,6 +8,7 @@ implicitly (detectors must not assume otherwise).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -254,3 +255,33 @@ def read_signature(path) -> Signature:
         rows.append(values)
 
     return Signature(tuple(names), rows, TimeGrid(length), path.stem)
+
+
+# ---------------------------------------------------------------------------
+# Typed fields of JSON payloads: a boolean or a string is never a number.
+
+def json_number(value, key: str) -> float:
+    """A finite JSON number as a float; ``key`` names the field in the error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{key}: expected a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ParseError(f"{key}: {value!r} is not a finite number")
+    return number
+
+
+def json_integer(value, key: str) -> int:
+    """A JSON integer; ``key`` names the field in the error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{key}: expected an integer, got {value!r}")
+    return value
+
+
+def json_list(value, key: str) -> list:
+    """A JSON array; ``key`` names the field in the error."""
+    if not isinstance(value, list):
+        raise ParseError(f"{key}: expected a list, got {value!r}")
+    return value

@@ -2,7 +2,8 @@
 
 The pipeline mirrors how a broker would assemble ground truth:
 
-* a workload trace gives per-node demand fractions over a raw grid;
+* a workload trace gives per-node requested cores (whole cores out of
+  ``CORES_TOTAL``) over a raw grid;
 * a baseline map turns demand into baseline performance (heavier load,
   lower throughput);
 * a provider profile perturbs the baseline with a workload response map,
@@ -25,7 +26,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Signature, TimeGrid, TrialExperience, block_slices, check_stack
+from .core import (Signature, TimeGrid, TrialExperience, block_slices, check_stack,
+                   json_list, json_number)
 from .errors import AlignmentError, ParseError
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseSpec,
                        SpikeNoise, apply_noise, spec_to_dict)
@@ -35,33 +37,40 @@ from .signature import TrialCohort, generate_signature, paa, paa_boundaries
 # ---------------------------------------------------------------------------
 # Workload traces
 
+CORES_TOTAL = 32  # cores per trace node
+
+
 @dataclass(frozen=True)
 class WorkloadTrace:
-    """Per-node demand fractions over a raw (pre-PAA) grid."""
+    """Per-node requested cores over a raw (pre-PAA) grid."""
 
     node_ids: tuple[str, ...]
-    demands: np.ndarray  # shape (nodes, timestamps), values in [0, 1]
+    cores: np.ndarray  # shape (nodes, timestamps), integers in [0, CORES_TOTAL]
 
     def __post_init__(self):
         object.__setattr__(self, "node_ids", tuple(self.node_ids))
-        demands = np.array(self.demands, dtype=np.float64)
-        demands.setflags(write=False)
-        object.__setattr__(self, "demands", demands)
-        if demands.ndim != 2 or demands.shape[0] != len(self.node_ids):
-            raise ValueError("demands must be (nodes, timestamps)")
+        cores = np.array(self.cores)
+        if not np.issubdtype(cores.dtype, np.integer):
+            raise ValueError("cores must be an integer array")
+        cores.setflags(write=False)
+        object.__setattr__(self, "cores", cores)
+        if cores.ndim != 2 or cores.shape[0] != len(self.node_ids):
+            raise ValueError("cores must be (nodes, timestamps)")
         if not self.node_ids:
             raise ValueError("trace needs at least one node")
-        if demands.shape[1] < 2:
+        if cores.shape[1] < 2:
             raise ValueError("trace needs at least two timestamps")
-        if demands.min() < 0.0 or demands.max() > 1.0:
-            raise ValueError("demand fractions must lie in [0, 1]")
+        if cores.min() < 0 or cores.max() > CORES_TOTAL:
+            raise ValueError(f"requested cores must lie in [0, {CORES_TOTAL}]")
 
     @property
     def length(self) -> int:
-        return int(self.demands.shape[1])
+        return int(self.cores.shape[1])
 
-
-CORES_TOTAL = 32  # cores per trace node
+    @property
+    def demands(self) -> np.ndarray:
+        """Demand fractions in [0, 1]: ``cores / CORES_TOTAL``."""
+        return self.cores / CORES_TOTAL
 
 
 def synthesize_trace(nodes: int, length: int, seed: int) -> WorkloadTrace:
@@ -75,20 +84,17 @@ def synthesize_trace(nodes: int, length: int, seed: int) -> WorkloadTrace:
     # Reflect into [0, 1]: fold the walk back at both edges.
     folded = np.abs(np.mod(walk, 2.0))
     folded = np.where(folded > 1.0, 2.0 - folded, folded)
-    requested = np.rint(folded * CORES_TOTAL)
     return WorkloadTrace(
         tuple(f"node-{i:02d}" for i in range(nodes)),
-        requested / CORES_TOTAL,
+        np.rint(folded * CORES_TOTAL).astype(np.intp),
     )
 
 
 def write_trace(trace: WorkloadTrace, path) -> None:
     """Trace CSV: node_id,timestamp,cores_requested,cores_total."""
     lines = ["node_id,timestamp,cores_requested,cores_total"]
-    requested = np.rint(trace.demands * CORES_TOTAL).astype(int)
-    for i, node in enumerate(trace.node_ids):
-        for t in range(trace.length):
-            lines.append(f"{node},{t},{requested[i, t]},{CORES_TOTAL}")
+    for node, row in zip(trace.node_ids, trace.cores.tolist()):
+        lines.extend(f"{node},{t},{cores},{CORES_TOTAL}" for t, cores in enumerate(row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -203,13 +209,26 @@ def profile_to_dict(profile: QoSProfile) -> dict:
     }
 
 
+def _rules_from_json(payload: dict, key: str) -> tuple[IntervalRule, ...]:
+    rules = []
+    for i, rule in enumerate(json_list(payload[key], key)):
+        if len(json_list(rule, f"{key}[{i}]")) != 3:
+            raise ParseError(f"{key}[{i}]: expected [lo, hi, multiplier], got {rule!r}")
+        rules.append(IntervalRule(*(json_number(v, f"{key}[{i}][{j}]")
+                                    for j, v in enumerate(rule))))
+    return tuple(rules)
+
+
 def profile_from_dict(payload: dict) -> QoSProfile:
     try:
+        provider_id = payload["provider_id"]
+        if not isinstance(provider_id, str):
+            raise ParseError(f"provider_id: expected a string, got {provider_id!r}")
         return QoSProfile(
-            payload["provider_id"],
-            tuple(IntervalRule(*map(float, r)) for r in payload["workload_map"]),
-            tuple(IntervalRule(*map(float, r)) for r in payload["seasonal_map"]),
-            float(payload["jitter_amplitude"]),
+            provider_id,
+            _rules_from_json(payload, "workload_map"),
+            _rules_from_json(payload, "seasonal_map"),
+            json_number(payload["jitter_amplitude"], "jitter_amplitude"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad profile payload: {exc}") from None
@@ -243,21 +262,37 @@ def default_profiles() -> list[QoSProfile]:
 # ---------------------------------------------------------------------------
 # Performance synthesis
 
-def _performance_matrix(profile: QoSProfile, demands: np.ndarray,
+def _performance_matrix(profile: QoSProfile, levels, level_of,
                         day_of: np.ndarray, baseline: BaselineMap,
                         rng: np.random.Generator) -> np.ndarray:
-    base = baseline_performance(baseline, demands)
-    wmul = _RuleLookup(profile.workload_map)(demands)
+    """Raw performance of every node at every raw timestamp, where
+    ``levels[level_of[i, t]]`` is node i's demand at timestamp t.
+
+    The baseline and the workload response depend on demand alone, so
+    they are looked up once per demand level and gathered; being
+    elementwise, each gathered value is the double a lookup at that
+    point would give.
+    """
+    table = baseline_performance(baseline, levels) * _RuleLookup(profile.workload_map)(levels)
     smul = _RuleLookup(profile.seasonal_map)(day_of)
-    # base * wmul * smul * (1 + amplitude * U), left to right as written,
-    # in place: on long traces each temporary is a (nodes, raw) array.
-    perf = base * wmul
+    # table * smul * (1 + amplitude * U), left to right as written, in
+    # place: on long traces each temporary is a (nodes, raw) array.
+    perf = np.take(table, level_of)
     perf *= smul[None, :]
-    jitter = rng.random(demands.shape)
+    jitter = rng.random(perf.shape)
     jitter *= profile.jitter_amplitude
     jitter += 1.0
     perf *= jitter
     return perf
+
+
+def check_profile_spans(profiles, grid_length: int) -> None:
+    """Every profile's seasonal map must span exactly the grid."""
+    for p in profiles:
+        if p.grid_span != grid_length:
+            raise AlignmentError(
+                f"profile {p.provider_id!r} seasonal map spans {p.grid_span}, grid is {grid_length}"
+            )
 
 
 def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
@@ -273,15 +308,13 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
         raise ValueError("need at least one profile")
     if grid.length > trace.length:
         raise AlignmentError("grid cannot be finer than the trace")
-    for p in profiles:
-        if p.grid_span != grid.length:
-            raise AlignmentError(
-                f"profile {p.provider_id!r} seasonal map spans {p.grid_span}, grid is {grid.length}"
-            )
+    check_profile_spans(profiles, grid.length)
 
     bounds = paa_boundaries(trace.length, grid.length)
     # Grid index of each raw timestamp: the PAA frame it lands in.
     day_of = np.searchsorted(bounds, np.arange(trace.length), side="right") - 1
+    # Demand level k is k whole cores; the trace holds each point's level.
+    levels = np.arange(CORES_TOTAL + 1) / CORES_TOTAL
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = ss.spawn(len(profiles))
@@ -291,10 +324,10 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
         rng = np.random.default_rng(stream)
         cohorts = []
         for parameter in parameters:
-            perf = _performance_matrix(profile, trace.demands, day_of, baseline, rng)
+            perf = _performance_matrix(profile, levels, trace.cores, day_of, baseline, rng)
             experiences = tuple(
-                TrialExperience(node, parameter, paa(perf[i], grid.length), 0)
-                for i, node in enumerate(trace.node_ids)
+                TrialExperience(node, parameter, values, 0)
+                for node, values in zip(trace.node_ids, paa(perf, grid.length))
             )
             cohorts.append(TrialCohort(experiences, (0, grid.length)))
         signatures.append(generate_signature(cohorts, grid, profile.provider_id))
@@ -430,10 +463,12 @@ def base_signature_seeds(seed: int) -> tuple[int, np.random.SeedSequence]:
 def build_base_signatures(seed: int, params: CorpusParams = CorpusParams(),
                           profiles=None) -> list[Signature]:
     """Synthesize a trace and derive one signature per packaged profile."""
+    profiles = profiles if profiles is not None else default_profiles()
+    check_profile_spans(profiles, params.grid_length)
     trace_seed, perf_seed = base_signature_seeds(seed)
     trace = synthesize_trace(params.nodes, params.raw_length, trace_seed)
     return build_provider_signatures(
-        profiles if profiles is not None else default_profiles(),
+        profiles,
         trace,
         TimeGrid(params.grid_length, params.resolution),
         parameters=(params.parameter,),

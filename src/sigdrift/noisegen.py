@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Signature
+from .core import Signature, json_integer, json_list, json_number
 from .errors import AlignmentError, ParseError
 
 
@@ -263,20 +263,16 @@ def profile_to_dict(profile: NoiseProfile) -> dict:
     }
 
 
-def _ratio_from_json(value) -> float:
+def _ratio_from_json(value, key: str) -> float:
     """A profile file spells an unbounded SNR only as ``null``."""
-    if value is None:
-        return math.inf
-    ratio = float(value)
-    if not math.isfinite(ratio):
-        raise ValueError(f"SNR ratio {value!r} is not finite; unbounded is null")
-    return ratio
+    return math.inf if value is None else json_number(value, key)
 
 
 def profile_from_dict(payload: dict) -> NoiseProfile:
     try:
-        snrs = tuple(SnrValue(_ratio_from_json(r)) for r in payload["segment_snrs"])
-        return NoiseProfile(snrs, int(payload["segment_length"]))
+        snrs = tuple(SnrValue(_ratio_from_json(r, f"segment_snrs[{i}]"))
+                     for i, r in enumerate(json_list(payload["segment_snrs"], "segment_snrs")))
+        return NoiseProfile(snrs, json_integer(payload["segment_length"], "segment_length"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad noise profile: {exc}") from None
 

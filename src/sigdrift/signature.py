@@ -84,12 +84,13 @@ def paa_boundaries(length: int, target_length: int) -> np.ndarray:
 
 
 def paa(values, target_length: int) -> np.ndarray:
-    """Piecewise aggregate approximation: per-frame means."""
+    """Piecewise aggregate approximation: per-frame means along the last
+    axis, so a ``(..., L)`` array reduces every series in one call."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a one-dimensional series")
-    bounds = paa_boundaries(arr.size, target_length)
-    sums = np.add.reduceat(arr, bounds[:-1])
+    if arr.ndim < 1:
+        raise ValueError("expected a series or an array of series")
+    bounds = paa_boundaries(arr.shape[-1], target_length)
+    sums = np.add.reduceat(arr, bounds[:-1], axis=-1)
     return sums / np.diff(bounds)
 
 

@@ -106,6 +106,17 @@ def test_detect_snr_with_an_overflowing_ratio_is_no_change(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_detect_rejects_a_profile_with_non_numbers_in_one_line(tmp_path, caplog, capsys):
+    ex, rec = _write_pair(tmp_path)
+    prof = tmp_path / "profile.json"
+    prof.write_text('{"segment_length": true, "segment_snrs": [true, "7", 5.0]}\n')
+    assert main(["detect", "--existing", str(ex), "--recomputed", str(rec),
+                 "--detector", "snr", "--profile", str(prof)]) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        "bad noise profile: segment_snrs[0]: expected a number, got True"]
+    assert capsys.readouterr().out == ""
+
+
 def test_detect_snr_profile_must_cover_the_grid(tmp_path, capsys):
     base = unit_signature(wavy_row(365, seed=3))
     ex = tmp_path / "ex.csv"
@@ -273,6 +284,25 @@ def test_gen_data_writes_nothing_when_a_setting_fails(tmp_path, capsys, flag, va
                  "--n-changed", "2", "--n-noisy", "2", flag, value]) == 1
     assert not out.exists()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "evaluate"])
+def test_a_grid_the_profiles_do_not_span_fails_before_any_synthesis(tmp_path, caplog,
+                                                                    monkeypatch, command):
+    import sigdrift.cli as cli
+    import sigdrift.datagen as datagen
+
+    def never(*args, **kwargs):
+        raise AssertionError("synthesize_trace ran")
+    monkeypatch.setattr(cli, "synthesize_trace", never)
+    monkeypatch.setattr(datagen, "synthesize_trace", never)
+    out = tmp_path / "out"
+    only = {"gen-data": [], "evaluate": ["--jobs", "1", "--sample-sizes", "4"]}[command]
+    assert main([command, "--out", str(out), "--seed", "1", "--nodes", "4",
+                 "--raw-length", "730", "--n-changed", "2", "--n-noisy", "2",
+                 "--grid-length", "365"] + only) == 1
+    assert "profile 'alpha' seasonal map spans 360, grid is 365" in caplog.text
+    assert not out.exists()
 
 
 def test_evaluate_fails_before_building_the_evaluation_corpus(tmp_path, caplog,

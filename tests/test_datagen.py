@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from sigdrift.core import Signature, TimeGrid, population_std
-from sigdrift.datagen import (BaselineMap, CorpusParams, IntervalRule, Label,
+from sigdrift.datagen import (CORES_TOTAL, BaselineMap, CorpusParams, IntervalRule, Label,
                               QoSProfile, _performance_matrix, baseline_performance,
                               build_base_signatures, build_corpus,
                               build_provider_signatures, default_baseline,
                               default_profiles, make_changed, make_noisy,
                               manifest_entry, profile_from_dict, profile_to_dict,
-                              synthesize_trace, write_manifest, write_trace)
+                              WorkloadTrace, synthesize_trace, write_manifest, write_trace)
 from sigdrift.errors import AlignmentError, ParseError
 from sigdrift.noisegen import AttenuationNoise, DistortionNoise, SpikeNoise
 from sigdrift.similarity import pcc, rmse
@@ -27,6 +27,31 @@ def test_synthesize_trace_matches_frame():
     np.testing.assert_array_equal(trace.demands, again.demands)
     assert not np.array_equal(trace.demands,
                               synthesize_trace(31, 6486, seed=1).demands)
+
+
+def test_trace_holds_whole_cores():
+    trace = synthesize_trace(3, 40, seed=2)
+    assert np.issubdtype(trace.cores.dtype, np.integer)
+    assert 0 <= trace.cores.min() and trace.cores.max() <= CORES_TOTAL
+    assert trace.demands.tobytes() == (trace.cores / CORES_TOTAL).tobytes()
+    assert not trace.cores.flags.writeable
+    cores = np.array([[0, CORES_TOTAL]])
+    trace = WorkloadTrace(("n",), cores)
+    cores[0, 0] = 5
+    assert trace.cores.tolist() == [[0, CORES_TOTAL]]  # the trace keeps its own copy
+
+
+@pytest.mark.parametrize("cores, message", [
+    (np.array([[0.0, 1.0]]), "integer"),
+    (np.array([[True, False]]), "integer"),
+    (np.array([[0, CORES_TOTAL + 1]]), "must lie in"),
+    (np.array([[-1, 3]]), "must lie in"),
+    (np.array([0, 3]), r"\(nodes, timestamps\)"),
+    (np.array([[3]]), "two timestamps"),
+])
+def test_trace_rejects_anything_but_whole_cores_in_range(cores, message):
+    with pytest.raises(ValueError, match=message):
+        WorkloadTrace(("n",), cores)
 
 
 def test_trace_round_trip(tmp_path):
@@ -85,7 +110,7 @@ def _example_profile(jitter=0.0):
 
 def _performance(profile, demand, t, bmap, seed):
     """One observation: one node at `demand`, one raw timestamp on grid day `t`."""
-    return float(_performance_matrix(profile, np.array([[demand]]), np.array([t]),
+    return float(_performance_matrix(profile, [demand], [[0]], np.array([t]),
                                      bmap, np.random.default_rng(seed))[0, 0])
 
 
@@ -131,6 +156,25 @@ def test_profile_tiling_enforced():
 def test_profile_json_round_trip(tmp_path):
     profile = _example_profile(jitter=0.02)
     assert profile_from_dict(profile_to_dict(profile)) == profile
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("jitter_amplitude", True, "jitter_amplitude"),
+    ("jitter_amplitude", "0.02", "jitter_amplitude"),
+    ("jitter_amplitude", float("nan"), "jitter_amplitude"),
+    ("workload_map", [[0.0, "1", 1.0]], r"workload_map\[0\]\[1\]"),
+    ("workload_map", [[0.0, 1.0, True]], r"workload_map\[0\]\[2\]"),
+    ("workload_map", [[0.0, 1.0]], r"workload_map\[0\]"),
+    ("seasonal_map", [[False, 360.0, 1.0]], r"seasonal_map\[0\]\[0\]"),
+    ("seasonal_map", "0,360,1", "seasonal_map"),
+    ("provider_id", 7, "provider_id"),
+])
+def test_profile_payload_numbers_are_json_numbers(key, value, named):
+    """A boolean or a string is an error naming its key, never a number."""
+    payload = profile_to_dict(_example_profile(jitter=0.02))
+    payload[key] = value
+    with pytest.raises(ParseError, match=rf"^bad profile payload: {named}: "):
+        profile_from_dict(payload)
 
 
 def test_default_profiles_are_five_distinct_providers():

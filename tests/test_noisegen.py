@@ -281,3 +281,17 @@ def test_profile_file_spells_unbounded_only_as_null(tmp_path, token):
 def test_bad_profile_payload():
     with pytest.raises(ParseError):
         profile_from_dict({"segment_length": 60})
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"segment_length": True, "segment_snrs": [5.0]}, "segment_length"),
+    ({"segment_length": "60", "segment_snrs": [5.0]}, "segment_length"),
+    ({"segment_length": 60.5, "segment_snrs": [5.0]}, "segment_length"),
+    ({"segment_length": True, "segment_snrs": [True, "7", 5.0]}, r"segment_snrs\[0\]"),
+    ({"segment_length": 60, "segment_snrs": [5.0, "7"]}, r"segment_snrs\[1\]"),
+    ({"segment_length": 60, "segment_snrs": "57"}, "segment_snrs"),
+])
+def test_profile_numbers_are_json_numbers(payload, key):
+    """A boolean or a string is an error naming its key, never a ratio or a length."""
+    with pytest.raises(ParseError, match=rf"^bad noise profile: {key}: "):
+        profile_from_dict(payload)

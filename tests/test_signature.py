@@ -55,6 +55,28 @@ def test_paa_constant_stays_constant():
     np.testing.assert_array_equal(paa(np.full(30, 2.5), 7), np.full(7, 2.5))
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), shape=st.sampled_from([(1,), (3,), (2, 3)]),
+       length=st.integers(1, 1500), fortran=st.booleans())
+def test_paa_of_stacked_series_is_paa_of_each_series(data, shape, length, fortran):
+    """Frames of 8 or more points take numpy's pairwise sum, so this
+    reaches it; every series must get the bytes a 1-D call gives it."""
+    target = data.draw(st.integers(1, length))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    values = np.random.default_rng(seed).normal(size=shape + (length,)) * 1e3
+    if fortran:
+        values = np.asfortranarray(values)
+    out = paa(values, target)
+    assert out.shape == shape + (target,)
+    for index in np.ndindex(*shape):
+        assert out[index].tobytes() == paa(values[index], target).tobytes()
+
+
+def test_paa_needs_a_series():
+    with pytest.raises(ValueError):
+        paa(3.0, 1)
+
+
 # ---------------------------------------------------- signature generation
 
 def test_generate_signature_single_user_fixture():

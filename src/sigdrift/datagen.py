@@ -80,14 +80,22 @@ def synthesize_trace(nodes: int, length: int, seed: int) -> WorkloadTrace:
     rng = np.random.default_rng(seed)
     start = rng.uniform(0.25, 0.75, size=(nodes, 1))
     steps = rng.normal(0.0, 0.015, size=(nodes, length - 1))
-    walk = np.concatenate([start, start + np.cumsum(steps, axis=1)], axis=1)
-    # Reflect into [0, 1]: fold the walk back at both edges.
-    folded = np.abs(np.mod(walk, 2.0))
-    folded = np.where(folded > 1.0, 2.0 - folded, folded)
-    return WorkloadTrace(
-        tuple(f"node-{i:02d}" for i in range(nodes)),
-        np.rint(folded * CORES_TOTAL).astype(np.intp),
-    )
+    walk = np.empty((nodes, length))
+    walk[:, :1] = start
+    np.cumsum(steps, axis=1, out=walk[:, 1:])
+    walk[:, 1:] += start
+    # Reflect into [0, 1]: fold the walk back at both edges, in place.
+    # walk - 2*floor(walk/2) is np.mod(walk, 2.0) to the bit (halving and
+    # doubling are exact, and each side rounds the same exact value once),
+    # without np.mod's slower divmod.
+    twice_floor = walk * 0.5
+    np.floor(twice_floor, out=twice_floor)
+    twice_floor *= 2.0
+    walk -= twice_floor
+    np.subtract(2.0, walk, out=walk, where=walk > 1.0)
+    walk *= CORES_TOTAL
+    return WorkloadTrace(tuple(f"node-{i:02d}" for i in range(nodes)),
+                         np.rint(walk, out=walk).astype(np.intp))
 
 
 def write_trace(trace: WorkloadTrace, path) -> None:
@@ -277,7 +285,7 @@ def _performance_matrix(profile: QoSProfile, levels, level_of,
     smul = _RuleLookup(profile.seasonal_map)(day_of)
     # table * smul * (1 + amplitude * U), left to right as written, in
     # place: on long traces each temporary is a (nodes, raw) array.
-    perf = np.take(table, level_of)
+    perf = table[level_of]
     perf *= smul[None, :]
     jitter = rng.random(perf.shape)
     jitter *= profile.jitter_amplitude

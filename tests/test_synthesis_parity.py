@@ -10,10 +10,12 @@ and between nodes, but every signature must come out with the same bytes.
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sigdrift.core import TimeGrid, TrialExperience
-from sigdrift.datagen import (IntervalRule, QoSProfile, build_provider_signatures,
-                              default_baseline, default_profiles, synthesize_trace)
+from sigdrift.datagen import (CORES_TOTAL, IntervalRule, QoSProfile,
+                              build_provider_signatures, default_baseline,
+                              default_profiles, synthesize_trace)
 from sigdrift.signature import TrialCohort, generate_signature
 
 
@@ -65,7 +67,32 @@ def _stretched(factor):
             for p in default_profiles()]
 
 
+def _ref_trace_cores(nodes, length, seed):
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(0.25, 0.75, size=(nodes, 1))
+    steps = rng.normal(0.0, 0.015, size=(nodes, length - 1))
+    walk = np.concatenate([start, start + np.cumsum(steps, axis=1)], axis=1)
+    folded = np.abs(np.mod(walk, 2.0))
+    folded = np.where(folded > 1.0, 2.0 - folded, folded)
+    return np.rint(folded * CORES_TOTAL)
+
+
 # ---------------------------------------------------------------- tests
+
+@settings(max_examples=100, deadline=None)
+@given(nodes=st.integers(1, 6), length=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1))
+def test_trace_cores_match_the_float_fold(nodes, length, seed):
+    cores = synthesize_trace(nodes, length, seed).cores
+    assert cores.tobytes() == _ref_trace_cores(nodes, length, seed).astype(cores.dtype).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=hnp.arrays(np.float64, st.integers(1, 50),
+                    elements=st.floats(-1e300, 1e300).filter(lambda v: v == 0 or abs(v) > 1e-300)))
+def test_floor_fold_is_mod_two(x):
+    """The trace folds its walk with x - 2*floor(x/2) in place of np.mod(x, 2.0)."""
+    assert (x - 2.0 * np.floor(x * 0.5)).tobytes() == np.mod(x, 2.0).tobytes()
+
 
 @settings(max_examples=60, deadline=None)
 @given(stretch=st.sampled_from([1, 2]), nodes=st.integers(1, 6),

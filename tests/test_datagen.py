@@ -5,12 +5,12 @@ import pytest
 
 from sigdrift.core import Signature, TimeGrid, population_std
 from sigdrift.datagen import (CORES_TOTAL, BaselineMap, CorpusParams, IntervalRule, Label,
-                              QoSProfile, _performance_matrix, baseline_performance,
-                              build_base_signatures, build_corpus,
+                              QoSProfile, WorkloadTrace, _performance_matrix,
+                              baseline_performance, build_base_signatures, build_corpus,
                               build_provider_signatures, default_baseline,
                               default_profiles, make_changed, make_noisy,
                               manifest_entry, profile_from_dict, profile_to_dict,
-                              WorkloadTrace, synthesize_trace, write_manifest, write_trace)
+                              synthesize_trace, write_manifest, write_trace)
 from sigdrift.errors import AlignmentError, ParseError
 from sigdrift.noisegen import AttenuationNoise, DistortionNoise, SpikeNoise
 from sigdrift.similarity import pcc, rmse

@@ -7,14 +7,13 @@ go to stderr.  Exit codes: 0 success (for `detect`: no change or noise),
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
 
 from . import __version__
 from .config import KINDS, PARSERS, RunConfig, load_config
-from .core import TimeGrid, read_signature, write_signature
+from .core import TimeGrid, json_text, parse_json, read_signature, write_signature, write_text
 from .cpd import (EventConfig, calibrate_frequency_threshold,
                   calibrate_similarity_threshold, detect_events, read_flags)
 from .datagen import (CorpusParams, base_signature_seeds, build_corpus,
@@ -97,7 +96,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def _spec_from_arg(raw: str):
     if raw.lstrip().startswith("{"):
-        return spec_from_dict(json.loads(raw))
+        return parse_json(raw, spec_from_dict, "--spec")
     return read_spec(raw)
 
 
@@ -112,9 +111,9 @@ def _method_from_arg(raw: str) -> SimilarityMethod:
 
 
 def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json_text(payload, indent=2)
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text(out, text)
         log.info("wrote %s", out)
     else:
         sys.stdout.write(text)
@@ -221,9 +220,9 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     sig = read_signature(args.signature)
     past = read_experiences(args.cohorts)
     method = _method_from_arg(args.method)
-    window = args.window_length or config.trial_length
     threshold = calibrate_similarity_threshold(past, sig, method)
-    event_config = calibrate_frequency_threshold(past, sig, method, threshold, window)
+    event_config = calibrate_frequency_threshold(past, sig, method, threshold,
+                                                 config.trial_length)
     _emit(
         {
             "method": method.value,
@@ -240,12 +239,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_events(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     flags = [(idx, flag) for idx, flag, _ in read_flags(args.flags)]
-    window = args.window_length or config.trial_length
-    event_config = EventConfig(window, args.f_thresh)
+    event_config = EventConfig(config.trial_length, args.f_thresh)
     events = detect_events(flags, event_config)
     _emit(
         {
-            "window_length": window,
+            "window_length": event_config.window_length,
             "frequency_threshold": args.f_thresh,
             "events": [
                 {"grid_index": e.grid_index, "anomaly_count": e.anomaly_count,
@@ -266,7 +264,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                             config.effective_jobs())
     _emit(report, args.out)
     if args.csv:
-        Path(args.csv).write_text(report_to_csv(report), encoding="utf-8")
+        write_text(args.csv, report_to_csv(report))
     return 0
 
 
@@ -327,14 +325,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--signature", required=True, help="current signature CSV")
     p.add_argument("--cohorts", required=True, help="past trial users CSV")
     p.add_argument("--method", default="pcc", help="pcc, ed, cs, or rmse")
-    p.add_argument("--window-length", type=int, help="trial window (grid steps)")
+    _add_override(p, "trial_length", "trial window (grid steps)", flag="--window-length")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("events", help="change points from an anomaly-flag stream")
     _add_common(p)
     p.add_argument("--flags", required=True, help="anomaly-flag CSV")
-    p.add_argument("--window-length", type=int, help="trial window (grid steps)")
+    _add_override(p, "trial_length", "trial window (grid steps)", flag="--window-length")
     p.add_argument("--f-thresh", required=True, type=int,
                    help="frequency threshold (exclusive)")
     p.add_argument("--out", help="write JSON here instead of stdout")

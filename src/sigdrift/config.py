@@ -10,6 +10,7 @@ defaults, SIGDRIFT_SEED, config file, command-line flags.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, make_dataclass
 from pathlib import Path
@@ -32,6 +33,13 @@ def _boolean(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw.strip()!r}")
 
 
+def finite_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw.strip()!r}")
+    return value
+
+
 def _comma_list(item):
     def parse(raw: str) -> tuple:
         return tuple(item(p.strip()) for p in raw.split(",") if p.strip())
@@ -43,11 +51,11 @@ def _comma_list(item):
 # command-line flags both parse through it.
 PARSERS = {
     int: int,
-    float: float,
+    float: finite_float,
     bool: _boolean,
     str: str.strip,
     tuple[int, ...]: _comma_list(int),
-    tuple[float, ...]: _comma_list(float),
+    tuple[float, ...]: _comma_list(finite_float),
     tuple[str, ...]: _comma_list(str),
 }
 

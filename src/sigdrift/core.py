@@ -8,6 +8,7 @@ implicitly (detectors must not assume otherwise).
 """
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -71,6 +72,12 @@ def check_stack(stack: np.ndarray, parameters: tuple[str, ...]) -> np.ndarray:
         raise ValueError("signature values must be finite (no NaN/inf)")
     stds.setflags(write=False)
     return stds
+
+
+def unit_rows(matrix: np.ndarray, parameters: tuple[str, ...]) -> np.ndarray:
+    """A ``(rows, L)`` matrix with each row divided by the population std
+    :func:`check_stack` returns for it, so the same checks apply."""
+    return matrix / check_stack(matrix[None], parameters)[0][:, None]
 
 
 def _freeze(values) -> np.ndarray:
@@ -203,58 +210,95 @@ class TrialExperience:
 
 
 # ---------------------------------------------------------------------------
+# Files.  Every CSV and JSON file is UTF-8 text with LF line endings and
+# one trailing newline.  A CSV line is comma-separated cells with no
+# quoting; JSON keys are sorted and NaN or infinity is never written.
+
+def write_text(path, text: str) -> None:
+    Path(path).write_text(text, encoding="utf-8", newline="\n")
+
+
+def csv_field(value: str) -> str:
+    """A text cell, checked to need no quoting."""
+    if "," in value or "\n" in value:
+        raise ValueError(f"field {value!r} not representable in CSV")
+    return value
+
+
+def write_csv(path, header, lines) -> None:
+    """Write the ``header`` cells, then each of ``lines`` (joined cells)."""
+    write_text(path, "\n".join([",".join(header), *lines]) + "\n")
+
+
+def read_csv(path, what: str) -> tuple[list[str], list[list[str]]]:
+    """The header cells and the data rows of a ``what`` file; blank lines
+    are skipped.  An empty file, a last line without its newline (a
+    truncated file) or a row not as wide as the header is a
+    ``ParseError`` that names the file."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [ln.split(",") for ln in text.split("\n") if ln]
+    if not lines:
+        raise ParseError(f"{path}: empty {what} file")
+    if not text.endswith("\n"):
+        raise ParseError(f"{path}: the last line has no newline; the file looks truncated")
+    header, *rows = lines
+    for row in rows:
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {row[0]!r} has {len(row)} cells, "
+                             f"the header has {len(header)}")
+    return header, rows
+
+
+def json_text(payload, indent: int | None = None) -> str:
+    """``payload`` as JSON text: sorted keys, one trailing newline, and a
+    ``ValueError`` for NaN or infinity, which JSON cannot spell."""
+    return json.dumps(payload, indent=indent, sort_keys=True, allow_nan=False) + "\n"
+
+
+def parse_json(text: str, parse, source):
+    """``parse`` of the decoded ``text``; an error names ``source``."""
+    try:
+        return parse(json.loads(text))
+    except (json.JSONDecodeError, ParseError) as exc:
+        raise ParseError(f"{source}: {exc}") from None
+
+
+def read_json(path, parse):
+    """``parse`` of the JSON payload in a file; an error names the file."""
+    return parse_json(Path(path).read_text(encoding="utf-8"), parse, path)
+
+
+# ---------------------------------------------------------------------------
 # Signature CSV: header "parameter,t0,...,t{L-1}", one row per parameter,
-# floats printed in shortest round-trip form, UTF-8, LF line endings.
+# floats printed in shortest round-trip form.
 
 def write_signature(sig: Signature, path) -> None:
-    lines = ["parameter," + ",".join(f"t{i}" for i in range(sig.grid.length))]
-    for name, values in zip(sig.parameters, sig.matrix):
-        if "," in name or "\n" in name:
-            raise ValueError(f"parameter name {name!r} not representable in CSV")
-        lines.append(name + "," + ",".join(repr(float(v)) for v in values))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_csv(path, ["parameter", *(f"t{i}" for i in range(sig.grid.length))],
+              [csv_field(name) + "," + ",".join(repr(float(v)) for v in values)
+               for name, values in zip(sig.parameters, sig.matrix)])
 
 
 def read_signature(path) -> Signature:
     """Read a signature file; its stem is the provider id, and rows off
     unit std are re-normalized."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    lines = [ln for ln in text.split("\n") if ln]
-    if not lines:
-        raise ParseError(f"{path}: empty signature file")
-    header = lines[0].split(",")
-    if header[0] != "parameter" or len(header) < 3:
-        raise ParseError(f"{path}: bad header {lines[0]!r}")
+    header, rows = read_csv(path, "signature")
     length = len(header) - 1
-    expected = ["parameter"] + [f"t{i}" for i in range(length)]
-    if header != expected:
-        raise ParseError(f"{path}: header columns must be parameter,t0..t{length - 1}")
-    if len(lines) == 1:
+    if length < 2 or header != ["parameter", *(f"t{i}" for i in range(length))]:
+        raise ParseError(f"{path}: bad header {','.join(header)!r}")
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-
-    names = []
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != length + 1:
-            raise ParseError(f"{path}: row {parts[0]!r} has {len(parts) - 1} values, expected {length}")
-        name = parts[0]
-        try:
-            values = np.array([float(p) for p in parts[1:]], dtype=np.float64)
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {name!r}: {exc}") from None
-        if not np.all(np.isfinite(values)):
-            raise ParseError(f"{path}: row {name!r} contains NaN or infinity")
-        std = population_std(values)
-        if std <= _CONSTANT_EPS:
-            raise ConstantSeriesError(f"{path}: row {name!r} is constant")
-        if abs(std - 1.0) > STD_TOLERANCE:
-            values = values / std
-        names.append(name)
-        rows.append(values)
-
-    return Signature(tuple(names), rows, TimeGrid(length), path.stem)
+    names = tuple(row[0] for row in rows)
+    try:
+        matrix = np.array([[float(p) for p in cells] for _, *cells in rows])
+        stds = check_stack(matrix[None], names)[0]
+    except ConstantSeriesError as exc:
+        raise ConstantSeriesError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    off = np.abs(stds - 1.0) > STD_TOLERANCE
+    matrix[off] /= stds[off, None]
+    return Signature(names, matrix, TimeGrid(length), path.stem)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,8 @@ strictly exceeds the frequency threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
-from .core import Signature, TrialExperience
+from .core import Signature, TrialExperience, read_csv, write_csv
 from .errors import AlignmentError, ParseError
 from .similarity import SimilarityMethod, normalize, similarity
 
@@ -126,29 +125,23 @@ def detect_events(anomaly_flags, config: EventConfig) -> list[ChangePoint]:
 # Anomaly-flag CSV: header "index,flag,similarity"; flag is 0 or 1.
 
 def write_flags(flags, path) -> None:
-    lines = ["index,flag,similarity"]
-    for idx, flagged, sim in flags:
-        lines.append(f"{int(idx)},{1 if flagged else 0},{repr(float(sim))}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_csv(path, ["index", "flag", "similarity"],
+              [f"{int(idx)},{1 if flagged else 0},{repr(float(sim))}"
+               for idx, flagged, sim in flags])
 
 
 def read_flags(path) -> list[tuple[int, bool, float]]:
-    path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln]
-    if not lines or lines[0] != "index,flag,similarity":
-        raise ParseError(f"{path}: bad or missing header")
+    """The flags of a file; a file with only its header is an empty stream."""
+    header, rows = read_csv(path, "flag")
+    if header != ["index", "flag", "similarity"]:
+        raise ParseError(f"{path}: bad header {','.join(header)!r}")
     out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"{path}: bad row {ln!r}")
+    for cells in rows:
         try:
-            idx = int(parts[0])
-            flag = int(parts[1])
-            sim = float(parts[2])
+            idx, flag, sim = int(cells[0]), int(cells[1]), float(cells[2])
         except ValueError as exc:
-            raise ParseError(f"{path}: bad row {ln!r}: {exc}") from None
+            raise ParseError(f"{path}: bad row {','.join(cells)!r}: {exc}") from None
         if flag not in (0, 1):
-            raise ParseError(f"{path}: flag must be 0 or 1, got {parts[1]!r}")
+            raise ParseError(f"{path}: flag must be 0 or 1, got {cells[1]!r}")
         out.append((idx, bool(flag), sim))
     return out

@@ -21,17 +21,16 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (Signature, TimeGrid, TrialExperience, block_slices, check_stack,
-                   json_list, json_number)
+from .core import (Signature, TimeGrid, block_slices, check_stack, json_list, json_number,
+                   json_text, unit_rows, write_csv, write_text)
 from .errors import AlignmentError, ParseError
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseSpec,
                        SpikeNoise, apply_noise, spec_to_dict)
-from .signature import TrialCohort, generate_signature, paa, paa_boundaries
+from .signature import paa, paa_boundaries
 
 
 # ---------------------------------------------------------------------------
@@ -100,10 +99,10 @@ def synthesize_trace(nodes: int, length: int, seed: int) -> WorkloadTrace:
 
 def write_trace(trace: WorkloadTrace, path) -> None:
     """Trace CSV: node_id,timestamp,cores_requested,cores_total."""
-    lines = ["node_id,timestamp,cores_requested,cores_total"]
-    for node, row in zip(trace.node_ids, trace.cores.tolist()):
-        lines.extend(f"{node},{t},{cores},{CORES_TOTAL}" for t, cores in enumerate(row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_csv(path, ["node_id", "timestamp", "cores_requested", "cores_total"],
+              [f"{node},{t},{cores},{CORES_TOTAL}"
+               for node, row in zip(trace.node_ids, trace.cores.tolist())
+               for t, cores in enumerate(row)])
 
 
 # ---------------------------------------------------------------------------
@@ -243,10 +242,7 @@ def profile_from_dict(payload: dict) -> QoSProfile:
 
 
 def write_profile(profile: QoSProfile, path) -> None:
-    Path(path).write_text(
-        json.dumps(profile_to_dict(profile), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+    write_text(path, json_text(profile_to_dict(profile), indent=2))
 
 
 def default_baseline() -> BaselineMap:
@@ -330,15 +326,12 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
     signatures = []
     for profile, stream in zip(profiles, streams):
         rng = np.random.default_rng(stream)
-        cohorts = []
-        for parameter in parameters:
-            perf = _performance_matrix(profile, levels, trace.cores, day_of, baseline, rng)
-            experiences = tuple(
-                TrialExperience(node, parameter, values, 0)
-                for node, values in zip(trace.node_ids, paa(perf, grid.length))
-            )
-            cohorts.append(TrialCohort(experiences, (0, grid.length)))
-        signatures.append(generate_signature(cohorts, grid, profile.provider_id))
+        means = np.stack([
+            paa(_performance_matrix(profile, levels, trace.cores, day_of, baseline, rng),
+                grid.length).mean(axis=0)
+            for _ in parameters])
+        signatures.append(Signature(parameters, unit_rows(means, parameters), grid,
+                                    profile.provider_id))
     return signatures
 
 
@@ -596,5 +589,4 @@ def manifest_entry(pair: LabeledPair, existing_path: str | None = None,
 
 def write_manifest(entries: list[dict], config: dict, seed: int, path) -> None:
     payload = {"config": config, "seed": seed, "pairs": entries}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_text(path, json_text(payload, indent=2))

@@ -7,14 +7,13 @@ deterministic for a given (spec, seed).
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import Signature, json_integer, json_list, json_number
+from .core import (Signature, json_integer, json_list, json_number, json_text, read_json,
+                   write_text)
 from .errors import AlignmentError, ParseError
 
 
@@ -74,29 +73,25 @@ def spec_from_dict(payload: dict) -> NoiseSpec:
     try:
         kind = payload["kind"]
         if kind == "spike":
-            return SpikeNoise(int(payload["position"]),
-                              int(payload.get("width", 3)),
-                              float(payload.get("magnitude", 5.0)))
+            return SpikeNoise(json_integer(payload["position"], "position"),
+                              json_integer(payload.get("width", 3), "width"),
+                              json_number(payload.get("magnitude", 5.0), "magnitude"))
         if kind == "attenuation":
-            return AttenuationNoise(float(payload["factor"]))
+            return AttenuationNoise(json_number(payload["factor"], "factor"))
         if kind == "distortion":
-            return DistortionNoise(float(payload.get("target_snr_db", 20.0)))
+            return DistortionNoise(json_number(payload.get("target_snr_db", 20.0),
+                                               "target_snr_db"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad noise spec {payload!r}: {exc}") from None
     raise ParseError(f"unknown noise kind {kind!r}")
 
 
 def read_spec(path) -> NoiseSpec:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return spec_from_dict(payload)
+    return read_json(path, spec_from_dict)
 
 
 def write_spec(spec: NoiseSpec, path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_text(path, json_text(spec_to_dict(spec)))
 
 
 def apply_noise(matrix: np.ndarray, row_stds: np.ndarray, spec: NoiseSpec,
@@ -278,13 +273,8 @@ def profile_from_dict(payload: dict) -> NoiseProfile:
 
 
 def read_profile(path) -> NoiseProfile:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-    return profile_from_dict(payload)
+    return read_json(path, profile_from_dict)
 
 
 def write_profile(profile: NoiseProfile, path) -> None:
-    Path(path).write_text(json.dumps(profile_to_dict(profile), sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_text(path, json_text(profile_to_dict(profile)))

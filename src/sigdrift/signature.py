@@ -7,12 +7,12 @@ series by its population standard deviation so rows are unit-std.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .core import Signature, TimeGrid, TrialExperience
-from .errors import AlignmentError, ConstantSeriesError, ParseError
+from .core import (Signature, TimeGrid, TrialExperience, csv_field, read_csv, unit_rows,
+                   write_csv)
+from .errors import AlignmentError, ParseError
 
 
 @dataclass(frozen=True)
@@ -50,26 +50,16 @@ def generate_signature(cohorts, grid: TimeGrid, provider_id: str = "") -> Signat
     cohorts = list(cohorts)
     if not cohorts:
         raise ValueError("need at least one cohort")
-    names = []
-    rows = []
     for cohort in cohorts:
-        if cohort.parameter in names:
-            raise ValueError(f"parameter {cohort.parameter!r} appears in two cohorts")
-        names.append(cohort.parameter)
         if cohort.window != (0, grid.length):
             raise AlignmentError(
                 f"cohort for {cohort.parameter!r} covers {cohort.window}, "
                 f"signature generation needs (0, {grid.length})"
             )
-        stacked = np.stack([e.values for e in cohort.experiences])
-        mean = stacked.mean(axis=0)
-        std = float(mean.std())
-        if std <= 1e-12:
-            raise ConstantSeriesError(
-                f"mean series for {cohort.parameter!r} is constant; cannot normalize"
-            )
-        rows.append(mean / std)
-    return Signature(tuple(names), rows, grid, provider_id)
+    names = tuple(c.parameter for c in cohorts)
+    means = np.stack([np.stack([e.values for e in c.experiences]).mean(axis=0)
+                      for c in cohorts])
+    return Signature(names, unit_rows(means, names), grid, provider_id)
 
 
 def paa_boundaries(length: int, target_length: int) -> np.ndarray:
@@ -107,17 +97,10 @@ def write_cohorts(cohorts, path) -> None:
     for c in cohorts:
         if c.window[1] != width:
             raise AlignmentError("cohort CSV requires equal-length windows")
-    lines = ["user_id,parameter,start," + ",".join(f"v{i}" for i in range(width))]
-    for c in cohorts:
-        for e in c.experiences:
-            for fieldval in (e.user_id, e.parameter):
-                if "," in fieldval or "\n" in fieldval:
-                    raise ValueError(f"field {fieldval!r} not representable in CSV")
-            lines.append(
-                f"{e.user_id},{e.parameter},{e.trial_start},"
-                + ",".join(repr(float(v)) for v in e.values)
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_csv(path, ["user_id", "parameter", "start", *(f"v{i}" for i in range(width))],
+              [f"{csv_field(e.user_id)},{csv_field(e.parameter)},{e.trial_start},"
+               + ",".join(repr(float(v)) for v in e.values)
+               for c in cohorts for e in c.experiences])
 
 
 def read_experiences(path) -> list[TrialExperience]:
@@ -126,29 +109,20 @@ def read_experiences(path) -> list[TrialExperience]:
     Calibration histories mix users whose trials started at different
     times, so they cannot be grouped into cohorts.
     """
-    path = Path(path)
-    lines = [ln for ln in path.read_text(encoding="utf-8").split("\n") if ln]
-    if not lines:
-        raise ParseError(f"{path}: empty cohort file")
-    header = lines[0].split(",")
-    if header[:3] != ["user_id", "parameter", "start"] or len(header) < 4:
-        raise ParseError(f"{path}: bad header {lines[0]!r}")
+    header, rows = read_csv(path, "cohort")
     width = len(header) - 3
-    if len(lines) == 1:
+    if width < 1 or header != ["user_id", "parameter", "start", *(f"v{i}" for i in range(width))]:
+        raise ParseError(f"{path}: bad header {','.join(header)!r}")
+    if not rows:
         raise ParseError(f"{path}: no data rows")
 
     experiences = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != width + 3:
-            raise ParseError(f"{path}: row for {parts[0]!r} has the wrong width")
-        user, param, start_s = parts[0], parts[1], parts[2]
+    for user, param, start, *cells in rows:
         try:
-            start = int(start_s)
-            values = np.array([float(p) for p in parts[3:]], dtype=np.float64)
+            values = np.array([float(p) for p in cells], dtype=np.float64)
+            experiences.append(TrialExperience(user, param, values, int(start)))
         except ValueError as exc:
             raise ParseError(f"{path}: row for {user!r}: {exc}") from None
-        experiences.append(TrialExperience(user, param, values, start))
     return experiences
 
 
@@ -156,11 +130,7 @@ def read_cohorts(path) -> list[TrialCohort]:
     by_param: dict[str, list[TrialExperience]] = {}
     for e in read_experiences(path):
         by_param.setdefault(e.parameter, []).append(e)
-
-    cohorts = []
-    for param, experiences in by_param.items():
-        windows = {e.window for e in experiences}
-        if len(windows) != 1:
-            raise AlignmentError(f"{path}: users of {param!r} disagree on the window")
-        cohorts.append(TrialCohort(tuple(experiences), windows.pop()))
-    return cohorts
+    try:
+        return [TrialCohort(tuple(exps), exps[0].window) for exps in by_param.values()]
+    except AlignmentError as exc:
+        raise AlignmentError(f"{path}: {exc}") from None

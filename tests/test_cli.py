@@ -113,7 +113,7 @@ def test_detect_rejects_a_profile_with_non_numbers_in_one_line(tmp_path, caplog,
     assert main(["detect", "--existing", str(ex), "--recomputed", str(rec),
                  "--detector", "snr", "--profile", str(prof)]) == 1
     assert [r.getMessage() for r in caplog.records] == [
-        "bad noise profile: segment_snrs[0]: expected a number, got True"]
+        f"{prof}: bad noise profile: segment_snrs[0]: expected a number, got True"]
     assert capsys.readouterr().out == ""
 
 
@@ -204,6 +204,36 @@ def test_calibrate_emits_thresholds(tmp_path):
     assert payload["similarity_threshold"] == pytest.approx(-1.0, abs=1e-9)
     assert payload["frequency_threshold"] == 1
     assert payload["window_length"] == 6
+
+
+def _calibrate(tmp_path, window):
+    sig_path = tmp_path / "sig.csv"
+    write_signature(unit_signature(np.arange(12.0), parameters=["cpu"]), sig_path)
+    cohorts = tmp_path / "hist.csv"
+    cohorts.write_text("user_id,parameter,start,v0,v1,v2,v3\n"
+                       "u1,cpu,0,1.0,2.0,3.0,4.0\n")
+    out = tmp_path / "calib.json"
+    code = main(["calibrate", "--signature", str(sig_path), "--cohorts", str(cohorts),
+                 "--window-length", window, "--out", str(out)])
+    return code, out
+
+
+def test_calibrate_reports_the_window_it_used(tmp_path):
+    code, out = _calibrate(tmp_path, "6")
+    assert code == 0
+    payload = json.loads(out.read_text())
+    assert payload["window_length"] == payload["config"]["trial_length"] == 6
+
+
+def test_a_zero_trial_window_is_exit_one(tmp_path, capsys):
+    code, out = _calibrate(tmp_path, "0")
+    assert code == 1
+    assert not out.exists()
+    flag_path = tmp_path / "flags.csv"
+    write_flags([(0, True, 0.5)], flag_path)
+    assert main(["events", "--flags", str(flag_path), "--window-length", "0",
+                 "--f-thresh", "1"]) == 1
+    assert capsys.readouterr().out == ""
 
 
 def test_events_fixture_through_cli(tmp_path):

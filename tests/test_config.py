@@ -208,6 +208,8 @@ def test_tuple_values_parse_from_comma_lists(tmp_path):
     ("n_changed = 4\npaper_faithful = maybe\n", 2, "bad value for paper_faithful"),
     ("\n# comment\nn_changed = 1.5\n", 3, "bad value for n_changed"),
     ("snr_segments\n", 1, "expected 'key = value'"),
+    ("cusum_interval = nan\n", 1, "bad value for cusum_interval: not a finite number"),
+    ("sensitivity_levels = 0.5, inf\n", 1, "bad value for sensitivity_levels"),
 ])
 def test_parse_errors_name_file_and_line(tmp_path, text, lineno, message):
     cfg = _write(tmp_path, text)

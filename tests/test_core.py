@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sigdrift.core import (QoSSeries, Signature, TimeGrid, TrialExperience,
+from sigdrift.core import (QoSSeries, Signature, TimeGrid, TrialExperience, json_text,
                            population_std, read_signature, write_signature)
 from sigdrift.errors import ConstantSeriesError, ParseError
 
@@ -127,12 +127,20 @@ def test_read_rejects_constant_row(tmp_path):
     "parameter,t0,t1\ncpu,1.0\n",
     "parameter,t0,t1\ncpu,1.0,abc\n",
     "",
+    "parameter,t0,t1\ncpu,1.0,2.5",
 ])
 def test_read_rejects_malformed_files(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text)
     with pytest.raises(ParseError):
         read_signature(path)
+
+
+def test_json_text_sorts_keys_and_refuses_what_json_cannot_spell():
+    assert json_text({"b": 1, "a": [0.5]}) == '{"a": [0.5], "b": 1}\n'
+    for value in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            json_text({"x": value})
 
 
 def test_file_has_header_and_one_line_per_row(tmp_path):

@@ -92,6 +92,25 @@ def test_every_module_level_definition_is_referenced():
     assert dead == []
 
 
+#: Where sigdrift may call the json module itself: the file layer in
+#: ``core``, and the loaders of the packaged data, which is not a file path.
+JSON_CALLERS = {("datagen", "default_baseline"), ("datagen", "default_profiles")}
+
+
+def test_json_files_are_read_and_written_only_through_core():
+    callers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "core":
+            continue
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if ((isinstance(node, ast.ImportFrom) and node.module == "json")
+                        or (isinstance(node, ast.Attribute) and node.attr in ("loads", "dumps")
+                            and isinstance(node.value, ast.Name) and node.value.id == "json")):
+                    callers.add((path.stem, getattr(top, "name", "<module>")))
+    assert callers <= JSON_CALLERS
+
+
 def test_cli_import_leaves_out_the_process_pool():
     code = ("import sys, sigdrift.cli; "
             "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "

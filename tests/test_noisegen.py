@@ -56,6 +56,22 @@ def test_bad_spec_dict():
         spec_from_dict({"kind": "gremlins"})
 
 
+@pytest.mark.parametrize("payload, key", [
+    ({"kind": "spike", "position": "5"}, "position"),
+    ({"kind": "spike", "position": True}, "position"),
+    ({"kind": "spike", "position": 5.7}, "position"),
+    ({"kind": "spike", "position": 5, "width": 2.0}, "width"),
+    ({"kind": "spike", "position": 5, "magnitude": "3"}, "magnitude"),
+    ({"kind": "attenuation", "factor": "0.9"}, "factor"),
+    ({"kind": "distortion", "target_snr_db": False}, "target_snr_db"),
+])
+def test_spec_numbers_are_json_numbers(payload, key):
+    """A string, a boolean or a fraction where an integer belongs is an
+    error naming its key, never a position, a width or a factor."""
+    with pytest.raises(ParseError, match=rf"^bad noise spec .*: {key}: expected an? "):
+        spec_from_dict(payload)
+
+
 # ------------------------------------------------------------------ inject
 
 def test_spike_touches_exactly_width_points(sig):

@@ -12,8 +12,7 @@ from .cpd import (AnomalyThreshold, ChangePoint, EventConfig,
                   calibrate_frequency_threshold, calibrate_similarity_threshold,
                   detect_events, is_anomalous)
 from .datagen import (CorpusParams, Label, LabeledPair, build_corpus,
-                      build_provider_signatures, make_changed, make_noisy,
-                      synthesize_trace)
+                      build_provider_signatures, synthesize_trace)
 from .detect import (DetectionOutcome, DetectorThresholds, Verdict,
                      cusum_detect, sliding_window_detect, snr_detect)
 from .errors import (AlignmentError, ConstantSeriesError, ParseError,
@@ -21,7 +20,7 @@ from .errors import (AlignmentError, ConstantSeriesError, ParseError,
 from .evaluate import ExperimentConfig, run_experiment, sensitivity_analysis
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
                        SnrValue, SpikeNoise, inject, learn_noise_profile, snr)
-from .signature import TrialCohort, generate_signature, paa
+from .signature import generate_signature, paa
 from .similarity import SimilarityMethod, similarity
 
 __version__ = "0.1.0"
@@ -49,7 +48,6 @@ __all__ = [
     "SnrValue",
     "SpikeNoise",
     "TimeGrid",
-    "TrialCohort",
     "TrialExperience",
     "Verdict",
     "ZeroVectorError",
@@ -63,8 +61,6 @@ __all__ = [
     "inject",
     "is_anomalous",
     "learn_noise_profile",
-    "make_changed",
-    "make_noisy",
     "paa",
     "population_std",
     "read_signature",

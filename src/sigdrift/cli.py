@@ -22,13 +22,13 @@ from .datagen import (CorpusParams, base_signature_seeds, build_corpus,
 from .datagen import write_profile as write_provider_profile
 from .detect import (DetectorThresholds, Verdict, cusum_detect,
                      sliding_window_detect, snr_detect)
-from .errors import SigdriftError
-from .evaluate import (ExperimentConfig, learn_monitoring_profiles, monitoring_size,
-                       repeat_seeds, repeat_streams, report_to_csv, run_experiment,
-                       sensitivity_analysis)
+from .errors import AlignmentError, SigdriftError
+from .evaluate import (DETECTOR_NAMES, ExperimentConfig, learn_monitoring_profiles,
+                       monitoring_size, repeat_seeds, repeat_streams, report_to_csv,
+                       run_experiment, sensitivity_analysis)
 from .noisegen import (inject, read_profile, read_spec, spec_from_dict,
                        write_profile)
-from .signature import generate_signature, read_cohorts, read_experiences
+from .signature import generate_signature, read_experiences
 from .similarity import SimilarityMethod
 
 log = logging.getLogger("sigdrift")
@@ -157,9 +157,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         write_provider_profile(profile, out / "profiles" / f"{profile.provider_id}.json")
     for sig in signatures:
         write_signature(sig, out / "signatures" / f"{sig.provider_id}.csv")
+    profile_paths = {provider: f"snr_profiles/{provider or 'pooled'}.json"
+                     for provider in snr_profiles}
     for provider, profile in sorted(snr_profiles.items()):
-        name = provider if provider else "pooled"
-        write_profile(profile, out / "snr_profiles" / f"{name}.json")
+        write_profile(profile, out / profile_paths[provider])
 
     entries = []
     for pair in corpus:
@@ -170,6 +171,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
             pair,
             existing_path=f"signatures/{pair.existing.provider_id}.csv",
             recomputed_path=rec_path,
+            # The profile `evaluate` judges the pair by: the pooled one
+            # for a provider the monitoring corpus never drew.
+            snr_profile_path=profile_paths.get(pair.existing.provider_id, profile_paths[""]),
         ))
     write_manifest(entries, config.as_dict(), config.seed, out / "manifest.json")
     log.info("wrote %s", out / "manifest.json")
@@ -177,9 +181,11 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_signature(args: argparse.Namespace) -> int:
-    cohorts = read_cohorts(args.cohorts)
-    length = cohorts[0].window[1]
-    sig = generate_signature(cohorts, TimeGrid(length))
+    experiences = read_experiences(args.cohorts)
+    try:
+        sig = generate_signature(experiences, TimeGrid(experiences[0].trial_length))
+    except AlignmentError as exc:
+        raise AlignmentError(f"{args.cohorts}: {exc}") from None
     write_signature(sig, args.out)
     return 0
 
@@ -202,13 +208,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
     elif args.detector == "cusum":
         outcome = cusum_detect(existing, recomputed, config.cusum_slack,
                                config.cusum_interval)
-    elif args.detector == "snr":
+    else:  # "snr": argparse admits only DETECTOR_NAMES
         if not args.profile:
             raise SigdriftError("detector snr needs --profile")
         outcome = snr_detect(existing, recomputed, read_profile(args.profile),
                              config.snr_mode)
-    else:
-        raise SigdriftError(f"unknown detector {args.detector!r}")
     payload = outcome.to_dict()
     payload["config"] = config.as_dict()
     _emit(payload, args.out)
@@ -315,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_overrides(p, ["snr_mode"])
     p.add_argument("--existing", required=True, help="existing signature CSV")
     p.add_argument("--recomputed", required=True, help="recomputed signature CSV")
-    p.add_argument("--detector", default="sw", choices=["sw", "snr", "cusum"])
+    p.add_argument("--detector", default="sw", choices=DETECTOR_NAMES)
     p.add_argument("--profile", help="noise profile JSON (snr detector)")
     p.add_argument("--out", help="write the outcome JSON here instead of stdout")
     p.set_defaults(func=cmd_detect)

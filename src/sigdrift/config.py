@@ -118,7 +118,13 @@ def parse_config_file(path) -> dict:
     """Read a flat key = value file into a typed override dict."""
     path = Path(path)
     overrides = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), 1):
+    # Lines split as universal newlines split them, each decoded on its
+    # own, so that bytes that are not UTF-8 are named by their line.
+    for lineno, raw_line in enumerate(path.read_bytes().splitlines(), 1):
+        try:
+            line = raw_line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from None
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

@@ -218,6 +218,15 @@ def write_text(path, text: str) -> None:
     Path(path).write_text(text, encoding="utf-8", newline="\n")
 
 
+def read_text(path) -> str:
+    """A file's UTF-8 text; bytes that are not UTF-8 are a ``ParseError``
+    that names the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def csv_field(value: str) -> str:
     """A text cell, checked to need no quoting."""
     if "," in value or "\n" in value:
@@ -235,7 +244,7 @@ def read_csv(path, what: str) -> tuple[list[str], list[list[str]]]:
     are skipped.  An empty file, a last line without its newline (a
     truncated file) or a row not as wide as the header is a
     ``ParseError`` that names the file."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     lines = [ln.split(",") for ln in text.split("\n") if ln]
     if not lines:
         raise ParseError(f"{path}: empty {what} file")
@@ -265,7 +274,7 @@ def parse_json(text: str, parse, source):
 
 def read_json(path, parse):
     """``parse`` of the JSON payload in a file; an error names the file."""
-    return parse_json(Path(path).read_text(encoding="utf-8"), parse, path)
+    return parse_json(read_text(path), parse, path)
 
 
 # ---------------------------------------------------------------------------

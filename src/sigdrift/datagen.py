@@ -406,28 +406,6 @@ def _build_pairs(bases: list[Signature], base_of: list[int],
     return pairs
 
 
-def make_changed(original: Signature, donor: Signature,
-                 segment: tuple[int, int], seed: int) -> LabeledPair:
-    """Splice the donor's values over `segment` into a copy of the original."""
-    start, length = segment
-    if donor.provider_id == original.provider_id:
-        raise ValueError("donor must be a different provider")
-    if length < 1:
-        raise ValueError("segment length must be at least 1")
-    if start < 0 or start + length > original.grid.length:
-        raise ValueError("segment exceeds the grid")
-    return _build_pairs(
-        [original, donor], [0], [_Splice(1, start, start + length)],
-        [{"provider": original.provider_id, "donor": donor.provider_id,
-          "segment_start": start, "segment_length": length, "seed": seed}])[0]
-
-
-def make_noisy(original: Signature, spec: NoiseSpec, seed: int) -> LabeledPair:
-    return _build_pairs(
-        [original], [0], [spec],
-        [{"provider": original.provider_id, "noise": spec_to_dict(spec), "seed": seed}])[0]
-
-
 @dataclass(frozen=True)
 class CorpusParams:
     """Everything about corpus construction that is not a pair count."""
@@ -568,22 +546,25 @@ def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
 # ---------------------------------------------------------------------------
 # Corpus manifest
 
-def manifest_entry(pair: LabeledPair, existing_path: str | None = None,
-                   recomputed_path: str | None = None) -> dict:
+def manifest_entry(pair: LabeledPair, existing_path: str, recomputed_path: str,
+                   snr_profile_path: str) -> dict:
+    """One pair of a corpus as the manifest lists it, with the paths of
+    its two signature files and of the SNR profile its provider is
+    judged by."""
     entry = {
-        "index": pair.provenance.get("index"),
+        "index": pair.provenance["index"],
         "label": pair.label.value,
         "provider": pair.existing.provider_id,
-        "seed": pair.provenance.get("seed"),
+        "seed": pair.provenance["seed"],
         "noise": spec_to_dict(pair.noise) if pair.noise is not None else None,
+        "existing_path": existing_path,
+        "recomputed_path": recomputed_path,
+        "snr_profile_path": snr_profile_path,
     }
     if pair.label is Label.CHANGED:
-        entry["donor"] = pair.provenance.get("donor")
-        entry["segment"] = [pair.provenance.get("segment_start"),
-                            pair.provenance.get("segment_length")]
-    if existing_path is not None:
-        entry["existing_path"] = existing_path
-        entry["recomputed_path"] = recomputed_path
+        entry["donor"] = pair.provenance["donor"]
+        entry["segment"] = [pair.provenance["segment_start"],
+                            pair.provenance["segment_length"]]
     return entry
 
 

@@ -177,8 +177,8 @@ def snr_detect(existing: Signature, recomputed: Signature, profile: NoiseProfile
         current = snr_ratios(ex, res, 1).item()
         baseline = min(floors)
         diag = {
-            "snr_current": [_finite_or_none(current)],
-            "snr_baseline": [_finite_or_none(baseline)],
+            "snr_current": [current],
+            "snr_baseline": [baseline],
         }
         verdict = Verdict.CHANGE if current < baseline else Verdict.NO_CHANGE
         return DetectionOutcome(verdict, None, diag)
@@ -189,16 +189,12 @@ def snr_detect(existing: Signature, recomputed: Signature, profile: NoiseProfile
     violated = next((i for i, (current, floor) in enumerate(zip(currents, floors))
                      if current < floor), -1)
     diag = {
-        "snr_current": [_finite_or_none(c) for c in currents],
-        "snr_baseline": [_finite_or_none(f) for f in floors],
+        "snr_current": currents,
+        "snr_baseline": floors,
         "violated_segment": violated,
     }
     verdict = Verdict.CHANGE if violated >= 0 else Verdict.NO_CHANGE
     return DetectionOutcome(verdict, None, diag)
-
-
-def _finite_or_none(ratio: float) -> float | None:
-    return None if ratio == math.inf else ratio
 
 
 def cusum_detect(existing: Signature, recomputed: Signature,

@@ -1,12 +1,10 @@
-"""Build performance signatures from trial cohorts; PAA downsampling.
+"""Build performance signatures from trial experiences; PAA downsampling.
 
-Generation follows the measurement pipeline: average the cohort's
+Generation follows the measurement pipeline: average the trial users'
 per-timestamp observations for each parameter, then scale the mean
 series by its population standard deviation so rows are unit-std.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,50 +13,25 @@ from .core import (Signature, TimeGrid, TrialExperience, csv_field, read_csv, un
 from .errors import AlignmentError, ParseError
 
 
-@dataclass(frozen=True)
-class TrialCohort:
-    """A group of trial users observed over one shared window."""
+def generate_signature(experiences, grid: TimeGrid, provider_id: str = "") -> Signature:
+    """Mean each parameter's experiences across users, normalize, stack
+    into a signature with rows in order of each parameter's first
+    appearance.
 
-    experiences: tuple[TrialExperience, ...]
-    window: tuple[int, int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "experiences", tuple(self.experiences))
-        object.__setattr__(self, "window", tuple(self.window))
-        if not self.experiences:
-            raise ValueError("cohort needs at least one experience")
-        params = {e.parameter for e in self.experiences}
-        if len(params) != 1:
-            raise AlignmentError(f"cohort mixes parameters: {sorted(params)}")
-        for e in self.experiences:
-            if e.window != self.window:
-                raise AlignmentError(
-                    f"user {e.user_id!r} window {e.window} != cohort window {self.window}"
-                )
-
-    @property
-    def parameter(self) -> str:
-        return self.experiences[0].parameter
-
-
-def generate_signature(cohorts, grid: TimeGrid, provider_id: str = "") -> Signature:
-    """Mean each cohort across users, normalize, stack into a signature.
-
-    Every cohort must cover the full grid (window == (0, grid.length)),
-    and each QoS parameter may appear in exactly one cohort.
+    Every experience must cover the full grid (window == (0, grid.length)).
     """
-    cohorts = list(cohorts)
-    if not cohorts:
-        raise ValueError("need at least one cohort")
-    for cohort in cohorts:
-        if cohort.window != (0, grid.length):
+    by_param: dict[str, list[np.ndarray]] = {}
+    for e in experiences:
+        if e.window != (0, grid.length):
             raise AlignmentError(
-                f"cohort for {cohort.parameter!r} covers {cohort.window}, "
+                f"user {e.user_id!r} covers {e.window} for {e.parameter!r}, "
                 f"signature generation needs (0, {grid.length})"
             )
-    names = tuple(c.parameter for c in cohorts)
-    means = np.stack([np.stack([e.values for e in c.experiences]).mean(axis=0)
-                      for c in cohorts])
+        by_param.setdefault(e.parameter, []).append(e.values)
+    if not by_param:
+        raise ValueError("need at least one trial experience")
+    names = tuple(by_param)
+    means = np.stack([np.stack(values).mean(axis=0) for values in by_param.values()])
     return Signature(names, unit_rows(means, names), grid, provider_id)
 
 
@@ -86,28 +59,26 @@ def paa(values, target_length: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Trial cohort CSV: header "user_id,parameter,start,v0,v1,...", one line
-# per user.  All users of one parameter form one cohort and must share
-# a window.
+# per user, every line as wide as the header.
 
-def write_cohorts(cohorts, path) -> None:
-    cohorts = list(cohorts)
-    if not cohorts:
+def write_experiences(experiences, path) -> None:
+    experiences = list(experiences)
+    if not experiences:
         raise ValueError("nothing to write")
-    width = cohorts[0].window[1]
-    for c in cohorts:
-        if c.window[1] != width:
-            raise AlignmentError("cohort CSV requires equal-length windows")
+    width = experiences[0].trial_length
+    if any(e.trial_length != width for e in experiences):
+        raise AlignmentError("cohort CSV requires equal-length windows")
     write_csv(path, ["user_id", "parameter", "start", *(f"v{i}" for i in range(width))],
               [f"{csv_field(e.user_id)},{csv_field(e.parameter)},{e.trial_start},"
                + ",".join(repr(float(v)) for v in e.values)
-               for c in cohorts for e in c.experiences])
+               for e in experiences])
 
 
 def read_experiences(path) -> list[TrialExperience]:
-    """Parse trial rows without the shared-window constraint.
+    """Parse trial rows; their windows may differ.
 
     Calibration histories mix users whose trials started at different
-    times, so they cannot be grouped into cohorts.
+    times; signature generation checks each window against its grid.
     """
     header, rows = read_csv(path, "cohort")
     width = len(header) - 3
@@ -124,13 +95,3 @@ def read_experiences(path) -> list[TrialExperience]:
         except ValueError as exc:
             raise ParseError(f"{path}: row for {user!r}: {exc}") from None
     return experiences
-
-
-def read_cohorts(path) -> list[TrialCohort]:
-    by_param: dict[str, list[TrialExperience]] = {}
-    for e in read_experiences(path):
-        by_param.setdefault(e.parameter, []).append(e)
-    try:
-        return [TrialCohort(tuple(exps), exps[0].window) for exps in by_param.values()]
-    except AlignmentError as exc:
-        raise AlignmentError(f"{path}: {exc}") from None

@@ -296,6 +296,26 @@ def test_gen_data_writes_repeat_zero_of_evaluate(tmp_path):
         learn_monitoring_profiles(monitoring, 6)[""]
 
 
+def test_gen_data_manifest_names_the_snr_profile_of_every_pair(tmp_path):
+    out = tmp_path / "data"
+    assert main(["gen-data", "--seed", "3", "--n-changed", "10", "--n-noisy", "10",
+                 "--out", str(out)]) == 0
+    entries = json.loads((out / "manifest.json").read_text())["pairs"]
+    # The monitoring corpus at this seed draws no echo or alpha pair, so
+    # those providers are judged by the pooled profile, as in `evaluate`.
+    pooled = {e["provider"] for e in entries
+              if e["snr_profile_path"] == "snr_profiles/pooled.json"}
+    assert pooled == {"alpha", "echo"}
+    for entry in entries:
+        own = out / "snr_profiles" / f"{entry['provider']}.json"
+        if own.exists():
+            assert entry["snr_profile_path"] == f"snr_profiles/{entry['provider']}.json"
+        assert main(["detect", "--detector", "snr",
+                     "--existing", str(out / entry["existing_path"]),
+                     "--recomputed", str(out / entry["recomputed_path"]),
+                     "--profile", str(out / entry["snr_profile_path"])]) in (0, 2)
+
+
 def test_gen_data_unwritable_destination(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("x")

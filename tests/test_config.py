@@ -128,8 +128,9 @@ def _lookup(obj, path: str):
 
 
 def _write(tmp_path, text: str):
+    """A config file of `text`; a lone surrogate "\\udcXX" writes the byte 0xXX."""
     path = tmp_path / "run.cfg"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     return path
 
 
@@ -210,6 +211,7 @@ def test_tuple_values_parse_from_comma_lists(tmp_path):
     ("snr_segments\n", 1, "expected 'key = value'"),
     ("cusum_interval = nan\n", 1, "bad value for cusum_interval: not a finite number"),
     ("sensitivity_levels = 0.5, inf\n", 1, "bad value for sensitivity_levels"),
+    ("n_changed = 4\r\nseed = 7\udcff\r\n", 2, "not UTF-8 text (invalid start byte)"),
 ])
 def test_parse_errors_name_file_and_line(tmp_path, text, lineno, message):
     cfg = _write(tmp_path, text)

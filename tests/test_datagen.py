@@ -8,12 +8,10 @@ from sigdrift.datagen import (CORES_TOTAL, BaselineMap, CorpusParams, IntervalRu
                               QoSProfile, WorkloadTrace, _performance_matrix,
                               baseline_performance, build_base_signatures, build_corpus,
                               build_provider_signatures, default_baseline,
-                              default_profiles, make_changed, make_noisy,
-                              manifest_entry, profile_from_dict, profile_to_dict,
-                              synthesize_trace, write_manifest, write_trace)
+                              default_profiles, manifest_entry, profile_from_dict,
+                              profile_to_dict, synthesize_trace, write_manifest, write_trace)
 from sigdrift.errors import AlignmentError, ParseError
-from sigdrift.noisegen import AttenuationNoise, DistortionNoise, SpikeNoise
-from sigdrift.similarity import pcc, rmse
+from sigdrift.similarity import pcc
 
 
 # ------------------------------------------------------------------- traces
@@ -217,56 +215,6 @@ def test_default_signatures_are_distinguishable():
                 assert pcc(a.matrix[0], b.matrix[0]) < 0.95
 
 
-# ------------------------------------------------------------ labeled pairs
-
-def test_make_changed_splices_the_segment():
-    sigs = build_base_signatures(seed=42)
-    by = {s.provider_id: s for s in sigs}
-    pair = make_changed(by["alpha"], by["charlie"], (135, 90), seed=0)
-    assert pair.label is Label.CHANGED
-    rec = pair.recomputed.matrix[0]
-    np.testing.assert_array_equal(rec[:135], by["alpha"].matrix[0][:135])
-    np.testing.assert_array_equal(rec[135:225], by["charlie"].matrix[0][135:225])
-    np.testing.assert_array_equal(rec[225:], by["alpha"].matrix[0][225:])
-    # the measured separation for this canonical pair, well past the
-    # 0.2 distance ceiling the detector tree uses
-    assert rmse(pair.existing.matrix[0], rec) == pytest.approx(
-        1.0395430523237357, abs=1e-9)
-
-
-def test_full_grid_segment_is_total_replacement():
-    sigs = build_base_signatures(seed=42)
-    pair = make_changed(sigs[0], sigs[1], (0, 360), seed=0)
-    np.testing.assert_array_equal(pair.recomputed.matrix, sigs[1].matrix)
-
-
-def test_make_changed_guards():
-    sigs = build_base_signatures(seed=42)
-    with pytest.raises(ValueError):
-        make_changed(sigs[0], sigs[0], (0, 90), seed=0)  # same provider
-    with pytest.raises(ValueError):
-        make_changed(sigs[0], sigs[1], (0, 0), seed=0)
-    with pytest.raises(ValueError):
-        make_changed(sigs[0], sigs[1], (300, 90), seed=0)
-
-
-def test_make_changed_rejects_a_misaligned_donor():
-    sigs = build_base_signatures(seed=42)
-    renamed = Signature(("latency",), sigs[1].matrix, sigs[1].grid, sigs[1].provider_id)
-    with pytest.raises(AlignmentError, match="base signatures must share grid and parameters"):
-        make_changed(sigs[0], renamed, (0, 90), seed=0)
-
-
-def test_make_noisy_labels_carry_the_kind():
-    sigs = build_base_signatures(seed=42)
-    for spec, kind in [(SpikeNoise(50, 3, 7.0), "spike"),
-                       (DistortionNoise(20.0), "distortion"),
-                       (AttenuationNoise(0.95), "attenuation")]:
-        pair = make_noisy(sigs[0], spec, seed=4)
-        assert pair.label is Label.NOISY
-        assert pair.provenance["noise"]["kind"] == kind
-
-
 # ------------------------------------------------------------------- corpus
 
 def test_corpus_counts_and_composition():
@@ -309,10 +257,19 @@ def test_changed_pairs_use_distinct_donors():
         assert 0 <= p.provenance["segment_start"] <= 270
 
 
+def test_corpus_rejects_base_signatures_that_do_not_align():
+    sigs = build_base_signatures(seed=42)
+    renamed = Signature(("latency",), sigs[1].matrix, sigs[1].grid, sigs[1].provider_id)
+    with pytest.raises(AlignmentError, match="base signatures must share grid and parameters"):
+        build_corpus(1, 0, 0.5, seed=0, signatures=[sigs[0], renamed])
+
+
 def test_manifest_round_trip(tmp_path):
     sigs = build_base_signatures(seed=42)
     corpus = build_corpus(2, 2, 0.5, seed=3, signatures=sigs)
-    entries = [manifest_entry(p) for p in corpus]
+    entries = [manifest_entry(p, f"signatures/{p.existing.provider_id}.csv",
+                              f"pairs/{i:06d}.recomputed.csv", "snr_profiles/pooled.json")
+               for i, p in enumerate(corpus)]
     path = tmp_path / "manifest.json"
     write_manifest(entries, {"n_changed": 2}, seed=3, path=path)
     payload = json.loads(path.read_text())

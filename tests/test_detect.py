@@ -211,7 +211,8 @@ def test_snr_zero_residual_is_no_change(ex):
     out = snr_detect(ex, ex, _flat_profile(100.0))
     assert out.verdict is Verdict.NO_CHANGE
     assert out.diagnostics["violated_segment"] == -1
-    assert out.diagnostics["snr_current"] == [None] * 6
+    assert out.diagnostics["snr_current"] == [np.inf] * 6
+    assert out.to_dict()["diagnostics"]["snr_current"] == [None] * 6
 
 
 def test_snr_flags_the_noisy_segment(ex):
@@ -268,7 +269,8 @@ def test_snr_overflowing_current_ratio_is_unbounded():
     for mode in ("segments", "aggregate"):
         out = snr_detect(ex, rec, NoiseProfile((SnrValue(100.0),), 2), mode=mode)
         assert out.verdict is Verdict.NO_CHANGE
-        assert out.diagnostics["snr_current"] == [None]
+        assert out.diagnostics["snr_current"] == [np.inf]
+        assert out.to_dict()["diagnostics"]["snr_current"] == [None]
 
 
 def test_snr_aggregate_mode(ex):

@@ -73,23 +73,56 @@ def _references(path: Path, modules: set[str]) -> set[tuple[str, str]]:
     return refs
 
 
+def _definitions() -> list[tuple[str, str, set[str]]]:
+    """(module, name, names its module uses) for each module-level
+    function or class of the package."""
+    defs = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        defs += [(path.stem, node.name, used) for node in tree.body
+                 if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    return defs
+
+
+def _all_references(paths) -> set[tuple[str, str]]:
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    return set().union(*(_references(path, modules) for path in paths))
+
+
 def test_every_module_level_definition_is_referenced():
     """A function or class no module, test or benchmark refers to is dead.
     A reference is a use in its own module, an import of it from its
     module, or an attribute access on its module."""
-    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-               for path in sorted(PACKAGE.glob("*.py"))}
-    sources = [*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
-               *(ROOT / "perfbench").glob("*.py")]
-    refs = set().union(*(_references(path, set(modules)) for path in sources))
-    dead = []
-    for module, tree in modules.items():
-        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-        for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name not in used and (module, node.name) not in refs):
-                dead.append(f"{module}.{node.name}")
+    refs = _all_references([*PACKAGE.glob("*.py"), *(ROOT / "tests").glob("*.py"),
+                            *(ROOT / "perfbench").glob("*.py")])
+    dead = [f"{module}.{name}" for module, name, used in _definitions()
+            if name not in used and (module, name) not in refs]
     assert dead == []
+
+
+#: Library definitions that only tests refer to, each with the reason it
+#: stays.  Anything else that only tests use is dead code kept alive by
+#: its own tests.  Re-exports in ``__init__`` do not count as uses.
+TEST_ONLY = {
+    ("core", "population_std"): "reference implementation of the row std",
+    ("noisegen", "learn_noise_profile"): "reference implementation of profile learning",
+    ("noisegen", "write_spec"): "format writer that tests build noise-spec files with",
+    ("cpd", "write_flags"): "format writer that tests build anomaly-flag files with",
+    ("signature", "write_experiences"): "format writer that tests build cohort files with",
+    ("noisegen", "snr"): "the SNR that C3 measures AWGN with",
+    ("cpd", "is_anomalous"): "the anomaly rule whose flags `events` reads",
+}
+
+
+def test_only_tests_use_what_is_listed_as_test_only():
+    library = _all_references([*(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"),
+                               *(ROOT / "perfbench").glob("*.py")])
+    tests = _all_references((ROOT / "tests").glob("*.py"))
+    test_only = {(module, name) for module, name, used in _definitions()
+                 if name not in used and (module, name) not in library
+                 and (module, name) in tests}
+    assert test_only == set(TEST_ONLY)
 
 
 #: Where sigdrift may call the json module itself: the file layer in

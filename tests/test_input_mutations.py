@@ -2,7 +2,7 @@
 
 Each valid signature, cohort, flag, noise-spec and noise-profile file is
 mutated by a type swap (number <-> string, boolean or null), a missing
-key or cell, or a cut inside a line.  Every mutant must exit 1 with one
+key or cell, a cut inside a line, or a byte that is not UTF-8.  Every mutant must exit 1 with one
 error line that names the file, print nothing on stdout and raise no
 traceback.
 
@@ -109,12 +109,20 @@ def test_the_unmutated_files_are_valid(valid, fmt):
     assert records == []
 
 
-def _csv_mutant(text: str, first_number: int, data) -> str:
+def _not_utf8(text: str, data) -> bytes:
+    """`text` with a 0xff byte, which no UTF-8 text holds, put in anywhere."""
+    at = data.draw(st.integers(0, len(text)))
+    return text[:at].encode("utf-8") + b"\xff" + text[at:].encode("utf-8")
+
+
+def _csv_mutant(text: str, first_number: int, data) -> bytes:
     lines = [line.split(",") for line in text.splitlines()]
-    kind = data.draw(st.sampled_from(["swap", "missing", "cut"]))
+    kind = data.draw(st.sampled_from(["swap", "missing", "cut", "byte"]))
+    if kind == "byte":
+        return _not_utf8(text, data)
     if kind == "cut":
         cuts = [k for k in range(len(text)) if k == 0 or text[k - 1] != "\n"]
-        return text[:data.draw(st.sampled_from(cuts))]
+        return text[:data.draw(st.sampled_from(cuts))].encode("utf-8")
     row = data.draw(st.integers(0, len(lines) - 1))
     if kind == "missing":
         del lines[row][data.draw(st.integers(0, len(lines[row]) - 1))]
@@ -123,7 +131,7 @@ def _csv_mutant(text: str, first_number: int, data) -> str:
     else:
         column = data.draw(st.integers(first_number, len(lines[row]) - 1))
         lines[row][column] = data.draw(st.sampled_from(NOT_NUMBERS))
-    return "".join(",".join(line) + "\n" for line in lines)
+    return "".join(",".join(line) + "\n" for line in lines).encode("utf-8")
 
 
 def _slots(payload):
@@ -142,17 +150,19 @@ def _slots(payload):
     return slots
 
 
-def _json_mutant(text: str, required: list[str], data) -> str:
+def _json_mutant(text: str, required: list[str], data) -> bytes:
     payload = json.loads(text)
-    kind = data.draw(st.sampled_from(["swap", "missing", "cut"]))
+    kind = data.draw(st.sampled_from(["swap", "missing", "cut", "byte"]))
+    if kind == "byte":
+        return _not_utf8(text, data)
     if kind == "cut":
-        return text[:data.draw(st.integers(0, len(text.rstrip("\n")) - 1))]
+        return text[:data.draw(st.integers(0, len(text.rstrip("\n")) - 1))].encode("utf-8")
     if kind == "missing":
         del payload[data.draw(st.sampled_from(required))]
     else:
         container, key, replacements = data.draw(st.sampled_from(_slots(payload)))
         container[key] = data.draw(st.sampled_from(replacements))
-    return json.dumps(payload)
+    return json.dumps(payload).encode("utf-8")
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -164,7 +174,7 @@ def test_every_mutant_exits_1_with_one_error_line_naming_the_file(valid, fmt, da
     mutant = (_json_mutant(text, shape, data) if name.endswith(".json")
               else _csv_mutant(text, shape, data))
     path = valid / f"mutant-{name}"
-    path.write_text(mutant, encoding="utf-8")
+    path.write_bytes(mutant)
     code, out, err, records = _run(_argv(fmt, valid, path))
     assert code == 1, mutant
     assert out == ""

@@ -11,7 +11,8 @@ import json
 import numpy as np
 
 from sigdrift.cli import main
-from sigdrift.datagen import build_base_signatures, make_changed, synthesize_trace, write_trace
+from sigdrift.core import Signature
+from sigdrift.datagen import build_base_signatures, synthesize_trace, write_trace
 from sigdrift.detect import cusum_detect, sliding_window_detect, snr_detect
 from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, SpikeNoise, inject,
                                learn_noise_profile)
@@ -54,6 +55,13 @@ def _three_rows(seed):
     return [wavy_row(360, seed=seed), walk, np.roll(wavy_row(360, seed=seed + 1), 45)]
 
 
+def _spliced(original, donor, start, stop):
+    """A copy of `original` with the donor's columns [start, stop)."""
+    values = original.matrix.copy()
+    values[:, start:stop] = donor.matrix[:, start:stop]
+    return Signature(original.parameters, values, original.grid, original.provider_id)
+
+
 def test_multi_row_detector_outcomes_are_pinned():
     """Every corpus the CLI builds has one row per signature; this pins
     the per-row paths of all three detectors on 3-row signatures."""
@@ -63,7 +71,7 @@ def test_multi_row_detector_outcomes_are_pinned():
     recomputed = [inject(alpha, SpikeNoise(100, 4, 12.0), 11),
                   inject(alpha, AttenuationNoise(0.7), 12),
                   inject(alpha, DistortionNoise(20.0), 13),
-                  make_changed(alpha, bravo, (120, 90), 14).recomputed]
+                  _spliced(alpha, bravo, 120, 210)]
     profile = learn_noise_profile(alpha, inject(alpha, DistortionNoise(20.0), 15), 6)
     outcomes = [outcome.to_dict()
                 for rec in recomputed

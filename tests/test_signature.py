@@ -5,16 +5,13 @@ from hypothesis import strategies as st
 
 from sigdrift.core import TimeGrid, TrialExperience
 from sigdrift.errors import AlignmentError, ConstantSeriesError
-from sigdrift.signature import (TrialCohort, generate_signature, paa,
-                                paa_boundaries, read_cohorts, read_experiences,
-                                write_cohorts)
+from sigdrift.signature import (generate_signature, paa, paa_boundaries, read_experiences,
+                                write_experiences)
 
 
-def _cohort(parameter, users, start=0):
-    exps = tuple(
-        TrialExperience(f"u{i}", parameter, np.asarray(vals, dtype=float), start)
-        for i, vals in enumerate(users))
-    return TrialCohort(exps, exps[0].window)
+def _experiences(parameter, users, start=0):
+    return [TrialExperience(f"u{i}", parameter, np.asarray(vals, dtype=float), start)
+            for i, vals in enumerate(users)]
 
 
 # ---------------------------------------------------------------- PAA
@@ -80,31 +77,31 @@ def test_paa_needs_a_series():
 # ---------------------------------------------------- signature generation
 
 def test_generate_signature_single_user_fixture():
-    cohort = _cohort("cpu", [[2.0, 4.0, 6.0]])
-    sig = generate_signature([cohort], TimeGrid(3), "p1")
+    experiences = _experiences("cpu", [[2.0, 4.0, 6.0]])
+    sig = generate_signature(experiences, TimeGrid(3), "p1")
     np.testing.assert_allclose(sig.matrix[0], [1.22474487, 2.44948975, 3.67423461],
                                atol=1e-8)
     assert sig.provider_id == "p1"
 
 
 def test_generate_signature_constant_mean_rejected():
-    cohort = _cohort("cpu", [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
+    experiences = _experiences("cpu", [[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
     with pytest.raises(ConstantSeriesError):
-        generate_signature([cohort], TimeGrid(3))
+        generate_signature(experiences, TimeGrid(3))
 
 
 def test_identical_users_collapse_to_one():
     v = [5.0, 1.0, 3.0, 7.0]
-    one = generate_signature([_cohort("cpu", [v])], TimeGrid(4))
-    many = generate_signature([_cohort("cpu", [v] * 6)], TimeGrid(4))
+    one = generate_signature(_experiences("cpu", [v]), TimeGrid(4))
+    many = generate_signature(_experiences("cpu", [v] * 6), TimeGrid(4))
     np.testing.assert_allclose(one.matrix, many.matrix, atol=1e-12)
 
 
 def test_user_order_does_not_matter():
     rng = np.random.default_rng(3)
     users = [rng.normal(size=10).tolist() for _ in range(5)]
-    a = generate_signature([_cohort("cpu", users)], TimeGrid(10))
-    b = generate_signature([_cohort("cpu", users[::-1])], TimeGrid(10))
+    a = generate_signature(_experiences("cpu", users), TimeGrid(10))
+    b = generate_signature(_experiences("cpu", users[::-1]), TimeGrid(10))
     np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-12)
 
 
@@ -113,42 +110,60 @@ def test_user_order_does_not_matter():
 def test_common_positive_scale_cancels(seed, scale):
     rng = np.random.default_rng(seed)
     users = rng.normal(size=(4, 8))
-    a = generate_signature([_cohort("cpu", users)], TimeGrid(8))
-    b = generate_signature([_cohort("cpu", scale * users)], TimeGrid(8))
+    a = generate_signature(_experiences("cpu", users), TimeGrid(8))
+    b = generate_signature(_experiences("cpu", scale * users), TimeGrid(8))
     np.testing.assert_allclose(a.matrix, b.matrix, atol=1e-9)
 
 
 def test_generate_requires_full_grid_window():
-    cohort = _cohort("cpu", [[1.0, 2.0, 3.0]], start=1)
+    experiences = _experiences("cpu", [[1.0, 2.0, 3.0]], start=1)
     with pytest.raises(AlignmentError):
-        generate_signature([cohort], TimeGrid(4))
+        generate_signature(experiences, TimeGrid(4))
     with pytest.raises(ValueError):
         generate_signature([], TimeGrid(4))
 
 
-def test_cohort_requires_shared_window():
-    exps = (TrialExperience("a", "cpu", np.array([1.0, 2.0]), 0),
-            TrialExperience("b", "cpu", np.array([1.0, 2.0]), 3))
-    with pytest.raises(AlignmentError):
-        TrialCohort(exps, (0, 2))
+def test_generation_rejects_a_window_that_does_not_cover_the_grid():
+    exps = [TrialExperience("a", "cpu", np.array([1.0, 2.0]), 0),
+            TrialExperience("b", "cpu", np.array([1.0, 2.0]), 3)]
+    with pytest.raises(AlignmentError, match="user 'b' covers \\(3, 2\\)"):
+        generate_signature(exps, TimeGrid(2))
+
+
+def test_generation_groups_rows_by_parameter_in_order_of_first_appearance():
+    rng = np.random.default_rng(2)
+    io, cpu = rng.normal(size=(2, 6)), rng.normal(size=(3, 6))
+    io_exps, cpu_exps = _experiences("io", io), _experiences("cpu", cpu)
+    interleaved = [io_exps[0], cpu_exps[0], cpu_exps[1], io_exps[1], cpu_exps[2]]
+    sig = generate_signature(interleaved, TimeGrid(6))
+    assert sig.parameters == ("io", "cpu")
+    for name, exps in (("io", io_exps), ("cpu", cpu_exps)):
+        alone = generate_signature(exps, TimeGrid(6))
+        assert sig.row(name).values.tobytes() == alone.matrix[0].tobytes()
 
 
 # ------------------------------------------------------------- CSV files
 
 def test_cohort_round_trip(tmp_path):
     rng = np.random.default_rng(1)
-    cohorts = [_cohort("cpu", rng.normal(size=(3, 6))),
-               _cohort("io", rng.normal(size=(2, 6)))]
+    experiences = (_experiences("cpu", rng.normal(size=(3, 6)))
+                   + _experiences("io", rng.normal(size=(2, 6)), start=4))
     path = tmp_path / "cohorts.csv"
-    write_cohorts(cohorts, path)
-    back = read_cohorts(path)
-    assert [c.parameter for c in back] == ["cpu", "io"]
-    for orig, got in zip(cohorts, back):
-        assert len(got.experiences) == len(orig.experiences)
-        for e0, e1 in zip(orig.experiences, got.experiences):
-            assert e1.user_id == e0.user_id
-            assert e1.window == e0.window
-            np.testing.assert_array_equal(e1.values, e0.values)
+    write_experiences(experiences, path)
+    back = read_experiences(path)
+    assert len(back) == len(experiences)
+    for e0, e1 in zip(experiences, back):
+        assert (e1.user_id, e1.parameter, e1.window) == (e0.user_id, e0.parameter, e0.window)
+        np.testing.assert_array_equal(e1.values, e0.values)
+
+
+def test_cohort_csv_needs_equal_widths(tmp_path):
+    experiences = _experiences("cpu", [[1.0, 2.0, 3.0]]) + _experiences("io", [[1.0, 2.0]])
+    with pytest.raises(AlignmentError, match="equal-length windows"):
+        write_experiences(experiences, tmp_path / "cohorts.csv")
+    with pytest.raises(ValueError, match="nothing to write"):
+        write_experiences([], tmp_path / "cohorts.csv")
+    assert not (tmp_path / "cohorts.csv").exists()
 
 
 def test_read_experiences_allows_mixed_windows(tmp_path):
@@ -158,6 +173,6 @@ def test_read_experiences_allows_mixed_windows(tmp_path):
                     "u2,cpu,5,3.0,1.0\n")
     exps = read_experiences(path)
     assert [e.trial_start for e in exps] == [0, 5]
-    # but cohort grouping insists on one window per parameter
-    with pytest.raises(AlignmentError):
-        read_cohorts(path)
+    # but signature generation insists that every window covers the grid
+    with pytest.raises(AlignmentError, match="user 'u2'"):
+        generate_signature(exps, TimeGrid(2))

@@ -16,7 +16,7 @@ from sigdrift.core import TimeGrid, TrialExperience
 from sigdrift.datagen import (CORES_TOTAL, IntervalRule, QoSProfile,
                               build_provider_signatures, default_baseline,
                               default_profiles, synthesize_trace)
-from sigdrift.signature import TrialCohort, generate_signature
+from sigdrift.signature import generate_signature
 
 
 # ----------------------------------------------------------- references
@@ -53,8 +53,7 @@ def _ref_build(profiles, trace, grid, seed):
         perf = perf * (1.0 + profile.jitter_amplitude * rng.random(demands.shape))
         experiences = [TrialExperience(node, "throughput", _ref_paa(perf[i], grid.length), 0)
                        for i, node in enumerate(trace.node_ids)]
-        cohort = TrialCohort(tuple(experiences), (0, grid.length))
-        signatures.append(generate_signature([cohort], grid, profile.provider_id))
+        signatures.append(generate_signature(experiences, grid, profile.provider_id))
     return signatures
 
 

@@ -8,8 +8,7 @@ real change or merely a noisy view of the same behaviour.
 """
 from .core import (QoSSeries, Signature, TimeGrid, TrialExperience,
                    population_std, read_signature, write_signature)
-from .cpd import (AnomalyThreshold, ChangePoint, EventConfig,
-                  calibrate_frequency_threshold, calibrate_similarity_threshold,
+from .cpd import (AnomalyThreshold, ChangePoint, EventConfig, calibrate,
                   detect_events, is_anomalous)
 from .datagen import (CorpusParams, Label, LabeledPair, build_corpus,
                       build_provider_signatures, synthesize_trace)
@@ -53,8 +52,7 @@ __all__ = [
     "ZeroVectorError",
     "build_corpus",
     "build_provider_signatures",
-    "calibrate_frequency_threshold",
-    "calibrate_similarity_threshold",
+    "calibrate",
     "cusum_detect",
     "detect_events",
     "generate_signature",

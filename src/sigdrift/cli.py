@@ -14,10 +14,9 @@ from pathlib import Path
 from . import __version__
 from .config import KINDS, PARSERS, RunConfig, load_config
 from .core import TimeGrid, json_text, parse_json, read_signature, write_signature, write_text
-from .cpd import (EventConfig, calibrate_frequency_threshold,
-                  calibrate_similarity_threshold, detect_events, read_flags)
+from .cpd import EventConfig, calibrate, detect_events, read_flags
 from .datagen import (CorpusParams, base_signature_seeds, build_corpus,
-                      build_provider_signatures, check_profile_spans, default_profiles,
+                      build_provider_signatures, default_profiles,
                       manifest_entry, synthesize_trace, write_manifest, write_trace)
 from .datagen import write_profile as write_provider_profile
 from .detect import (DetectorThresholds, Verdict, cusum_detect,
@@ -100,16 +99,6 @@ def _spec_from_arg(raw: str):
     return read_spec(raw)
 
 
-def _method_from_arg(raw: str) -> SimilarityMethod:
-    try:
-        return SimilarityMethod(raw)
-    except ValueError:
-        raise SigdriftError(
-            f"unknown similarity method {raw!r}; pick from "
-            + ",".join(m.value for m in SimilarityMethod)
-        ) from None
-
-
 def _emit(payload: dict, out: str | None) -> None:
     text = json_text(payload, indent=2)
     if out:
@@ -133,7 +122,6 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     # Build everything before writing, so a setting that fails leaves no
     # partial tree behind.
     profiles = default_profiles()
-    check_profile_spans(profiles, params.grid_length)
     log.info("synthesizing trace and provider signatures")
     trace = synthesize_trace(params.nodes, params.raw_length, trace_seed)
     signatures = build_provider_signatures(
@@ -223,13 +211,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     sig = read_signature(args.signature)
     past = read_experiences(args.cohorts)
-    method = _method_from_arg(args.method)
-    threshold = calibrate_similarity_threshold(past, sig, method)
-    event_config = calibrate_frequency_threshold(past, sig, method, threshold,
-                                                 config.trial_length)
+    threshold, event_config = calibrate(past, sig, SimilarityMethod(args.method),
+                                        config.trial_length)
     _emit(
         {
-            "method": method.value,
+            "method": threshold.method.value,
             "similarity_threshold": threshold.value,
             "frequency_threshold": event_config.frequency_threshold,
             "window_length": event_config.window_length,
@@ -328,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--signature", required=True, help="current signature CSV")
     p.add_argument("--cohorts", required=True, help="past trial users CSV")
-    p.add_argument("--method", default="pcc", help="pcc, ed, cs, or rmse")
+    p.add_argument("--method", default="pcc", choices=[m.value for m in SimilarityMethod],
+                   help="similarity measure")
     _add_override(p, "trial_length", "trial window (grid steps)", flag="--window-length")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=cmd_calibrate)

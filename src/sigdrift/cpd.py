@@ -8,6 +8,7 @@ strictly exceeds the frequency threshold.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .core import Signature, TrialExperience, read_csv, write_csv
@@ -52,31 +53,21 @@ def _experience_similarity(exp: TrialExperience, sig: Signature,
     return similarity(segment, normalize(exp.values), method)
 
 
-def calibrate_similarity_threshold(past, sig: Signature,
-                                   method: SimilarityMethod) -> AnomalyThreshold:
-    """Worst similarity over past trial users (min for PCC/CS, max distance for ED/RMSE)."""
-    sims = [_experience_similarity(e, sig, method) for e in past]
-    if not sims:
-        raise ValueError("cannot calibrate from an empty history")
-    value = min(sims) if method.higher_is_more_similar else max(sims)
-    return AnomalyThreshold(method, value)
-
-
-def calibrate_frequency_threshold(past, sig: Signature, method: SimilarityMethod,
-                                  threshold: AnomalyThreshold,
-                                  window_length: int) -> EventConfig:
-    """Max per-window count of past users tying the boundary similarity, floor 1."""
+def calibrate(past, sig: Signature, method: SimilarityMethod,
+              window_length: int) -> tuple[AnomalyThreshold, EventConfig]:
+    """The similarity threshold, the worst similarity over past trial
+    users (min for PCC/CS, max distance for ED/RMSE), and the frequency
+    threshold, the largest number of them in one window that tie it."""
     if window_length < 1:
         raise ValueError("window_length must be at least 1")
-    past = list(past)
-    if not past:
+    sims = [(e.trial_start // window_length, _experience_similarity(e, sig, method))
+            for e in past]
+    if not sims:
         raise ValueError("cannot calibrate from an empty history")
-    counts: dict[int, int] = {}
-    for e in past:
-        if _experience_similarity(e, sig, method) == threshold.value:
-            bucket = e.trial_start // window_length
-            counts[bucket] = counts.get(bucket, 0) + 1
-    return EventConfig(window_length, max(max(counts.values(), default=0), 1))
+    values = [value for _, value in sims]
+    worst = min(values) if method.higher_is_more_similar else max(values)
+    ties = Counter(window for window, value in sims if value == worst)
+    return AnomalyThreshold(method, worst), EventConfig(window_length, max(ties.values()))
 
 
 def is_anomalous(exp: TrialExperience, sig: Signature,

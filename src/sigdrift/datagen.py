@@ -7,7 +7,8 @@ The pipeline mirrors how a broker would assemble ground truth:
 * a baseline map turns demand into baseline performance (heavier load,
   lower throughput);
 * a provider profile perturbs the baseline with a workload response map,
-  a seasonal map over the observation grid, and bounded random jitter;
+  a seasonal map stretched over the observation grid, and bounded random
+  jitter;
 * every node acts as one trial user; PAA reduces the raw series to the
   observation grid and the cohort mean becomes the provider signature.
 
@@ -17,7 +18,6 @@ the "noisy" class.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import (Signature, TimeGrid, block_slices, check_stack, json_list, json_number,
-                   json_text, unit_rows, write_csv, write_text)
+                   json_text, parse_json, unit_rows, write_csv, write_text)
 from .errors import AlignmentError, ParseError
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseSpec,
                        SpikeNoise, apply_noise, spec_to_dict)
@@ -167,20 +167,16 @@ def _check_tiling(rules: tuple[IntervalRule, ...], lo: float, hi: float, what: s
             raise ValueError(f"{what} rules must tile without gaps or overlap")
 
 
-class _RuleLookup:
-    """Vectorized interval lookup over a tiling rule set."""
-
-    def __init__(self, rules: tuple[IntervalRule, ...]):
-        self.edges = np.array([r.lo for r in rules] + [rules[-1].hi])
-        self.multipliers = np.array([r.multiplier for r in rules])
-
-    def __call__(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.min() < self.edges[0] or arr.max() > self.edges[-1]:
-            raise ValueError("value outside the rule domain")
-        idx = np.searchsorted(self.edges, arr, side="right") - 1
-        idx = np.clip(idx, 0, self.multipliers.size - 1)
-        return self.multipliers[idx]
+def _rule_values(rules: tuple[IntervalRule, ...], x, scale: float = 1.0) -> np.ndarray:
+    """The multiplier of the rule each point of ``x`` falls in, with every
+    bound of the tiling ``rules`` multiplied by ``scale``."""
+    edges = np.array([r.lo for r in rules] + [rules[-1].hi]) * scale
+    multipliers = np.array([r.multiplier for r in rules])
+    arr = np.asarray(x, dtype=np.float64)
+    if arr.min() < edges[0] or arr.max() > edges[-1]:
+        raise ValueError("value outside the rule domain")
+    idx = np.searchsorted(edges, arr, side="right") - 1
+    return multipliers[np.clip(idx, 0, multipliers.size - 1)]
 
 
 @dataclass(frozen=True)
@@ -189,7 +185,7 @@ class QoSProfile:
 
     provider_id: str
     workload_map: tuple[IntervalRule, ...]   # over demand fraction [0, 1]
-    seasonal_map: tuple[IntervalRule, ...]   # over grid index [0, grid_length]
+    seasonal_map: tuple[IntervalRule, ...]   # one period, stretched over the grid
     jitter_amplitude: float
 
     def __post_init__(self):
@@ -245,19 +241,23 @@ def write_profile(profile: QoSProfile, path) -> None:
     write_text(path, json_text(profile_to_dict(profile), indent=2))
 
 
+def _baseline_from_json(payload: dict) -> BaselineMap:
+    points = json_list(payload["breakpoints"], "breakpoints")
+    return BaselineMap(tuple((json_number(d, f"breakpoints[{i}]"),
+                              json_number(p, f"breakpoints[{i}]"))
+                             for i, (d, p) in enumerate(points)))
+
+
 def default_baseline() -> BaselineMap:
-    payload = json.loads(
-        resources.files("sigdrift.data").joinpath("baseline_map.json").read_text("utf-8")
-    )
-    return BaselineMap(tuple((float(d), float(p)) for d, p in payload["breakpoints"]))
+    entry = resources.files("sigdrift.data").joinpath("baseline_map.json")
+    return parse_json(entry.read_text("utf-8"), _baseline_from_json, entry.name)
 
 
 def default_profiles() -> list[QoSProfile]:
     root = resources.files("sigdrift.data").joinpath("profiles")
-    profiles = []
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".json"):
-            profiles.append(profile_from_dict(json.loads(entry.read_text("utf-8"))))
+    profiles = [parse_json(entry.read_text("utf-8"), profile_from_dict, entry.name)
+                for entry in sorted(root.iterdir(), key=lambda e: e.name)
+                if entry.name.endswith(".json")]
     if not profiles:
         raise RuntimeError("no packaged provider profiles found")
     return profiles
@@ -267,18 +267,24 @@ def default_profiles() -> list[QoSProfile]:
 # Performance synthesis
 
 def _performance_matrix(profile: QoSProfile, levels, level_of,
-                        day_of: np.ndarray, baseline: BaselineMap,
+                        day_of: np.ndarray, grid_length: int, baseline: BaselineMap,
                         rng: np.random.Generator) -> np.ndarray:
     """Raw performance of every node at every raw timestamp, where
-    ``levels[level_of[i, t]]`` is node i's demand at timestamp t.
+    ``levels[level_of[i, t]]`` is node i's demand at timestamp t and
+    ``day_of[t]`` is the index of timestamp t on a grid of
+    ``grid_length`` points.
+
+    The seasonal map is one period, stretched over the grid: each of its
+    bounds is multiplied by ``grid_length`` over the map's span.
 
     The baseline and the workload response depend on demand alone, so
     they are looked up once per demand level and gathered; being
     elementwise, each gathered value is the double a lookup at that
     point would give.
     """
-    table = baseline_performance(baseline, levels) * _RuleLookup(profile.workload_map)(levels)
-    smul = _RuleLookup(profile.seasonal_map)(day_of)
+    table = baseline_performance(baseline, levels) * _rule_values(profile.workload_map, levels)
+    smul = _rule_values(profile.seasonal_map, day_of,
+                        grid_length / profile.seasonal_map[-1].hi)
     # table * smul * (1 + amplitude * U), left to right as written, in
     # place: on long traces each temporary is a (nodes, raw) array.
     perf = table[level_of]
@@ -288,15 +294,6 @@ def _performance_matrix(profile: QoSProfile, levels, level_of,
     jitter += 1.0
     perf *= jitter
     return perf
-
-
-def check_profile_spans(profiles, grid_length: int) -> None:
-    """Every profile's seasonal map must span exactly the grid."""
-    for p in profiles:
-        if p.grid_span != grid_length:
-            raise AlignmentError(
-                f"profile {p.provider_id!r} seasonal map spans {p.grid_span}, grid is {grid_length}"
-            )
 
 
 def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
@@ -312,7 +309,6 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
         raise ValueError("need at least one profile")
     if grid.length > trace.length:
         raise AlignmentError("grid cannot be finer than the trace")
-    check_profile_spans(profiles, grid.length)
 
     bounds = paa_boundaries(trace.length, grid.length)
     # Grid index of each raw timestamp: the PAA frame it lands in.
@@ -327,7 +323,8 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
     for profile, stream in zip(profiles, streams):
         rng = np.random.default_rng(stream)
         means = np.stack([
-            paa(_performance_matrix(profile, levels, trace.cores, day_of, baseline, rng),
+            paa(_performance_matrix(profile, levels, trace.cores, day_of, grid.length,
+                                    baseline, rng),
                 grid.length).mean(axis=0)
             for _ in parameters])
         signatures.append(Signature(parameters, unit_rows(means, parameters), grid,
@@ -443,7 +440,6 @@ def build_base_signatures(seed: int, params: CorpusParams = CorpusParams(),
                           profiles=None) -> list[Signature]:
     """Synthesize a trace and derive one signature per packaged profile."""
     profiles = profiles if profiles is not None else default_profiles()
-    check_profile_spans(profiles, params.grid_length)
     trace_seed, perf_seed = base_signature_seeds(seed)
     trace = synthesize_trace(params.nodes, params.raw_length, trace_seed)
     return build_provider_signatures(

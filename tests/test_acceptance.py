@@ -15,9 +15,7 @@ import pytest
 
 from sigdrift.cli import main as cli_main
 from sigdrift.core import TrialExperience
-from sigdrift.cpd import (ChangePoint, EventConfig,
-                          calibrate_frequency_threshold,
-                          calibrate_similarity_threshold, detect_events)
+from sigdrift.cpd import ChangePoint, EventConfig, calibrate, detect_events
 from sigdrift.datagen import build_base_signatures, build_corpus
 from sigdrift.detect import DetectorThresholds, Verdict, sliding_window_detect
 from sigdrift.evaluate import (ConfusionCounts, ExperimentConfig, accuracy, f1,
@@ -284,9 +282,7 @@ def test_c09_eca_oracle_and_initialization_example():
     up = np.array([1.0, 2.0, 3.0, 4.0])
     past = [TrialExperience(f"b{i}", "cpu", down, i) for i in range(5)]
     past += [TrialExperience(f"g{s}", "cpu", up, s) for s in (0, 3, 6)]
-    thr = calibrate_similarity_threshold(past, sig, SimilarityMethod.PCC)
-    cfg = calibrate_frequency_threshold(past, sig, SimilarityMethod.PCC, thr,
-                                        window_length=6)
+    _, cfg = calibrate(past, sig, SimilarityMethod.PCC, window_length=6)
     assert cfg.frequency_threshold == 5
     print("C9 PASS: detect_events equals brute-force recount on 1000 random "
           "streams; five boundary users initialize the frequency threshold to 5")

@@ -30,10 +30,13 @@ def _write_pair(tmp_path, mirror=False):
     return ex_path, rec_path
 
 
-def test_usage_errors_are_exit_one(capsys):
+def test_usage_errors_are_exit_one(tmp_path, capsys):
     assert main([]) == 1
     assert main(["detect"]) == 1  # missing required flags
     capsys.readouterr()
+    assert main(["calibrate", "--signature", str(tmp_path / "sig.csv"),
+                 "--cohorts", str(tmp_path / "hist.csv"), "--method", "dtw"]) == 1
+    assert "invalid choice: 'dtw'" in capsys.readouterr().err
 
 
 def test_version_and_help_exit_zero(capsys):
@@ -334,25 +337,6 @@ def test_gen_data_writes_nothing_when_a_setting_fails(tmp_path, capsys, flag, va
                  "--n-changed", "2", "--n-noisy", "2", flag, value]) == 1
     assert not out.exists()
     capsys.readouterr()
-
-
-@pytest.mark.parametrize("command", ["gen-data", "evaluate"])
-def test_a_grid_the_profiles_do_not_span_fails_before_any_synthesis(tmp_path, caplog,
-                                                                    monkeypatch, command):
-    import sigdrift.cli as cli
-    import sigdrift.datagen as datagen
-
-    def never(*args, **kwargs):
-        raise AssertionError("synthesize_trace ran")
-    monkeypatch.setattr(cli, "synthesize_trace", never)
-    monkeypatch.setattr(datagen, "synthesize_trace", never)
-    out = tmp_path / "out"
-    only = {"gen-data": [], "evaluate": ["--jobs", "1", "--sample-sizes", "4"]}[command]
-    assert main([command, "--out", str(out), "--seed", "1", "--nodes", "4",
-                 "--raw-length", "730", "--n-changed", "2", "--n-noisy", "2",
-                 "--grid-length", "365"] + only) == 1
-    assert "profile 'alpha' seasonal map spans 360, grid is 365" in caplog.text
-    assert not out.exists()
 
 
 def test_evaluate_fails_before_building_the_evaluation_corpus(tmp_path, caplog,

@@ -172,6 +172,17 @@ def test_every_key_reaches_its_component(tmp_path, key):
         assert _lookup(config.build(ExperimentConfig), path) == value
 
 
+@pytest.mark.parametrize("command", ["gen-data", "evaluate", "sensitivity"])
+def test_every_setting_works_at_its_non_default_value(tmp_path, caplog, command):
+    """All keys off their defaults at once; only the pair counts are cut
+    down, so that the run stays short."""
+    small = {"n_changed": "30", "n_noisy": "29"}
+    cfg = _write(tmp_path, "".join(f"{key} = {small.get(key, raw)}\n"
+                                   for key, (raw, _, _) in NON_DEFAULT.items()))
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0, \
+        caplog.text
+
+
 def test_precedence_flag_over_file_over_env_over_default(tmp_path, monkeypatch):
     cfg = _write(tmp_path, "seed = 3\nn_changed = 40\n")
     assert load_config().seed == 0

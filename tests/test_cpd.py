@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigdrift.core import TrialExperience
-from sigdrift.cpd import (AnomalyThreshold, ChangePoint, EventConfig,
-                          calibrate_frequency_threshold,
-                          calibrate_similarity_threshold, detect_events,
-                          is_anomalous, read_flags, write_flags)
+from sigdrift.cpd import (AnomalyThreshold, ChangePoint, EventConfig, calibrate,
+                          detect_events, is_anomalous, read_flags, write_flags)
 from sigdrift.errors import AlignmentError, ParseError
 from sigdrift.similarity import SimilarityMethod, normalize, similarity
 
@@ -31,7 +29,7 @@ def _measured(exp, method):
 
 def test_similarity_threshold_is_worst_pcc():
     past = [_exp(UP, 0), _exp(DOWN, 2), _exp(UP, 4)]
-    thr = calibrate_similarity_threshold(past, RAMP_SIG, SimilarityMethod.PCC)
+    thr, _ = calibrate(past, RAMP_SIG, SimilarityMethod.PCC, 6)
     sims = [_measured(e, SimilarityMethod.PCC) for e in past]
     assert thr.value == min(sims)
     assert thr.value == pytest.approx(-1.0, abs=1e-12)  # the reversed user
@@ -43,28 +41,27 @@ def test_distance_threshold_polarity_flips_to_max():
     rng = np.random.default_rng(4)
     past = [_exp(rng.normal(size=4) + 2.0, s) for s in (0, 3, 6)]
     for method in (SimilarityMethod.ED, SimilarityMethod.RMSE):
-        thr = calibrate_similarity_threshold(past, RAMP_SIG, method)
+        thr, _ = calibrate(past, RAMP_SIG, method, 6)
         assert thr.value == max(_measured(e, method) for e in past)
 
 
 def test_single_user_threshold():
     past = [_exp(UP, 0)]
-    thr = calibrate_similarity_threshold(past, RAMP_SIG, SimilarityMethod.PCC)
+    thr, cfg = calibrate(past, RAMP_SIG, SimilarityMethod.PCC, 6)
     assert thr.value == _measured(past[0], SimilarityMethod.PCC)
+    assert cfg.frequency_threshold == 1  # the one user ties itself
 
 
 def test_empty_history_rejected():
     with pytest.raises(ValueError):
-        calibrate_similarity_threshold([], RAMP_SIG, SimilarityMethod.PCC)
+        calibrate([], RAMP_SIG, SimilarityMethod.PCC, 6)
 
 
 def test_frequency_threshold_counts_boundary_users():
     # five reversed-ramp users share the worst similarity inside window 0
     past = [_exp(DOWN, s, f"b{s}") for s in range(5)]
     past += [_exp(UP, s, f"g{s}") for s in (0, 3, 6)]
-    thr = calibrate_similarity_threshold(past, RAMP_SIG, SimilarityMethod.PCC)
-    cfg = calibrate_frequency_threshold(past, RAMP_SIG, SimilarityMethod.PCC,
-                                        thr, window_length=6)
+    _, cfg = calibrate(past, RAMP_SIG, SimilarityMethod.PCC, window_length=6)
     assert cfg.frequency_threshold == 5
     assert cfg.window_length == 6
 
@@ -72,18 +69,8 @@ def test_frequency_threshold_counts_boundary_users():
 def test_frequency_threshold_takes_max_over_windows():
     past = [_exp(DOWN, 0), _exp(DOWN, 1)]                 # 2 in window 0
     past += [_exp(DOWN, 6), _exp(DOWN, 7), _exp(DOWN, 6, "x"), _exp(DOWN, 7, "y")]
-    thr = calibrate_similarity_threshold(past, RAMP_SIG, SimilarityMethod.PCC)
-    cfg = calibrate_frequency_threshold(past, RAMP_SIG, SimilarityMethod.PCC,
-                                        thr, window_length=6)
+    _, cfg = calibrate(past, RAMP_SIG, SimilarityMethod.PCC, window_length=6)
     assert cfg.frequency_threshold == 4
-
-
-def test_frequency_threshold_floors_at_one():
-    past = [_exp(UP, 0)]
-    unattained = AnomalyThreshold(SimilarityMethod.PCC, -2.0)
-    cfg = calibrate_frequency_threshold(past, RAMP_SIG, SimilarityMethod.PCC,
-                                        unattained, window_length=6)
-    assert cfg.frequency_threshold == 1
 
 
 # ------------------------------------------------------------- is_anomalous

@@ -106,9 +106,9 @@ def _example_profile(jitter=0.0):
     return QoSProfile("example", workload, seasonal, jitter)
 
 
-def _performance(profile, demand, t, bmap, seed):
+def _performance(profile, demand, t, bmap, seed, grid_length=360):
     """One observation: one node at `demand`, one raw timestamp on grid day `t`."""
-    return float(_performance_matrix(profile, [demand], [[0]], np.array([t]),
+    return float(_performance_matrix(profile, [demand], [[0]], np.array([t]), grid_length,
                                      bmap, np.random.default_rng(seed))[0, 0])
 
 
@@ -119,6 +119,11 @@ def test_performance_matrix_worked_example():
     assert _performance(profile, 0.6, 10, bmap, seed=1) == pytest.approx(1650.0, abs=1e-9)
     # December band adds one percent on top
     assert _performance(profile, 0.6, 340, bmap, seed=1) == pytest.approx(1666.5, abs=1e-9)
+    # on a grid twice as long, every seasonal band is twice as wide
+    assert _performance(profile, 0.6, 659, bmap, seed=1, grid_length=720) == \
+        pytest.approx(1650.0, abs=1e-9)
+    assert _performance(profile, 0.6, 660, bmap, seed=1, grid_length=720) == \
+        pytest.approx(1666.5, abs=1e-9)
 
 
 def test_zero_jitter_ignores_seed():

@@ -125,23 +125,14 @@ def test_only_tests_use_what_is_listed_as_test_only():
     assert test_only == set(TEST_ONLY)
 
 
-#: Where sigdrift may call the json module itself: the file layer in
-#: ``core``, and the loaders of the packaged data, which is not a file path.
-JSON_CALLERS = {("datagen", "default_baseline"), ("datagen", "default_profiles")}
-
-
 def test_json_files_are_read_and_written_only_through_core():
-    callers = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.stem == "core":
-            continue
-        for top in ast.parse(path.read_text(encoding="utf-8")).body:
-            for node in ast.walk(top):
-                if ((isinstance(node, ast.ImportFrom) and node.module == "json")
-                        or (isinstance(node, ast.Attribute) and node.attr in ("loads", "dumps")
-                            and isinstance(node.value, ast.Name) and node.value.id == "json")):
-                    callers.add((path.stem, getattr(top, "name", "<module>")))
-    assert callers <= JSON_CALLERS
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if ((isinstance(node, ast.Import) and any(a.name == "json" for a in node.names))
+                    or (isinstance(node, ast.ImportFrom) and node.module == "json")):
+                importers.add(path.stem)
+    assert importers == {"core"}
 
 
 def test_cli_import_leaves_out_the_process_pool():

@@ -94,16 +94,19 @@ def test_floor_fold_is_mod_two(x):
 
 
 @settings(max_examples=60, deadline=None)
-@given(stretch=st.sampled_from([1, 2]), nodes=st.integers(1, 6),
-       scale=st.floats(2.0, 4.0), trace_seed=st.integers(0, 2**32 - 1),
-       perf_seed=st.integers(0, 2**32 - 1))
-def test_provider_signatures_match_the_point_at_a_time_build(stretch, nodes, scale,
-                                                             trace_seed, perf_seed):
-    profiles = _stretched(stretch)
-    grid = TimeGrid(360 * stretch)
+@given(length=st.sampled_from([360, 720, 1000]), prestretched=st.booleans(),
+       nodes=st.integers(1, 6), scale=st.floats(2.0, 4.0),
+       trace_seed=st.integers(0, 2**32 - 1), perf_seed=st.integers(0, 2**32 - 1))
+def test_provider_signatures_match_the_point_at_a_time_build(length, prestretched, nodes,
+                                                             scale, trace_seed, perf_seed):
+    """The program stretches the packaged seasonal maps over the grid itself,
+    and leaves maps that already span the grid as they are."""
+    stretched = _stretched(length / 360)
+    grid = TimeGrid(length)
     trace = synthesize_trace(nodes, int(grid.length * scale), trace_seed)
-    got = build_provider_signatures(profiles, trace, grid, seed=perf_seed)
-    want = _ref_build(profiles, trace, grid, perf_seed)
+    got = build_provider_signatures(stretched if prestretched else default_profiles(),
+                                    trace, grid, seed=perf_seed)
+    want = _ref_build(stretched, trace, grid, perf_seed)
     assert [s.provider_id for s in got] == [s.provider_id for s in want]
     for a, b in zip(got, want):
         assert a.parameters == b.parameters and a.grid == b.grid

@@ -10,6 +10,7 @@ provenance and the learned ratios must come out the same.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,7 +18,7 @@ from sigdrift.core import Signature, TimeGrid, check_stack, population_std
 from sigdrift.datagen import CorpusParams, Label, LabeledPair, _noise_counts, build_corpus
 from sigdrift.evaluate import learn_monitoring_profiles
 from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
-                               SpikeNoise, learn_noise_profile, spec_to_dict)
+                               SpikeNoise, inject, learn_noise_profile, spec_to_dict)
 
 from conftest import unit_signature, wavy_row
 
@@ -116,6 +117,17 @@ def _profile_bits(profile):
 
 
 # ---------------------------------------------------------------- tests
+
+@pytest.mark.parametrize("spec", [SpikeNoise(40, 3, 7.0), AttenuationNoise(0.95),
+                                  DistortionNoise(20.0)])
+def test_inject_matches_the_row_at_a_time_reference(spec):
+    sig = _bases(1, 2, 120, 5)[0]
+    for seed in (0, 1, 2**63):
+        got, want = inject(sig, spec, seed), _ref_inject(sig, spec, seed)
+        assert got.matrix.tobytes() == want.matrix.tobytes()
+        assert (got.parameters, got.grid, got.provider_id) == (
+            want.parameters, want.grid, want.provider_id)
+
 
 CORPUS_CASE = dict(
     count=st.integers(2, 4), rows=st.sampled_from([1, 3]),

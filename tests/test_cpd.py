@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from sigdrift.core import TrialExperience
 from sigdrift.cpd import (AnomalyThreshold, ChangePoint, EventConfig, calibrate,
                           detect_events, is_anomalous, read_flags, write_flags)
 from sigdrift.errors import AlignmentError, ParseError
-from sigdrift.similarity import SimilarityMethod, normalize, similarity
+from sigdrift.similarity import SimilarityMethod, similarity
 
 from conftest import unit_signature
 
@@ -21,8 +23,9 @@ def _exp(values, start, user="u"):
 
 
 def _measured(exp, method):
+    """The similarity of a user's trial, scaled to unit std by ``np.std``."""
     seg = RAMP_SIG.row("cpu").values[exp.trial_start:exp.trial_start + 4]
-    return similarity(seg, normalize(exp.values), method)
+    return similarity(seg, exp.values / np.std(exp.values), method)
 
 
 # ------------------------------------------------------- threshold calibration
@@ -50,6 +53,21 @@ def test_single_user_threshold():
     thr, cfg = calibrate(past, RAMP_SIG, SimilarityMethod.PCC, 6)
     assert thr.value == _measured(past[0], SimilarityMethod.PCC)
     assert cfg.frequency_threshold == 1  # the one user ties itself
+
+
+@pytest.mark.parametrize("method", list(SimilarityMethod))
+def test_calibration_matches_a_reference_that_scales_by_np_std(method):
+    rng = np.random.default_rng(11)
+    past = [_exp(UP, 0), _exp(DOWN, 2), _exp(DOWN, 3, "d"), _exp(UP * 3.0 + 1.0, 4)]
+    past += [_exp(rng.normal(size=4) * 10.0 ** rng.uniform(-3, 3) + 2.0, s, f"r{s}")
+             for s in range(8)]
+    thr, cfg = calibrate(past, RAMP_SIG, method, 6)
+    sims = [_measured(e, method) for e in past]
+    assert [is_anomalous(e, RAMP_SIG, thr)[1].hex() for e in past] == [s.hex() for s in sims]
+    worst = min(sims) if method.higher_is_more_similar else max(sims)
+    assert thr.value.hex() == worst.hex()
+    ties = Counter(e.trial_start // 6 for e, s in zip(past, sims) if s == worst)
+    assert cfg.frequency_threshold == max(ties.values())
 
 
 def test_empty_history_rejected():

@@ -125,6 +125,43 @@ def test_only_tests_use_what_is_listed_as_test_only():
     assert test_only == set(TEST_ONLY)
 
 
+def _members() -> set[tuple[str, str]]:
+    """(class, name) for each method, property and classmethod of a
+    module-level class of the package; dunder methods are left out."""
+    members = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                members |= {(node.name, item.name) for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not (item.name.startswith("__") and item.name.endswith("__"))}
+    return members
+
+
+def _attributes_read(paths) -> set[str]:
+    """Every name read as an attribute (``x.name``) in `paths`."""
+    return {node.attr for path in paths
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+
+
+#: Class members that only tests read, each with the reason it stays.
+TEST_ONLY_MEMBERS = {
+    ("SnrValue", "unbounded"): "the spelling of an unbounded SNR in tests",
+    ("SnrValue", "db"): "the dB reading that C3 checks AWGN with, as `snr` is the ratio",
+    ("WorkloadTrace", "demands"): "the demand fractions tests compare the trace with",
+}
+
+
+def test_every_class_member_is_read_by_the_program_or_listed():
+    """A member is in use when its name is read as an attribute in the
+    package or the benchmark (by name: the receiver's type is not known,
+    so a name any class shares counts for all of them).  The rest must be
+    listed, with the reason that tests alone keep them."""
+    read = _attributes_read([*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")])
+    assert {member for member in _members() if member[1] not in read} == set(TEST_ONLY_MEMBERS)
+
+
 def test_json_files_are_read_and_written_only_through_core():
     importers = set()
     for path in PACKAGE.glob("*.py"):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -49,6 +50,34 @@ def test_spec_round_trip(tmp_path, spec):
     path = tmp_path / "spec.json"
     write_spec(spec, path)
     assert read_spec(path) == spec
+
+
+@pytest.mark.parametrize("spec, payload", [
+    (SpikeNoise(position=100, width=4, magnitude=2.5),
+     {"kind": "spike", "position": 100, "width": 4, "magnitude": 2.5}),
+    (AttenuationNoise(factor=0.95), {"kind": "attenuation", "factor": 0.95}),
+    (DistortionNoise(target_snr_db=17.0), {"kind": "distortion", "target_snr_db": 17.0}),
+])
+def test_spec_dict_is_the_kind_then_the_fields_in_order(spec, payload):
+    got = spec_to_dict(spec)
+    assert got == payload
+    assert list(got) == list(payload)
+
+
+@pytest.mark.parametrize("payload, omitted", [
+    ({"kind": "spike", "position": 7}, {"width", "magnitude"}),
+    ({"kind": "spike", "position": 7, "magnitude": 2.0}, {"width"}),
+    ({"kind": "spike", "position": 7, "width": 1}, {"magnitude"}),
+    ({"kind": "distortion"}, {"target_snr_db"}),
+])
+def test_omitted_spec_fields_take_the_dataclass_defaults(payload, omitted):
+    spec = spec_from_dict(payload)
+    defaults = {f.name: f.default for f in fields(spec) if f.name in omitted}
+    assert set(defaults) == omitted
+    for name, default in defaults.items():
+        value = getattr(spec, name)
+        assert type(value) is type(default) and value == default
+    assert spec == type(spec)(**{k: v for k, v in payload.items() if k != "kind"})
 
 
 def test_bad_spec_dict():

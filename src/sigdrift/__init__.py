@@ -6,8 +6,8 @@ This package builds signatures from trial data, injects controlled
 measurement noise, and decides whether a recomputed signature reflects
 real change or merely a noisy view of the same behaviour.
 """
-from .core import (QoSSeries, Signature, TimeGrid, TrialExperience,
-                   population_std, read_signature, write_signature)
+from .core import (QoSSeries, Signature, TimeGrid, TrialExperience, read_signature,
+                   write_signature)
 from .cpd import (AnomalyThreshold, ChangePoint, EventConfig, calibrate,
                   detect_events, is_anomalous)
 from .datagen import (CorpusParams, Label, LabeledPair, build_corpus,
@@ -60,7 +60,6 @@ __all__ = [
     "is_anomalous",
     "learn_noise_profile",
     "paa",
-    "population_std",
     "read_signature",
     "run_experiment",
     "sensitivity_analysis",

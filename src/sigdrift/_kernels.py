@@ -2,15 +2,15 @@
 
 ``tests/test_kernels.py`` pins both outputs bit for bit: verdicts that sit
 on a threshold are decided by rounding, so summation order matters.  The
-per-pair code here, in ``similarity``, ``noisegen`` and ``core`` cuts
-numpy calls only in ways that keep every sum the same
-(``tests/test_parity.py`` checks each against the plain numpy form):
+per-pair code here, in ``similarity`` and in ``noisegen`` cuts numpy
+calls only in ways that keep every sum the same (``tests/test_parity.py``
+checks each against the plain numpy form):
 
 - ``cumsum`` and ``ufunc.accumulate`` along an axis add in sequence, so
   one call on stacked rows equals one call per row.
 - ``np.add.reduce(a, axis) / n`` is the ufunc sequence ``a.mean(axis)``
   runs (pairwise summation along a contiguous axis), without its Python
-  wrapper; ``core._std`` does the same for ``a.std(axis)``.
+  wrapper.
 - Not allowed until rounding-decided verdicts are handled explicitly:
   ``einsum``, and dot products reordered or moved off BLAS ``@``, which
   round differently.

@@ -31,19 +31,6 @@ _CONSTANT_EPS = 1e-12
 BLOCK_BYTES = 1 << 17
 
 
-def _std(arr: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """Population std over `axis` (all axes when None): the ufunc sequence
-    ``ndarray.std`` runs, without its Python wrapper, so bit-identical."""
-    n = arr.size if axis is None else arr.shape[axis]
-    d = arr - np.add.reduce(arr, axis=axis, keepdims=True) / n
-    return np.sqrt(np.add.reduce(np.square(d, out=d), axis=axis) / n)
-
-
-def population_std(values: np.ndarray) -> float:
-    """Population (ddof=0) standard deviation."""
-    return float(_std(np.asarray(values, dtype=np.float64)))
-
-
 def block_slices(count: int, item_bytes: int) -> list[slice]:
     """Slices of ``range(count)``, each covering about ``BLOCK_BYTES`` of
     items that take ``item_bytes`` each (at least one item per slice)."""
@@ -63,7 +50,7 @@ def check_stack(stack: np.ndarray, parameters: tuple[str, ...]) -> np.ndarray:
     """
     finite = np.isfinite(stack).all(axis=(1, 2))
     ok = finite.size if finite.all() else int(finite.argmin())
-    stds = _std(stack[:ok], axis=-1)
+    stds = stack[:ok].std(axis=-1)
     constant = np.flatnonzero(stds.ravel() <= _CONSTANT_EPS)
     if constant.size:
         raise ConstantSeriesError(f"row {parameters[constant[0] % stack.shape[1]]!r} is "

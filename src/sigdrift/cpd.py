@@ -11,9 +11,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import Signature, TrialExperience, read_csv, write_csv
+from .core import Signature, TrialExperience, read_csv, unit_rows, write_csv
 from .errors import AlignmentError, ParseError
-from .similarity import SimilarityMethod, normalize, similarity
+from .similarity import SimilarityMethod, similarity
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,8 @@ def _experience_similarity(exp: TrialExperience, sig: Signature,
     if start + length > sig.grid.length:
         raise AlignmentError("trial window exceeds the grid")
     segment = row.values[start:start + length]
-    return similarity(segment, normalize(exp.values), method)
+    # Scaled to unit std, and checked, as a signature row is.
+    return similarity(segment, unit_rows(exp.values[None], (exp.parameter,))[0], method)
 
 
 def calibrate(past, sig: Signature, method: SimilarityMethod,

@@ -28,8 +28,7 @@ import numpy as np
 from .core import (Signature, TimeGrid, block_slices, check_stack, json_list, json_number,
                    json_text, parse_json, unit_rows, write_csv, write_text)
 from .errors import AlignmentError, ParseError
-from .noisegen import (AttenuationNoise, DistortionNoise, NoiseSpec,
-                       SpikeNoise, apply_noise, spec_to_dict)
+from .noisegen import AttenuationNoise, DistortionNoise, NoiseSpec, SpikeNoise, spec_to_dict
 from .signature import paa, paa_boundaries
 
 
@@ -65,11 +64,6 @@ class WorkloadTrace:
     @property
     def length(self) -> int:
         return int(self.cores.shape[1])
-
-    @property
-    def demands(self) -> np.ndarray:
-        """Demand fractions in [0, 1]: ``cores / CORES_TOTAL``."""
-        return self.cores / CORES_TOTAL
 
 
 def synthesize_trace(nodes: int, length: int, seed: int) -> WorkloadTrace:
@@ -387,7 +381,7 @@ def _build_pairs(bases: list[Signature], base_of: list[int],
             if isinstance(edit, _Splice):
                 values[:, edit.start:edit.stop] = matrices[edit.donor, :, edit.start:edit.stop]
             else:
-                apply_noise(values, bases[base].row_stds, edit, provenance["seed"])
+                edit.apply(values, bases[base].row_stds, provenance["seed"])
         row_stds = check_stack(stack, first.parameters)
         stack.setflags(write=False)
 
@@ -428,6 +422,9 @@ class CorpusParams:
             raise ValueError("attenuation factor range must sit inside (0, 1)")
         if self.changed_segment < 1 or self.changed_segment >= self.grid_length:
             raise ValueError("changed segment must fit inside the grid")
+        if self.spike_width > self.grid_length:
+            raise ValueError(f"spike_width = {self.spike_width} exceeds "
+                             f"grid_length = {self.grid_length}")
 
 
 def base_signature_seeds(seed: int) -> tuple[int, np.random.SeedSequence]:

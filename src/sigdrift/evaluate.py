@@ -116,6 +116,9 @@ class ExperimentConfig:
             raise ValueError("monitor fraction must be in (0, 1]")
         if self.snr_segments < 1:
             raise ValueError("need at least one SNR segment")
+        if self.thresholds.window >= self.corpus.grid_length - 1:
+            raise ValueError(f"scan_window = {self.thresholds.window} must be less than "
+                             f"grid_length - 1 = {self.corpus.grid_length - 1}")
 
     def to_dict(self) -> dict:
         payload = asdict(self)

@@ -8,7 +8,8 @@ deterministic for a given (spec, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from typing import get_args
 
 import numpy as np
 
@@ -16,6 +17,11 @@ from .core import (Signature, json_integer, json_list, json_number, json_text, r
                    write_text)
 from .errors import AlignmentError, ParseError
 
+
+# Each noise kind is one class: its ``kind`` name, its fields with their
+# defaults (a spec file may omit a field that has one), and its effect,
+# ``apply(matrix, row_stds, seed)``, in place on every row of a
+# ``(rows, L)`` matrix whose rows have population stds ``row_stds``.
 
 @dataclass(frozen=True)
 class SpikeNoise:
@@ -34,6 +40,12 @@ class SpikeNoise:
         if self.magnitude <= 0:
             raise ValueError("spike magnitude must be positive")
 
+    def apply(self, matrix: np.ndarray, row_stds: np.ndarray, seed: int) -> None:
+        """Sized by the rows before the spike; draws no random numbers."""
+        if self.position + self.width > matrix.shape[1]:
+            raise ValueError("spike window exceeds the grid")
+        matrix[:, self.position:self.position + self.width] += self.magnitude * row_stds[:, None]
+
 
 @dataclass(frozen=True)
 class AttenuationNoise:
@@ -46,6 +58,9 @@ class AttenuationNoise:
         if not 0.0 < self.factor < 1.0:
             raise ValueError("attenuation factor must be in (0, 1)")
 
+    def apply(self, matrix: np.ndarray, row_stds: np.ndarray, seed: int) -> None:
+        matrix *= self.factor
+
 
 @dataclass(frozen=True)
 class DistortionNoise:
@@ -54,33 +69,34 @@ class DistortionNoise:
     target_snr_db: float = 20.0
     kind = "distortion"
 
+    def apply(self, matrix: np.ndarray, row_stds: np.ndarray, seed: int) -> None:
+        """A generator seeded with `seed` draws the noise row after row."""
+        rng = np.random.default_rng(seed)
+        powers = np.add.reduce(np.square(matrix), axis=1) / matrix.shape[1]
+        for values, power in zip(matrix, powers.tolist()):
+            sigma = math.sqrt(power / (10.0 ** (self.target_snr_db / 10.0)))
+            values += rng.normal(0.0, sigma, size=values.size)
+
 
 NoiseSpec = SpikeNoise | AttenuationNoise | DistortionNoise
+NOISE_KINDS = {cls.kind: cls for cls in get_args(NoiseSpec)}
+#: How a spec file's value is read for each field annotation.
+_FIELD_READERS = {"int": json_integer, "float": json_number}
 
 
 def spec_to_dict(spec: NoiseSpec) -> dict:
-    if isinstance(spec, SpikeNoise):
-        return {"kind": "spike", "position": spec.position,
-                "width": spec.width, "magnitude": spec.magnitude}
-    if isinstance(spec, AttenuationNoise):
-        return {"kind": "attenuation", "factor": spec.factor}
-    if isinstance(spec, DistortionNoise):
-        return {"kind": "distortion", "target_snr_db": spec.target_snr_db}
-    raise TypeError(f"not a noise spec: {spec!r}")
+    """The kind, then the fields in order (``vars``: no deep copy)."""
+    return {"kind": spec.kind, **vars(spec)}
 
 
 def spec_from_dict(payload: dict) -> NoiseSpec:
     try:
         kind = payload["kind"]
-        if kind == "spike":
-            return SpikeNoise(json_integer(payload["position"], "position"),
-                              json_integer(payload.get("width", 3), "width"),
-                              json_number(payload.get("magnitude", 5.0), "magnitude"))
-        if kind == "attenuation":
-            return AttenuationNoise(json_number(payload["factor"], "factor"))
-        if kind == "distortion":
-            return DistortionNoise(json_number(payload.get("target_snr_db", 20.0),
-                                               "target_snr_db"))
+        cls = NOISE_KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is not None:
+            return cls(**{f.name: _FIELD_READERS[f.type](payload[f.name], f.name)
+                          for f in fields(cls)
+                          if f.name in payload or f.default is MISSING})
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad noise spec {payload!r}: {exc}") from None
     raise ParseError(f"unknown noise kind {kind!r}")
@@ -94,32 +110,10 @@ def write_spec(spec: NoiseSpec, path) -> None:
     write_text(path, json_text(spec_to_dict(spec)))
 
 
-def apply_noise(matrix: np.ndarray, row_stds: np.ndarray, spec: NoiseSpec,
-                seed: int) -> None:
-    """Apply a noise spec in place to every row of a ``(rows, L)`` matrix
-    whose rows have population stds ``row_stds`` (a spike is sized by the
-    untouched row).  Only distortion draws random numbers: a generator
-    seeded with `seed` draws them row after row."""
-    if isinstance(spec, SpikeNoise):
-        if spec.position + spec.width > matrix.shape[1]:
-            raise ValueError("spike window exceeds the grid")
-        matrix[:, spec.position:spec.position + spec.width] += spec.magnitude * row_stds[:, None]
-    elif isinstance(spec, AttenuationNoise):
-        matrix *= spec.factor
-    elif isinstance(spec, DistortionNoise):
-        rng = np.random.default_rng(seed)
-        powers = np.add.reduce(np.square(matrix), axis=1) / matrix.shape[1]
-        for values, power in zip(matrix, powers.tolist()):
-            sigma = math.sqrt(power / (10.0 ** (spec.target_snr_db / 10.0)))
-            values += rng.normal(0.0, sigma, size=values.size)
-    else:
-        raise TypeError(f"not a noise spec: {spec!r}")
-
-
 def inject(sig: Signature, spec: NoiseSpec, seed: int) -> Signature:
-    """A copy of `sig` with `spec` applied to every row by :func:`apply_noise`."""
+    """A copy of `sig` with `spec` applied to every row."""
     matrix = sig.matrix.copy()
-    apply_noise(matrix, sig.row_stds, spec, seed)
+    spec.apply(matrix, sig.row_stds, seed)
     return Signature(sig.parameters, matrix, sig.grid, sig.provider_id)
 
 
@@ -137,10 +131,6 @@ class SnrValue:
     def __post_init__(self):
         if not self.ratio >= 0.0:  # also false for NaN
             raise ValueError("SNR ratio must be non-negative")
-
-    @classmethod
-    def unbounded(cls) -> "SnrValue":
-        return cls(math.inf)
 
     @property
     def infinite(self) -> bool:

@@ -1,4 +1,4 @@
-"""Normalization and the four series similarity measures.
+"""The four series similarity measures.
 
 PCC and CS read "higher is more similar"; ED and RMSE are distances and
 read the other way.  Callers that need one code path use
@@ -41,15 +41,6 @@ def _pair(a, b, minimum: int = 1) -> tuple[np.ndarray, np.ndarray]:
     if x.size != y.size:
         raise AlignmentError(f"series lengths differ: {x.size} vs {y.size}")
     return x, y
-
-
-def normalize(values) -> np.ndarray:
-    """Scale a series to unit population standard deviation."""
-    arr = _series(values, 2)
-    std = float(arr.std())
-    if std <= 1e-12:
-        raise ConstantSeriesError("cannot normalize a constant series")
-    return arr / std
 
 
 def euclidean(a, b) -> float:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sigdrift.core import Signature, TimeGrid, population_std
+from sigdrift.core import Signature, TimeGrid
 
 
 def raw_signature(matrix, provider_id="prov", parameters=None, resolution="day"):
@@ -22,7 +22,7 @@ def unit_signature(matrix, provider_id="prov", parameters=None):
         matrix = matrix[None, :]
     if parameters is None:
         parameters = [f"q{i}" for i in range(matrix.shape[0])]
-    rows = [row / population_std(row) for row in matrix]
+    rows = [row / np.std(row) for row in matrix]
     return Signature(tuple(parameters), rows, TimeGrid(matrix.shape[1]), provider_id)
 
 

@@ -424,19 +424,37 @@ def test_sensitivity_tiny_run(tmp_path):
     ("sensitivity", "--levels", "0.5,0.5", "each once"),
     ("evaluate", "--jobs", "-3", "0 (one worker per core) or positive"),
     ("sensitivity", "--jobs", "-3", "0 (one worker per core) or positive"),
+    pytest.param("gen-data", "--spike-width", "400",
+                 "spike_width = 400 exceeds grid_length = 360", id="gen-data-spike-width"),
+    pytest.param("evaluate", "--spike-width", "400",
+                 "spike_width = 400 exceeds grid_length = 360", id="evaluate-spike-width"),
+    pytest.param("gen-data", "--config",
+                 "grid_length = 12\nchanged_segment = 3\nspike_width = 20\n",
+                 "spike_width = 20 exceeds grid_length = 12", id="gen-data-small-grid"),
+    pytest.param("evaluate", "--config", "scan_window = 359\n",
+                 "scan_window = 359 must be less than grid_length - 1 = 359",
+                 id="evaluate-scan-window"),
 ])
 def test_bad_list_or_jobs_setting_exits_1_before_any_work(tmp_path, monkeypatch, caplog,
                                                           command, flag, value, message):
+    import sigdrift.cli as cli
     import sigdrift.evaluate as evaluate
 
     def no_work(*args, **kwargs):
-        raise AssertionError("a repeat started")
+        raise AssertionError("work started")
     monkeypatch.setattr(evaluate, "build_base_signatures", no_work)
-    out = tmp_path / "r.json"
-    assert main([command, "--seed", "1", "--jobs", "1", "--n-changed", "8",
-                 "--n-noisy", "8", "--repeats", "1", "--sample-sizes", "8",
+    monkeypatch.setattr(cli, "synthesize_trace", no_work)
+    if flag == "--config":
+        (tmp_path / "run.cfg").write_text(value)
+        value = str(tmp_path / "run.cfg")
+    # The report, or for gen-data the output directory.
+    out = tmp_path / "out"
+    run = [] if command == "gen-data" else ["--jobs", "1", "--repeats", "1",
+                                            "--sample-sizes", "8"]
+    assert main([command, "--seed", "1", "--n-changed", "8", "--n-noisy", "8", *run,
                  flag, value, "--out", str(out)]) == 1
-    assert message in caplog.text
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and message in errors[0]
     assert not out.exists()
 
 

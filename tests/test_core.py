@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sigdrift.core import (QoSSeries, Signature, TimeGrid, TrialExperience, json_text,
-                           population_std, read_signature, write_signature)
+                           read_signature, write_signature)
 from sigdrift.errors import ConstantSeriesError, ParseError
 
 from conftest import raw_signature, unit_signature, wavy_row
@@ -12,7 +12,7 @@ from conftest import raw_signature, unit_signature, wavy_row
 
 def test_population_std_is_ddof_zero():
     # mean 2.5, squared deviations (2.25, .25, .25, 2.25) -> var 1.25
-    assert population_std(np.array([1.0, 2.0, 3.0, 4.0])) == pytest.approx(
+    assert raw_signature([[1.0, 2.0, 3.0, 4.0]]).row_stds[0] == pytest.approx(
         math.sqrt(1.25), abs=1e-15)
 
 
@@ -110,7 +110,7 @@ def test_read_renormalizes_off_unit_rows(tmp_path):
     path.write_text("parameter,t0,t1,t2,t3\ncpu,0.5,-0.5,1.5,-1.5\n")
     sig = read_signature(path)
     # population std of the raw row is sqrt(1.25) ~ 1.118; reader rescales
-    assert abs(population_std(sig.matrix[0]) - 1.0) < 1e-12
+    assert abs(np.std(sig.matrix[0]) - 1.0) < 1e-12
     np.testing.assert_allclose(
         sig.matrix[0], np.array([0.5, -0.5, 1.5, -1.5]) / math.sqrt(1.25))
 
@@ -156,4 +156,4 @@ def test_file_has_header_and_one_line_per_row(tmp_path):
 def test_raw_signature_helper_keeps_values():
     sig = raw_signature([[1.0, 2.0, 4.0]])
     np.testing.assert_array_equal(sig.matrix[0], [1.0, 2.0, 4.0])
-    assert abs(population_std(sig.matrix[0]) - 1.0) > 1e-9
+    assert abs(np.std(sig.matrix[0]) - 1.0) > 1e-9

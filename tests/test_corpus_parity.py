@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigdrift.core import Signature, TimeGrid, check_stack, population_std
+from sigdrift.core import Signature, TimeGrid, check_stack
 from sigdrift.datagen import CorpusParams, Label, LabeledPair, _noise_counts, build_corpus
 from sigdrift.evaluate import learn_monitoring_profiles
 from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
@@ -186,7 +186,7 @@ def test_row_stds_are_population_std_of_each_row(rows, length, pairs, seed, scal
     for p in range(pairs):
         sig = Signature(names, stack[p], TimeGrid(length))
         for r in range(rows):
-            want = np.float64(population_std(stack[p, r])).tobytes()
+            want = np.std(stack[p, r]).tobytes()
             assert sig.row_stds[r].tobytes() == want
             assert stacked[p, r].tobytes() == want
     assert not sig.row_stds.flags.writeable and not stacked.flags.writeable

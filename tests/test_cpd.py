@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from sigdrift.core import TrialExperience
 from sigdrift.cpd import (AnomalyThreshold, ChangePoint, EventConfig, calibrate,
                           detect_events, is_anomalous, read_flags, write_flags)
-from sigdrift.errors import AlignmentError, ParseError
+from sigdrift.errors import AlignmentError, ConstantSeriesError, ParseError
 from sigdrift.similarity import SimilarityMethod, similarity
 
 from conftest import unit_signature
@@ -68,6 +68,11 @@ def test_calibration_matches_a_reference_that_scales_by_np_std(method):
     assert thr.value.hex() == worst.hex()
     ties = Counter(e.trial_start // 6 for e, s in zip(past, sims) if s == worst)
     assert cfg.frequency_threshold == max(ties.values())
+
+
+def test_a_constant_trial_is_an_error_naming_its_parameter():
+    with pytest.raises(ConstantSeriesError, match="row 'cpu' is constant"):
+        calibrate([_exp(UP, 0), _exp([2.0] * 4, 2)], RAMP_SIG, SimilarityMethod.PCC, 6)
 
 
 def test_empty_history_rejected():

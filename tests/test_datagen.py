@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sigdrift.core import Signature, TimeGrid, population_std
+from sigdrift.core import Signature, TimeGrid
 from sigdrift.datagen import (CORES_TOTAL, BaselineMap, CorpusParams, IntervalRule, Label,
                               QoSProfile, WorkloadTrace, _performance_matrix,
                               baseline_performance, build_base_signatures, build_corpus,
@@ -18,20 +18,19 @@ from sigdrift.similarity import pcc
 
 def test_synthesize_trace_matches_frame():
     trace = synthesize_trace(31, 6486, seed=0)
-    assert trace.demands.shape == (31, 6486)
-    assert trace.demands.min() >= 0.0
-    assert trace.demands.max() <= 1.0
+    demands = trace.cores / CORES_TOTAL
+    assert demands.shape == (31, 6486)
+    assert demands.min() >= 0.0
+    assert demands.max() <= 1.0
     again = synthesize_trace(31, 6486, seed=0)
-    np.testing.assert_array_equal(trace.demands, again.demands)
-    assert not np.array_equal(trace.demands,
-                              synthesize_trace(31, 6486, seed=1).demands)
+    np.testing.assert_array_equal(trace.cores, again.cores)
+    assert not np.array_equal(trace.cores, synthesize_trace(31, 6486, seed=1).cores)
 
 
 def test_trace_holds_whole_cores():
     trace = synthesize_trace(3, 40, seed=2)
     assert np.issubdtype(trace.cores.dtype, np.integer)
     assert 0 <= trace.cores.min() and trace.cores.max() <= CORES_TOTAL
-    assert trace.demands.tobytes() == (trace.cores / CORES_TOTAL).tobytes()
     assert not trace.cores.flags.writeable
     cores = np.array([[0, CORES_TOTAL]])
     trace = WorkloadTrace(("n",), cores)
@@ -62,7 +61,7 @@ def test_trace_round_trip(tmp_path):
     assert [(r[0], int(r[1])) for r in rows] == [
         (node, t) for node in trace.node_ids for t in range(trace.length)]
     demands = np.array([int(r[2]) / int(r[3]) for r in rows])
-    np.testing.assert_allclose(demands.reshape(trace.demands.shape), trace.demands,
+    np.testing.assert_allclose(demands.reshape(trace.cores.shape), trace.cores / CORES_TOTAL,
                                atol=1e-12)
 
 
@@ -197,7 +196,7 @@ def test_build_provider_signatures_shape_and_determinism():
     assert len(sigs) == 5
     for sig in sigs:
         assert sig.grid.length == 360
-        assert abs(population_std(sig.matrix[0]) - 1.0) < 1e-9
+        assert abs(np.std(sig.matrix[0]) - 1.0) < 1e-9
     again = build_provider_signatures(profiles, trace, grid, seed=11)
     for a, b in zip(sigs, again):
         np.testing.assert_array_equal(a.matrix, b.matrix)

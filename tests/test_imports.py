@@ -105,7 +105,6 @@ def test_every_module_level_definition_is_referenced():
 #: stays.  Anything else that only tests use is dead code kept alive by
 #: its own tests.  Re-exports in ``__init__`` do not count as uses.
 TEST_ONLY = {
-    ("core", "population_std"): "reference implementation of the row std",
     ("noisegen", "learn_noise_profile"): "reference implementation of profile learning",
     ("noisegen", "write_spec"): "format writer that tests build noise-spec files with",
     ("cpd", "write_flags"): "format writer that tests build anomaly-flag files with",
@@ -147,9 +146,7 @@ def _attributes_read(paths) -> set[str]:
 
 #: Class members that only tests read, each with the reason it stays.
 TEST_ONLY_MEMBERS = {
-    ("SnrValue", "unbounded"): "the spelling of an unbounded SNR in tests",
     ("SnrValue", "db"): "the dB reading that C3 checks AWGN with, as `snr` is the ratio",
-    ("WorkloadTrace", "demands"): "the demand fractions tests compare the trace with",
 }
 
 

@@ -15,6 +15,7 @@ import contextlib
 import io
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ def valid(tmp_path_factory):
     write_flags([(0, True, 0.25), (1, True, 0.5), (3, False, 0.75)], root / "flags.csv")
     write_spec(SpikeNoise(position=2, width=3, magnitude=4.0), root / "spike.json")
     write_spec(AttenuationNoise(factor=0.9), root / "attenuation.json")
-    write_profile(NoiseProfile((SnrValue(100.0), SnrValue.unbounded()), GRID // 2),
+    write_profile(NoiseProfile((SnrValue(100.0), SnrValue(math.inf)), GRID // 2),
                   root / "profile.json")
     return root
 

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigdrift.core import population_std
 from sigdrift.errors import AlignmentError, ParseError
 from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
                                SnrValue, SpikeNoise, inject,
@@ -122,7 +121,7 @@ def test_attenuation_scales_exactly(sig):
     np.testing.assert_array_equal(noisy.matrix[0], 0.8 * sig.matrix[0])
     assert pcc(sig.matrix[0], noisy.matrix[0]) == 1.0
     # result is deliberately left un-renormalized
-    assert abs(population_std(noisy.matrix[0]) - 0.8) < 1e-12
+    assert abs(np.std(noisy.matrix[0]) - 0.8) < 1e-12
 
 
 def test_distortion_hits_target_snr(sig):
@@ -184,8 +183,8 @@ def test_snr_denominator_is_the_mean_square(noise):
 
 def test_snr_value_ordering():
     assert SnrValue(50.0) < SnrValue(100.0)
-    assert SnrValue(50.0) < SnrValue.unbounded()
-    assert not SnrValue.unbounded() < SnrValue(1e9)
+    assert SnrValue(50.0) < SnrValue(math.inf)
+    assert not SnrValue(math.inf) < SnrValue(1e9)
     assert not SnrValue(100.0) < SnrValue(100.0)
     with pytest.raises(ValueError):
         SnrValue(-1.0)
@@ -193,21 +192,21 @@ def test_snr_value_ordering():
 
 
 def test_snr_value_orders_every_finite_ratio_below_unbounded():
-    mixed = [SnrValue(3.0), SnrValue.unbounded(), SnrValue(0.0), SnrValue(1e300), SnrValue(3.0)]
+    mixed = [SnrValue(3.0), SnrValue(math.inf), SnrValue(0.0), SnrValue(1e300), SnrValue(3.0)]
     assert sorted(mixed) == [SnrValue(0.0), SnrValue(3.0), SnrValue(3.0), SnrValue(1e300),
-                             SnrValue.unbounded()]
+                             SnrValue(math.inf)]
     assert min(mixed) == SnrValue(0.0)
-    assert max(mixed) == SnrValue.unbounded()
-    assert min(SnrValue.unbounded(), SnrValue(1e300)) == SnrValue(1e300)
-    assert SnrValue(1e300) < SnrValue.unbounded()
-    assert SnrValue.unbounded() > SnrValue(1e300)
-    assert not SnrValue.unbounded() < SnrValue.unbounded()
+    assert max(mixed) == SnrValue(math.inf)
+    assert min(SnrValue(math.inf), SnrValue(1e300)) == SnrValue(1e300)
+    assert SnrValue(1e300) < SnrValue(math.inf)
+    assert SnrValue(math.inf) > SnrValue(1e300)
+    assert not SnrValue(math.inf) < SnrValue(math.inf)
     assert SnrValue(2.0) == SnrValue(2.0) != SnrValue(2.5)
-    assert SnrValue.unbounded() == SnrValue.unbounded() != SnrValue(1e300)
-    assert SnrValue.unbounded().infinite and SnrValue.unbounded().ratio == math.inf
+    assert SnrValue(math.inf) == SnrValue(math.inf) != SnrValue(1e300)
+    assert SnrValue(math.inf).infinite and SnrValue(math.inf).ratio == math.inf
     assert not SnrValue(1e300).infinite and not SnrValue(0.0).infinite
     assert SnrValue(0.0).db == -math.inf
-    assert SnrValue.unbounded().db == math.inf
+    assert SnrValue(math.inf).db == math.inf
     assert SnrValue(100.0).db == 20.0
 
 
@@ -286,12 +285,12 @@ def test_overflowing_snr_ratio_is_unbounded():
     ratio to inf: the SNR is unbounded, not an error."""
     signal = np.array([[99.0, 0.0]])
     noise = np.array([[5.18e-153, 5.18e-153]])
-    assert snr(signal, noise) == SnrValue.unbounded()
+    assert snr(signal, noise) == SnrValue(math.inf)
     assert snr_ratios(signal, noise, 1).tolist() == [math.inf]
     existing = raw_signature(signal)
     recomputed = raw_signature(signal - noise)
     assert residual(existing, recomputed)[0, 1] == 5.18e-153
-    assert learn_noise_profile(existing, recomputed, 1).segment_snrs == (SnrValue.unbounded(),)
+    assert learn_noise_profile(existing, recomputed, 1).segment_snrs == (SnrValue(math.inf),)
 
 
 def test_profile_grid_must_split_into_whole_segments():
@@ -303,7 +302,7 @@ def test_profile_grid_must_split_into_whole_segments():
 
 
 def test_profile_round_trip_with_infinities(tmp_path):
-    profile = NoiseProfile((SnrValue(123.456), SnrValue.unbounded()), 60)
+    profile = NoiseProfile((SnrValue(123.456), SnrValue(math.inf)), 60)
     payload = profile_to_dict(profile)
     assert payload["segment_snrs"] == [123.456, None]
     assert profile_from_dict(payload) == profile
@@ -316,7 +315,7 @@ def test_profile_round_trip_with_infinities(tmp_path):
 def test_profile_file_spells_unbounded_only_as_null(tmp_path, token):
     path = tmp_path / "profile.json"
     path.write_text('{"segment_length": 60, "segment_snrs": [5.0, null]}\n', encoding="utf-8")
-    assert read_profile(path) == NoiseProfile((SnrValue(5.0), SnrValue.unbounded()), 60)
+    assert read_profile(path) == NoiseProfile((SnrValue(5.0), SnrValue(math.inf)), 60)
     path.write_text(f'{{"segment_length": 60, "segment_snrs": [5.0, {token}]}}\n',
                     encoding="utf-8")
     with pytest.raises(ParseError):

@@ -6,20 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigdrift.errors import AlignmentError, ConstantSeriesError, ZeroVectorError
-from sigdrift.similarity import (SimilarityMethod, cosine, euclidean, normalize,
-                                 pcc, rmse, similarity)
+from sigdrift.similarity import SimilarityMethod, cosine, euclidean, pcc, rmse, similarity
 
 A = np.array([1.0, 2.0, 3.0, 4.0])
-
-
-def test_normalize_scale_only():
-    out = normalize(np.array([2.0, 4.0, 6.0]))
-    np.testing.assert_allclose(out, np.array([2.0, 4.0, 6.0]) / math.sqrt(8 / 3),
-                               atol=1e-12)
-    # idempotent on a unit-std series
-    np.testing.assert_allclose(normalize(out), out, atol=1e-9)
-    with pytest.raises(ConstantSeriesError):
-        normalize(np.array([5.0, 5.0, 5.0]))
 
 
 def test_euclidean_fixtures():

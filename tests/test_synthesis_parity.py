@@ -39,7 +39,7 @@ def _ref_paa(series, target):
 
 
 def _ref_build(profiles, trace, grid, seed):
-    demands = trace.demands
+    demands = trace.cores / CORES_TOTAL
     bounds = _ref_paa_bounds(trace.length, grid.length)
     day_of = np.searchsorted(bounds, np.arange(trace.length), side="right") - 1
     baseline = default_baseline()

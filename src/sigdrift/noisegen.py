@@ -92,6 +92,7 @@ def spec_to_dict(spec: NoiseSpec) -> dict:
 def spec_from_dict(payload: dict) -> NoiseSpec:
     try:
         kind = payload["kind"]
+        # A kind no dict can look up (a list, an object) is unknown too.
         cls = NOISE_KINDS.get(kind) if isinstance(kind, str) else None
         if cls is not None:
             return cls(**{f.name: _FIELD_READERS[f.type](payload[f.name], f.name)

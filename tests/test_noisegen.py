@@ -58,9 +58,7 @@ def test_spec_round_trip(tmp_path, spec):
     (DistortionNoise(target_snr_db=17.0), {"kind": "distortion", "target_snr_db": 17.0}),
 ])
 def test_spec_dict_is_the_kind_then_the_fields_in_order(spec, payload):
-    got = spec_to_dict(spec)
-    assert got == payload
-    assert list(got) == list(payload)
+    assert list(spec_to_dict(spec).items()) == list(payload.items())
 
 
 @pytest.mark.parametrize("payload, omitted", [

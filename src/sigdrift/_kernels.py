@@ -8,9 +8,23 @@ checks each against the plain numpy form):
 
 - ``cumsum`` and ``ufunc.accumulate`` along an axis add in sequence, so
   one call on stacked rows equals one call per row.
+- A ``complex128`` cumsum adds the real parts in sequence and the
+  imaginary parts in sequence (a complex add is one IEEE add per part),
+  so two float series packed as the parts of one complex series get the
+  same prefix sums as two real cumsums, at the cost of one chain.
+  Subtracting complex values is likewise exact per part; multiplying
+  them is not, so products are taken on the float view.
 - ``np.add.reduce(a, axis) / n`` is the ufunc sequence ``a.mean(axis)``
   runs (pairwise summation along a contiguous axis), without its Python
   wrapper.
+- For S − min(S_0..S_t), ``fmin.accumulate`` gives what
+  ``minimum.accumulate`` gives, up to the sign of a zero: the two differ
+  only on NaN (S stays NaN from its first NaN on, so the difference is
+  NaN at the same places) and on which of 0.0 and −0.0 a tie keeps.  A
+  −0.0 difference compares like 0.0, and adding 0.0 to a maximum turns
+  it back into the 0.0 that ``minimum.accumulate`` yields.
+- ``np.maximum``/``np.minimum`` clamp exactly as ``ndarray.clip`` does,
+  NaN included, without its Python wrapper.
 - Not allowed until rounding-decided verdicts are handled explicitly:
   ``einsum``, and dot products reordered or moved off BLAS ``@``, which
   round differently.
@@ -42,31 +56,33 @@ def deletion_pcc_scan(x: np.ndarray, y: np.ndarray, window: int) -> np.ndarray:
     if not 1 <= window < n - 1:
         raise ValueError("window must leave at least two points behind")
 
-    # Centering by the global means keeps the running sums small and the
-    # variance subtraction below well conditioned.
-    terms = np.empty((5, n))  # rows x0, y0, x0*x0, y0*y0, x0*y0
-    xy0 = terms[:2]
-    xy0[0] = x
-    xy0[1] = y
-    xy0 -= np.add.reduce(xy0, axis=1, keepdims=True) / n
-    np.square(xy0, out=terms[2:4])
-    np.multiply(xy0[0], xy0[1], out=terms[4])
+    # Five series in three complex rows, x0|y0, x0*x0|y0*y0 and x0*y0|0,
+    # each after a leading zero.  Centering by the global means keeps the
+    # running sums small and the variance subtraction below well
+    # conditioned.
+    terms = np.zeros((3, n + 1, 2))
+    xy0 = terms[0, 1:]
+    np.subtract(x, np.add.reduce(x) / n, out=xy0[:, 0])
+    np.subtract(y, np.add.reduce(y) / n, out=xy0[:, 1])
+    np.square(xy0, out=terms[1, 1:])
+    np.multiply(xy0[:, 0], xy0[:, 1], out=terms[2, 1:, 0])
 
-    # Prefix sums of each row after a leading zero; then the sums left
-    # over after deleting each block [w, w+window): sx, sy, sxx, syy, sxy.
-    cs = np.zeros((5, n + 1))
-    terms.cumsum(axis=1, out=cs[:, 1:])
+    # Prefix sums, then the sums left over after deleting each block
+    # [w, w+window): sx|sy, sxx|syy, sxy|0.
+    cs = terms.view(np.complex128)[..., 0]
+    np.cumsum(cs[:, 1:], axis=1, out=cs[:, 1:])
     rest = np.subtract(cs[:, window:], cs[:, :-window])
     np.subtract(cs[:, -1:], rest, out=rest)
+    sums = rest.view(np.float64).reshape(3, -1, 2)
 
     m = n - window
-    num = m * rest[4] - rest[0] * rest[1]
-    var = m * rest[2:4] - rest[:2] * rest[:2]  # varx, vary
-    var.clip(0.0, None, out=var)
-    denom = np.sqrt(var[0] * var[1])
+    num = m * sums[2, :, 0] - sums[0, :, 0] * sums[0, :, 1]
+    var = m * sums[1] - sums[0] * sums[0]  # varx|vary
+    np.maximum(var, 0.0, out=var)
+    denom = np.sqrt(var[:, 0] * var[:, 1])
     out = np.full(n - window + 1, np.nan)
     np.divide(num, denom, out=out, where=denom > 0.0)
-    out.clip(-1.0, 1.0, out=out)
+    np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
     return out
 
 
@@ -90,17 +106,21 @@ def cusum_scan(z: np.ndarray, slack: float, threshold: float):
     if z.size == 0:
         return 0.0, 0.0, -1
 
-    a = np.empty((2, z.size))  # the upper side's steps, then the lower's
-    np.subtract(z, slack, out=a[0])
-    np.subtract(-z, slack, out=a[1])
-    s = np.zeros((2, z.size + 1))
-    a.cumsum(axis=1, out=s[:, 1:])
-    # Written over the steps: one large temporary fewer, which on long
-    # rows is most of the cost.
-    sides = np.subtract(s[:, 1:], np.minimum.accumulate(s, axis=1)[:, 1:], out=a)
-    crossed = (sides > threshold).any(axis=0)
+    # Row t+1 holds the upper and lower side's step t (-slack - z is
+    # -z - slack to the bit), row 0 the zero each sum starts from; one
+    # complex cumsum runs both sums.
+    s = np.zeros((z.size + 1, 2))
+    np.subtract(z, slack, out=s[1:, 0])
+    np.subtract(-slack, z, out=s[1:, 1])
+    pairs = s.view(np.complex128)[1:, 0]
+    np.cumsum(pairs, out=pairs)
+    low = np.fmin.accumulate(s, axis=0)
+    sides = np.subtract(s, low, out=low)[1:]
+    # One uint16 per row of bools: non-zero when either side crossed.
+    crossed = (sides > threshold).view(np.uint16)[:, 0] != 0
     alarm = int(crossed.argmax())
     if not crossed[alarm]:
         alarm = -1
-    max_pos, max_neg = sides.max(axis=1).tolist()
-    return max_pos, max_neg, alarm
+    # Column by column: a max over axis 0 of an (n, 2) array runs one
+    # pair at a time.  `+ 0.0` turns a -0.0 that fmin left into 0.0.
+    return float(sides[:, 0].max()) + 0.0, float(sides[:, 1].max()) + 0.0, alarm

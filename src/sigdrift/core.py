@@ -8,6 +8,7 @@ implicitly (detectors must not assume otherwise).
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -268,8 +269,15 @@ def read_json(path, parse):
 # Signature CSV: header "parameter,t0,...,t{L-1}", one row per parameter,
 # floats printed in shortest round-trip form.
 
+@functools.lru_cache(maxsize=8)
+def _signature_header(length: int) -> tuple[str, ...]:
+    """The header cells of a signature file on a ``length``-point grid,
+    built once per length."""
+    return ("parameter", *(f"t{i}" for i in range(length)))
+
+
 def write_signature(sig: Signature, path) -> None:
-    write_csv(path, ["parameter", *(f"t{i}" for i in range(sig.grid.length))],
+    write_csv(path, _signature_header(sig.grid.length),
               [csv_field(name) + "," + ",".join(repr(float(v)) for v in values)
                for name, values in zip(sig.parameters, sig.matrix)])
 
@@ -280,7 +288,7 @@ def read_signature(path) -> Signature:
     path = Path(path)
     header, rows = read_csv(path, "signature")
     length = len(header) - 1
-    if length < 2 or header != ["parameter", *(f"t{i}" for i in range(length))]:
+    if length < 2 or tuple(header) != _signature_header(length):
         raise ParseError(f"{path}: bad header {','.join(header)!r}")
     if not rows:
         raise ParseError(f"{path}: no data rows")

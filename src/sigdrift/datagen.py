@@ -422,6 +422,10 @@ class CorpusParams:
             raise ValueError("attenuation factor range must sit inside (0, 1)")
         if self.changed_segment < 1 or self.changed_segment >= self.grid_length:
             raise ValueError("changed segment must fit inside the grid")
+        if self.spike_width < 1:
+            raise ValueError(f"spike_width = {self.spike_width} must be at least 1")
+        if self.spike_magnitude <= 0:
+            raise ValueError(f"spike_magnitude = {self.spike_magnitude} must be positive")
         if self.spike_width > self.grid_length:
             raise ValueError(f"spike_width = {self.spike_width} exceeds "
                              f"grid_length = {self.grid_length}")

@@ -119,7 +119,7 @@ def _aggregate(rows: list[RowDecision]) -> DetectionOutcome:
 def _first_max(scan: np.ndarray) -> tuple[int, float]:
     """Index and value of the first maximum of `scan`, skipping NaN, as
     ``np.nanargmax`` picks it; ``(-1, nan)`` when every entry is NaN."""
-    filled = np.where(np.isnan(scan), -np.inf, scan)
+    filled = np.fmax(scan, -np.inf)  # NaN -> -inf, every other value as is
     start = int(filled.argmax())
     best = float(filled[start])
     if best == -math.inf:
@@ -208,7 +208,8 @@ def cusum_detect(existing: Signature, recomputed: Signature,
     decisions = []
     for parameter, x, y, std in zip(existing.parameters, existing.matrix, recomputed.matrix,
                                     existing.row_stds.tolist()):
-        z = (y - x) / std
+        z = np.subtract(y, x)
+        z /= std
         max_pos, max_neg, alarm = cusum_scan(z, slack, decision_interval)
         diag = {
             "cusum_max_pos": max_pos,

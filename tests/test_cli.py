@@ -428,6 +428,14 @@ def test_sensitivity_tiny_run(tmp_path):
                  "spike_width = 400 exceeds grid_length = 360", id="gen-data-spike-width"),
     pytest.param("evaluate", "--spike-width", "400",
                  "spike_width = 400 exceeds grid_length = 360", id="evaluate-spike-width"),
+    pytest.param("gen-data", "--spike-width", "0",
+                 "spike_width = 0 must be at least 1", id="gen-data-spike-width-0"),
+    pytest.param("evaluate", "--spike-width", "0",
+                 "spike_width = 0 must be at least 1", id="evaluate-spike-width-0"),
+    pytest.param("gen-data", "--spike-magnitude", "-1",
+                 "spike_magnitude = -1.0 must be positive", id="gen-data-spike-magnitude"),
+    pytest.param("evaluate", "--spike-magnitude", "0",
+                 "spike_magnitude = 0.0 must be positive", id="evaluate-spike-magnitude"),
     pytest.param("gen-data", "--config",
                  "grid_length = 12\nchanged_segment = 3\nspike_width = 20\n",
                  "spike_width = 20 exceeds grid_length = 12", id="gen-data-small-grid"),

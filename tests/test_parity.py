@@ -22,6 +22,11 @@ from sigdrift.noisegen import SnrValue, snr, snr_ratios
 from sigdrift.similarity import pcc, rmse
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+# Values on which fmin and minimum, or a packed and a separate sum, could
+# part: zeros of both signs, NaN, infinities, and exact small numbers.
+SPECIAL = st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 0.5, -0.5, 1.0])
+# Few distinct values, so scans meet constant runs and exact ties.
+STEPS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0])
 
 
 def _rows(min_len, max_len=200):
@@ -77,6 +82,7 @@ def _ref_deletion_pcc_scan(x, y, window):
 
 
 def _ref_cusum_scan(z, slack, threshold):
+    """Each side on its own, running minimum by ``np.minimum.accumulate``."""
     def one_side(a):
         s = np.concatenate([[0.0], np.cumsum(a)])
         return s[1:] - np.minimum.accumulate(s)[1:]
@@ -154,3 +160,29 @@ def test_deletion_scan_matches_separate_prefix_sums(data, n, window):
 def test_cusum_scan_matches_one_side_at_a_time(z, slack, threshold):
     assert repr(cusum_scan(z / 1e5, slack, threshold)) == \
         repr(_ref_cusum_scan(z / 1e5, slack, threshold))
+
+
+@settings(max_examples=300, deadline=None)
+@given(z=hnp.arrays(np.float64, st.integers(1, 60), elements=st.one_of(SPECIAL, FINITE)),
+       slack=st.one_of(st.sampled_from([0.0, 0.5]), st.floats(0.0, 2.0)),
+       threshold=st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1.0, 20.0)))
+def test_cusum_scan_matches_on_zeros_nan_and_infinities(z, slack, threshold):
+    with np.errstate(all="ignore"):
+        assert repr(cusum_scan(z, slack, threshold)) == \
+            repr(_ref_cusum_scan(z, slack, threshold))
+
+
+def test_cusum_scan_keeps_positive_zero_maxima():
+    # fmin.accumulate leaves a -0.0 side here; minimum.accumulate does not.
+    assert repr(cusum_scan(np.array([0.0]), 0.0, 1.0)) == "(0.0, 0.0, -1)"
+    assert repr(cusum_scan(np.array([-0.0, 0.0]), 0.0, 1.0)) == \
+        repr(_ref_cusum_scan(np.array([-0.0, 0.0]), 0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(4, 120), window=st.integers(1, 12))
+def test_deletion_scan_matches_on_constant_runs_and_ties(data, n, window):
+    window = min(window, n - 2)
+    x = data.draw(hnp.arrays(np.float64, n, elements=STEPS))
+    y = data.draw(hnp.arrays(np.float64, n, elements=STEPS))
+    assert _same(deletion_pcc_scan(x, y, window), _ref_deletion_pcc_scan(x, y, window))

@@ -17,11 +17,11 @@ checks each against the plain numpy form):
 - ``np.add.reduce(a, axis) / n`` is the ufunc sequence ``a.mean(axis)``
   runs (pairwise summation along a contiguous axis), without its Python
   wrapper.
-- For S − min(S_0..S_t), ``fmin.accumulate`` gives what
+- For S - min(S_0..S_t), ``fmin.accumulate`` gives what
   ``minimum.accumulate`` gives, up to the sign of a zero: the two differ
   only on NaN (S stays NaN from its first NaN on, so the difference is
-  NaN at the same places) and on which of 0.0 and −0.0 a tie keeps.  A
-  −0.0 difference compares like 0.0, and adding 0.0 to a maximum turns
+  NaN at the same places) and on which of 0.0 and -0.0 a tie keeps.  A
+  -0.0 difference compares like 0.0, and adding 0.0 to a maximum turns
   it back into the 0.0 that ``minimum.accumulate`` yields.
 - ``np.maximum``/``np.minimum`` clamp exactly as ``ndarray.clip`` does,
   NaN included, without its Python wrapper.

@@ -6,17 +6,16 @@ This package builds signatures from trial data, injects controlled
 measurement noise, and decides whether a recomputed signature reflects
 real change or merely a noisy view of the same behaviour.
 """
+from .config import CorpusParams, DetectorThresholds, ExperimentConfig
 from .core import (QoSSeries, Signature, TimeGrid, TrialExperience, read_signature,
                    write_signature)
 from .cpd import (AnomalyThreshold, ChangePoint, EventConfig, calibrate,
                   detect_events, is_anomalous)
-from .datagen import (CorpusParams, Label, LabeledPair, build_corpus,
-                      build_provider_signatures, synthesize_trace)
-from .detect import (DetectionOutcome, DetectorThresholds, Verdict,
-                     cusum_detect, sliding_window_detect, snr_detect)
+from .datagen import Label, LabeledPair, build_corpus, build_provider_signatures, synthesize_trace
+from .detect import DetectionOutcome, Verdict, cusum_detect, sliding_window_detect, snr_detect
 from .errors import (AlignmentError, ConstantSeriesError, ParseError,
                      SigdriftError, ZeroVectorError)
-from .evaluate import ExperimentConfig, run_experiment, sensitivity_analysis
+from .evaluate import run_experiment, sensitivity_analysis
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
                        SnrValue, SpikeNoise, inject, learn_noise_profile, snr)
 from .signature import generate_signature, paa

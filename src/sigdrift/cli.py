@@ -12,19 +12,17 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .config import KINDS, PARSERS, RunConfig, load_config
+from .config import DETECTOR_NAMES, KINDS, PARSERS, RunConfig, load_config
 from .core import TimeGrid, json_text, parse_json, read_signature, write_signature, write_text
 from .cpd import EventConfig, calibrate, detect_events, read_flags
-from .datagen import (CorpusParams, base_signature_seeds, build_corpus,
-                      build_provider_signatures, default_profiles,
-                      manifest_entry, synthesize_trace, write_manifest, write_trace)
+from .datagen import (base_signature_seeds, build_corpus, build_provider_signatures,
+                      default_profiles, manifest_entry, synthesize_trace, write_manifest,
+                      write_trace)
 from .datagen import write_profile as write_provider_profile
-from .detect import (DetectorThresholds, Verdict, cusum_detect,
-                     sliding_window_detect, snr_detect)
+from .detect import Verdict, cusum_detect, sliding_window_detect, snr_detect
 from .errors import AlignmentError, SigdriftError
-from .evaluate import (DETECTOR_NAMES, ExperimentConfig, learn_monitoring_profiles,
-                       monitoring_size, repeat_seeds, repeat_streams, report_to_csv,
-                       run_experiment, sensitivity_analysis)
+from .evaluate import (learn_monitoring_profiles, monitoring_size, repeat_seeds,
+                       repeat_streams, report_to_csv, run_experiment, sensitivity_analysis)
 from .noisegen import (inject, read_profile, read_spec, spec_from_dict,
                        write_profile)
 from .signature import generate_signature, read_experiences
@@ -114,7 +112,8 @@ def _emit(payload: dict, out: str | None) -> None:
 def cmd_gen_data(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     out = Path(args.out)
-    params = config.build(CorpusParams)
+    experiment = config.experiment
+    params = experiment.corpus
     # The files are repeat 0 of `evaluate` at the same seed.
     sig_seed, corpus_seed, monitor_seed, _ = repeat_seeds(repeat_streams(config.seed, 1)[0])
     trace_seed, perf_seed = base_signature_seeds(sig_seed)
@@ -129,13 +128,14 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
         parameters=(params.parameter,),
         seed=perf_seed,
     )
-    n_monitor = monitoring_size(config.monitor_fraction, config.n_changed + config.n_noisy)
-    monitoring = build_corpus(0, n_monitor, config.distortion_fraction, monitor_seed,
+    n_monitor = monitoring_size(experiment.monitor_fraction,
+                                experiment.n_changed + experiment.n_noisy)
+    monitoring = build_corpus(0, n_monitor, experiment.distortion_fraction, monitor_seed,
                               signatures=signatures, params=params)
-    snr_profiles = learn_monitoring_profiles(monitoring, config.snr_segments)
-    log.info("building corpus: %d changed, %d noisy", config.n_changed, config.n_noisy)
-    corpus = build_corpus(config.n_changed, config.n_noisy,
-                          config.distortion_fraction, corpus_seed,
+    snr_profiles = learn_monitoring_profiles(monitoring, experiment.snr_segments)
+    log.info("building corpus: %d changed, %d noisy", experiment.n_changed, experiment.n_noisy)
+    corpus = build_corpus(experiment.n_changed, experiment.n_noisy,
+                          experiment.distortion_fraction, corpus_seed,
                           signatures=signatures, params=params)
 
     for sub in ("profiles", "signatures", "snr_profiles", "pairs"):
@@ -188,19 +188,19 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    experiment = config.experiment
     existing = read_signature(args.existing)
     recomputed = read_signature(args.recomputed)
     if args.detector == "sw":
-        outcome = sliding_window_detect(existing, recomputed,
-                                        config.build(DetectorThresholds))
+        outcome = sliding_window_detect(existing, recomputed, experiment.thresholds)
     elif args.detector == "cusum":
-        outcome = cusum_detect(existing, recomputed, config.cusum_slack,
-                               config.cusum_interval)
+        outcome = cusum_detect(existing, recomputed, experiment.cusum_slack,
+                               experiment.cusum_interval)
     else:  # "snr": argparse admits only DETECTOR_NAMES
         if not args.profile:
             raise SigdriftError("detector snr needs --profile")
         outcome = snr_detect(existing, recomputed, read_profile(args.profile),
-                             config.snr_mode)
+                             experiment.snr_mode)
     payload = outcome.to_dict()
     payload["config"] = config.as_dict()
     _emit(payload, args.out)
@@ -250,8 +250,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     log.info("running experiment: %d repeats, sizes %s",
              config.repeats, list(config.sample_sizes))
-    report = run_experiment(config.build(ExperimentConfig), config.seed,
-                            config.effective_jobs())
+    report = run_experiment(config.experiment, config.seed, config.effective_jobs())
     _emit(report, args.out)
     if args.csv:
         write_text(args.csv, report_to_csv(report))
@@ -260,7 +259,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
-    result = sensitivity_analysis(config.build(ExperimentConfig), config.seed,
+    result = sensitivity_analysis(config.experiment, config.seed,
                                   config.sensitivity_levels,
                                   config.effective_jobs())
     _emit(result, args.out)

@@ -1,4 +1,5 @@
-"""Run configuration: defaults, flat config files, environment, overrides.
+"""Run settings: the settings classes, defaults, flat config files,
+environment, overrides.
 
 Every field of ExperimentConfig, DetectorThresholds and CorpusParams is
 a config key under its own name, with its type and default, plus the
@@ -7,6 +8,9 @@ run-level settings of RunSettings.  Two exceptions: DetectorThresholds'
 ``resolution`` is not a key.  Config files are flat ``key = value``
 lines (# starts a comment).  Precedence, weakest first: built-in
 defaults, SIGDRIFT_SEED, config file, command-line flags.
+
+Each class checks its fields when it is built, in messages that name
+the keys.  This module imports nothing of the package but ``errors``.
 """
 from __future__ import annotations
 
@@ -17,7 +21,135 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .errors import ParseError
-from .evaluate import ExperimentConfig
+
+DETECTOR_NAMES = ("sw", "snr", "cusum")
+
+
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValueError(message)
+
+
+def _check_distinct(name: str, values) -> None:
+    """A list setting names at least one value, each once: an empty list
+    would run nothing and a repeated value would share one report key."""
+    _check(0 < len(values) == len(set(values)),
+           f"{name} must list at least one value, each once; got {list(values)}")
+
+
+@dataclass(frozen=True)
+class DetectorThresholds:
+    similarity_floor: float = 0.60   # s_p: minimum PCC to call shapes alike
+    distance_ceiling: float = 0.20   # s_r: maximum RMSE for "no change"
+    attenuation_ceiling: float = 0.50  # t_d: maximum RMSE still explainable as damping
+    window: int = 6                  # W: deletion window width for the spike scan
+
+    def __post_init__(self):
+        _check(-1.0 <= self.similarity_floor <= 1.0,
+               f"similarity_floor = {self.similarity_floor} must be in [-1, 1]")
+        _check(0.0 <= self.distance_ceiling <= self.attenuation_ceiling,
+               f"distance_ceiling = {self.distance_ceiling} must be non-negative and at most "
+               f"attenuation_ceiling = {self.attenuation_ceiling}")
+        _check(self.window >= 1, f"scan_window = {self.window} must be at least 1")
+
+
+@dataclass(frozen=True)
+class CorpusParams:
+    """Everything about corpus construction that is not a pair count."""
+
+    nodes: int = 31
+    raw_length: int = 6486
+    grid_length: int = 360
+    resolution: str = "day"
+    parameter: str = "throughput"
+    spike_width: int = 3
+    spike_magnitude: float = 7.0
+    attenuation_low: float = 0.93
+    attenuation_high: float = 0.98
+    awgn_db: float = 20.0
+    attenuation_share: float = 0.10
+    changed_segment: int = 90
+    paper_faithful: bool = False
+
+    def __post_init__(self):
+        _check(self.nodes >= 1, f"nodes = {self.nodes} must be at least 1")
+        _check(self.grid_length <= self.raw_length,
+               f"grid_length = {self.grid_length} exceeds raw_length = {self.raw_length}")
+        _check(self.parameter != "" and "," not in self.parameter and "\n" not in self.parameter,
+               f"parameter = {self.parameter!r} must be a non-empty name "
+               "without commas or line breaks")
+        _check(0.0 <= self.attenuation_share < 1.0,
+               f"attenuation_share = {self.attenuation_share} must be in [0, 1)")
+        # A damped unit-std row has the factor as its std, and the signature
+        # checks call a row with std <= 1e-12 constant: keep a wide margin.
+        _check(1e-9 <= self.attenuation_low <= self.attenuation_high < 1.0,
+               f"attenuation_low = {self.attenuation_low} and attenuation_high = "
+               f"{self.attenuation_high} must satisfy 1e-9 <= low <= high < 1")
+        _check(1 <= self.changed_segment < self.grid_length,
+               f"changed_segment = {self.changed_segment} must be at least 1 and less than "
+               f"grid_length = {self.grid_length}")
+        _check(self.spike_width >= 1, f"spike_width = {self.spike_width} must be at least 1")
+        _check(self.spike_magnitude > 0,
+               f"spike_magnitude = {self.spike_magnitude} must be positive")
+        _check(self.spike_width <= self.grid_length,
+               f"spike_width = {self.spike_width} exceeds grid_length = {self.grid_length}")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Everything one benchmark run depends on, minus the seed."""
+
+    n_changed: int = 3000
+    n_noisy: int = 3000
+    distortion_fraction: float = 0.5
+    sample_sizes: tuple[int, ...] = (1000, 2000, 3000, 4000, 5000)
+    repeats: int = 30
+    detectors: tuple[str, ...] = DETECTOR_NAMES
+    thresholds: DetectorThresholds = field(default_factory=DetectorThresholds)
+    cusum_slack: float = 0.5
+    cusum_interval: float = 5.0
+    snr_segments: int = 6
+    snr_mode: str = "segments"
+    monitor_fraction: float = 0.2
+    corpus: CorpusParams = field(default_factory=CorpusParams)
+
+    def __post_init__(self):
+        object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
+        object.__setattr__(self, "detectors", tuple(self.detectors))
+        _check(self.repeats >= 1, f"repeats = {self.repeats} must be at least 1")
+        for name, count in (("n_changed", self.n_changed), ("n_noisy", self.n_noisy)):
+            _check(count >= 0, f"{name} = {count} must be non-negative")
+        _check(0.0 <= self.distortion_fraction <= 1.0,
+               f"distortion_fraction = {self.distortion_fraction} must be in [0, 1]")
+        for name in ("sample_sizes", "detectors"):
+            _check_distinct(name, getattr(self, name))
+        _check(min(self.sample_sizes) >= 1,
+               f"sample_sizes = {list(self.sample_sizes)} must each be at least 1")
+        unknown = sorted(set(self.detectors) - set(DETECTOR_NAMES))
+        _check(not unknown, f"detectors = {list(self.detectors)} names unknown detectors "
+                            f"{unknown}; known: {', '.join(DETECTOR_NAMES)}")
+        _check(self.cusum_slack >= 0, f"cusum_slack = {self.cusum_slack} must be non-negative")
+        _check(self.cusum_interval > 0,
+               f"cusum_interval = {self.cusum_interval} must be positive")
+        grid = self.corpus.grid_length
+        _check(self.snr_segments >= 1 and grid % self.snr_segments == 0
+               and grid // self.snr_segments >= 2,
+               f"grid_length = {grid} does not split into {self.snr_segments} equal segments "
+               f"of at least 2 points (snr_segments = {self.snr_segments})")
+        _check(self.snr_mode in ("segments", "aggregate"),
+               f"snr_mode = {self.snr_mode!r} must be segments or aggregate")
+        _check(0.0 < self.monitor_fraction <= 1.0,
+               f"monitor_fraction = {self.monitor_fraction} must be in (0, 1]")
+        _check(self.thresholds.window < grid - 1,
+               f"scan_window = {self.thresholds.window} must be less than "
+               f"grid_length - 1 = {grid - 1}")
+
+    def to_dict(self) -> dict:
+        payload = asdict(self)
+        payload["sample_sizes"] = list(self.sample_sizes)
+        payload["detectors"] = list(self.detectors)
+        return payload
+
 
 ENV_SEED = "SIGDRIFT_SEED"
 RENAMED = {"window": "scan_window"}
@@ -78,14 +210,25 @@ def _flat_fields(cls) -> list:
     return flat
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunSettings:
-    """Settings of a run that belong to no component."""
+    """Settings of a run that belong to no component.  Building a
+    RunConfig checks them and builds ``experiment``, its ExperimentConfig,
+    which every subcommand reads its components from."""
 
     seed: int = 0
     jobs: int = 0  # 0 means one worker per available core
     trial_length: int = 30
     sensitivity_levels: tuple[float, ...] = (0.5, 0.25, 0.0)
+
+    def __post_init__(self):
+        _check(self.seed >= 0, f"seed = {self.seed} must be non-negative")
+        _check(self.jobs >= 0,
+               f"jobs must be 0 (one worker per core) or positive, got {self.jobs}")
+        _check(self.trial_length >= 1, f"trial_length = {self.trial_length} must be at least 1")
+        _check(all(0.0 <= level <= 1.0 for level in self.sensitivity_levels),
+               f"sensitivity_levels = {list(self.sensitivity_levels)} must each be in [0, 1]")
+        object.__setattr__(self, "experiment", self.build(ExperimentConfig))
 
     def as_dict(self) -> dict:
         payload = asdict(self)
@@ -103,13 +246,11 @@ class RunSettings:
         })
 
     def effective_jobs(self) -> int:
-        if self.jobs < 0:
-            raise ValueError(f"jobs must be 0 (one worker per core) or positive, got {self.jobs}")
         return self.jobs or (os.cpu_count() or 1)
 
 
 RunConfig = make_dataclass("RunConfig", _flat_fields(ExperimentConfig),
-                           bases=(RunSettings,),
+                           bases=(RunSettings,), frozen=True,
                            namespace={"__module__": __name__})
 KINDS = get_type_hints(RunConfig)
 
@@ -142,18 +283,17 @@ def parse_config_file(path) -> dict:
 
 
 def load_config(config_path=None, cli_overrides: dict | None = None) -> RunConfig:
-    """Layer defaults, SIGDRIFT_SEED, the config file, then CLI flags."""
-    config = RunConfig()
+    """Layer defaults, SIGDRIFT_SEED, the config file, then CLI flags,
+    into one checked RunConfig."""
+    values = {}
     env_seed = os.environ.get(ENV_SEED)
     if env_seed is not None:
         try:
-            config.seed = int(env_seed)
+            values["seed"] = int(env_seed)
         except ValueError:
             raise ParseError(f"{ENV_SEED} must be an integer, got {env_seed!r}") from None
     if config_path is not None:
-        for key, value in parse_config_file(config_path).items():
-            setattr(config, key, value)
-    for key, value in (cli_overrides or {}).items():
-        if value is not None:
-            setattr(config, key, value)
-    return config
+        values.update(parse_config_file(config_path))
+    values.update((key, value) for key, value in (cli_overrides or {}).items()
+                  if value is not None)
+    return RunConfig(**values)

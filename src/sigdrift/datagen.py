@@ -25,6 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import CorpusParams
 from .core import (Signature, TimeGrid, block_slices, check_stack, json_list, json_number,
                    json_text, parse_json, unit_rows, write_csv, write_text)
 from .errors import AlignmentError, ParseError
@@ -395,40 +396,6 @@ def _build_pairs(bases: list[Signature], base_of: list[int],
             else:
                 pairs.append(LabeledPair(existing, recomputed, Label.NOISY, edit, provenance))
     return pairs
-
-
-@dataclass(frozen=True)
-class CorpusParams:
-    """Everything about corpus construction that is not a pair count."""
-
-    nodes: int = 31
-    raw_length: int = 6486
-    grid_length: int = 360
-    resolution: str = "day"
-    parameter: str = "throughput"
-    spike_width: int = 3
-    spike_magnitude: float = 7.0
-    attenuation_low: float = 0.93
-    attenuation_high: float = 0.98
-    awgn_db: float = 20.0
-    attenuation_share: float = 0.10
-    changed_segment: int = 90
-    paper_faithful: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.attenuation_share < 1.0:
-            raise ValueError("attenuation share must be in [0, 1)")
-        if not 0.0 < self.attenuation_low <= self.attenuation_high < 1.0:
-            raise ValueError("attenuation factor range must sit inside (0, 1)")
-        if self.changed_segment < 1 or self.changed_segment >= self.grid_length:
-            raise ValueError("changed segment must fit inside the grid")
-        if self.spike_width < 1:
-            raise ValueError(f"spike_width = {self.spike_width} must be at least 1")
-        if self.spike_magnitude <= 0:
-            raise ValueError(f"spike_magnitude = {self.spike_magnitude} must be positive")
-        if self.spike_width > self.grid_length:
-            raise ValueError(f"spike_width = {self.spike_width} exceeds "
-                             f"grid_length = {self.grid_length}")
 
 
 def base_signature_seeds(seed: int) -> tuple[int, np.random.SeedSequence]:

@@ -26,6 +26,7 @@ from enum import Enum
 import numpy as np
 
 from ._kernels import cusum_scan, deletion_pcc_scan
+from .config import DetectorThresholds
 from .core import Signature
 from .errors import AlignmentError
 from .noisegen import NoiseProfile, check_aligned, residual, snr_ratios
@@ -36,24 +37,6 @@ class Verdict(Enum):
     CHANGE = "change"
     NOISE = "noise"
     NO_CHANGE = "no_change"
-
-
-@dataclass(frozen=True)
-class DetectorThresholds:
-    similarity_floor: float = 0.60   # s_p: minimum PCC to call shapes alike
-    distance_ceiling: float = 0.20   # s_r: maximum RMSE for "no change"
-    attenuation_ceiling: float = 0.50  # t_d: maximum RMSE still explainable as damping
-    window: int = 6                  # W: deletion window width for the spike scan
-
-    def __post_init__(self):
-        if not -1.0 <= self.similarity_floor <= 1.0:
-            raise ValueError("similarity floor must be a correlation value")
-        if self.distance_ceiling < 0 or self.attenuation_ceiling < 0:
-            raise ValueError("distance thresholds must be non-negative")
-        if self.distance_ceiling > self.attenuation_ceiling:
-            raise ValueError("distance ceiling cannot exceed the attenuation ceiling")
-        if self.window < 1:
-            raise ValueError("scan window must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -168,31 +151,20 @@ def snr_detect(existing: Signature, recomputed: Signature, profile: NoiseProfile
         raise AlignmentError(f"profile covers {profile.segments * seg} points, "
                              f"the grid {existing.grid.length}")
 
-    ex = existing.matrix
     # Ratios are floats with inf for an unbounded SNR, so `<` orders them
-    # as SnrValue does.
+    # as SnrValue does.  Aggregate mode is the one-segment case.
     floors = [s.ratio for s in profile.segment_snrs]
-
     if mode == "aggregate":
-        current = snr_ratios(ex, res, 1).item()
-        baseline = min(floors)
-        diag = {
-            "snr_current": [current],
-            "snr_baseline": [baseline],
-        }
-        verdict = Verdict.CHANGE if current < baseline else Verdict.NO_CHANGE
-        return DetectionOutcome(verdict, None, diag)
-    if mode != "segments":
+        floors = [min(floors)]
+    elif mode != "segments":
         raise ValueError(f"unknown snr mode {mode!r}")
 
-    currents = snr_ratios(ex, res, profile.segments).tolist()
+    currents = snr_ratios(existing.matrix, res, len(floors)).tolist()
     violated = next((i for i, (current, floor) in enumerate(zip(currents, floors))
                      if current < floor), -1)
-    diag = {
-        "snr_current": currents,
-        "snr_baseline": floors,
-        "violated_segment": violated,
-    }
+    diag = {"snr_current": currents, "snr_baseline": floors}
+    if mode == "segments":
+        diag["violated_segment"] = violated
     verdict = Verdict.CHANGE if violated >= 0 else Verdict.NO_CHANGE
     return DetectionOutcome(verdict, None, diag)
 

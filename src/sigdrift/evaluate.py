@@ -9,14 +9,14 @@ Rates with a zero denominator return None and serialize as JSON null.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .config import ExperimentConfig, _check_distinct
 from .core import block_slices
-from .datagen import CorpusParams, Label, LabeledPair, build_base_signatures, build_corpus
-from .detect import (DetectionOutcome, DetectorThresholds, Verdict, cusum_detect,
-                     sliding_window_detect, snr_detect)
+from .datagen import Label, LabeledPair, build_base_signatures, build_corpus
+from .detect import DetectionOutcome, Verdict, cusum_detect, sliding_window_detect, snr_detect
 from .errors import AlignmentError
 from .noisegen import NoiseProfile, check_aligned, profile_from_ratios, snr_ratios
 
@@ -70,62 +70,6 @@ def f1(c: ConfusionCounts) -> float | None:
 
 
 METRICS = {"fp_rate": fp_rate, "tp_rate": tp_rate, "accuracy": accuracy, "f1": f1}
-
-DETECTOR_NAMES = ("sw", "snr", "cusum")
-
-
-def _check_distinct(name: str, values) -> None:
-    """A list setting names at least one value, each once: an empty list
-    would run nothing and a repeated value would share one report key."""
-    if not values or len(set(values)) != len(values):
-        raise ValueError(f"{name} must list at least one value, each once; got {list(values)}")
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Everything one benchmark run depends on, minus the seed."""
-
-    n_changed: int = 3000
-    n_noisy: int = 3000
-    distortion_fraction: float = 0.5
-    sample_sizes: tuple[int, ...] = (1000, 2000, 3000, 4000, 5000)
-    repeats: int = 30
-    detectors: tuple[str, ...] = DETECTOR_NAMES
-    thresholds: DetectorThresholds = field(default_factory=DetectorThresholds)
-    cusum_slack: float = 0.5
-    cusum_interval: float = 5.0
-    snr_segments: int = 6
-    snr_mode: str = "segments"
-    monitor_fraction: float = 0.2
-    corpus: CorpusParams = field(default_factory=CorpusParams)
-
-    def __post_init__(self):
-        object.__setattr__(self, "sample_sizes", tuple(self.sample_sizes))
-        object.__setattr__(self, "detectors", tuple(self.detectors))
-        if self.repeats < 1:
-            raise ValueError("need at least one repeat")
-        for name in ("sample_sizes", "detectors"):
-            _check_distinct(name, getattr(self, name))
-        unknown = set(self.detectors) - set(DETECTOR_NAMES)
-        if unknown:
-            raise ValueError(f"unknown detectors: {sorted(unknown)}")
-        total = self.n_changed + self.n_noisy
-        if any(s < 1 or s > total for s in self.sample_sizes):
-            raise ValueError("sample sizes must lie in [1, corpus size]")
-        if not 0.0 < self.monitor_fraction <= 1.0:
-            raise ValueError("monitor fraction must be in (0, 1]")
-        if self.snr_segments < 1:
-            raise ValueError("need at least one SNR segment")
-        if self.thresholds.window >= self.corpus.grid_length - 1:
-            raise ValueError(f"scan_window = {self.thresholds.window} must be less than "
-                             f"grid_length - 1 = {self.corpus.grid_length - 1}")
-
-    def to_dict(self) -> dict:
-        payload = asdict(self)
-        payload["sample_sizes"] = list(self.sample_sizes)
-        payload["detectors"] = list(self.detectors)
-        return payload
-
 
 def learn_monitoring_profiles(pairs: list[LabeledPair], segments: int
                               ) -> dict[str, NoiseProfile]:
@@ -258,6 +202,11 @@ def _summary(values: list) -> dict:
 
 def run_experiment(config: ExperimentConfig, seed: int, jobs: int = 1) -> dict:
     """Run `repeats` fresh corpora and aggregate metrics per detector and size."""
+    # Not an ExperimentConfig check: gen-data writes corpora of any size.
+    total = config.n_changed + config.n_noisy
+    if max(config.sample_sizes) > total:
+        raise ValueError(f"sample_sizes = {list(config.sample_sizes)} must each be at most "
+                         f"n_changed + n_noisy = {total}")
     configs = [config] * config.repeats
     streams = repeat_streams(seed, config.repeats)
     if jobs > 1 and config.repeats > 1:
@@ -295,16 +244,16 @@ def run_experiment(config: ExperimentConfig, seed: int, jobs: int = 1) -> dict:
 def sensitivity_analysis(config: ExperimentConfig, seed: int,
                          levels: tuple[float, ...] = (0.5, 0.25, 0.0),
                          jobs: int = 1) -> dict:
-    """Re-run the experiment at several distortion fractions, same seed."""
-    _check_distinct("sensitivity levels", [_level_key(level) for level in levels])
-    runs = {}
-    for level in levels:
-        level_config = replace(config, distortion_fraction=level)
-        runs[_level_key(level)] = run_experiment(level_config, seed, jobs)
+    """Re-run the experiment at several distortion fractions, same seed.
+    Every level's settings are checked before the first run."""
+    keys = [_level_key(level) for level in levels]
+    _check_distinct("sensitivity_levels", keys)
+    configs = [replace(config, distortion_fraction=level) for level in levels]
     return {
         "seed": seed,
-        "levels": [_level_key(level) for level in levels],
-        "runs": runs,
+        "levels": keys,
+        "runs": {key: run_experiment(level_config, seed, jobs)
+                 for key, level_config in zip(keys, configs)},
     }
 
 

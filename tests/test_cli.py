@@ -328,17 +328,6 @@ def test_gen_data_unwritable_destination(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag, value", [("--snr-segments", "7"),
-                                         ("--grid-length", "365")])
-def test_gen_data_writes_nothing_when_a_setting_fails(tmp_path, capsys, flag, value):
-    out = tmp_path / "data"
-    assert main(["gen-data", "--out", str(out), "--seed", "1",
-                 "--nodes", "4", "--raw-length", "720",
-                 "--n-changed", "2", "--n-noisy", "2", flag, value]) == 1
-    assert not out.exists()
-    capsys.readouterr()
-
-
 def test_evaluate_fails_before_building_the_evaluation_corpus(tmp_path, caplog,
                                                               monkeypatch):
     import sigdrift.evaluate as evaluate
@@ -352,8 +341,7 @@ def test_evaluate_fails_before_building_the_evaluation_corpus(tmp_path, caplog,
     assert main(["evaluate", "--seed", "1", "--jobs", "1", "--snr-segments", "7",
                  "--out", str(tmp_path / "r.json")]) == 1
     assert "does not split into 7 equal segments" in caplog.text
-    # only the monitoring corpus (0 changed, 0.2 * 6000 noisy) was built
-    assert asked == [(0, 1200)]
+    assert asked == []
 
 
 def test_jobs_is_only_accepted_where_it_is_read(tmp_path, capsys):
@@ -442,6 +430,38 @@ def test_sensitivity_tiny_run(tmp_path):
     pytest.param("evaluate", "--config", "scan_window = 359\n",
                  "scan_window = 359 must be less than grid_length - 1 = 359",
                  id="evaluate-scan-window"),
+    pytest.param("gen-data", "--monitor-fraction", "0",
+                 "monitor_fraction = 0.0 must be in (0, 1]", id="gen-data-monitor-fraction-0"),
+    pytest.param("gen-data", "--monitor-fraction", "5",
+                 "monitor_fraction = 5.0 must be in (0, 1]", id="gen-data-monitor-fraction-5"),
+    pytest.param("evaluate", "--snr-mode", "foo",
+                 "snr_mode = 'foo' must be segments or aggregate", id="evaluate-snr-mode"),
+    pytest.param("detect", "--snr-mode", "foo",
+                 "snr_mode = 'foo' must be segments or aggregate", id="detect-snr-mode"),
+    pytest.param("gen-data", "--config", "cusum_slack = -1\n",
+                 "cusum_slack = -1.0 must be non-negative", id="gen-data-cusum-slack"),
+    pytest.param("evaluate", "--config", "cusum_slack = -1\n",
+                 "cusum_slack = -1.0 must be non-negative", id="evaluate-cusum-slack"),
+    pytest.param("gen-data", "--config", "cusum_interval = 0\n",
+                 "cusum_interval = 0.0 must be positive", id="gen-data-cusum-interval"),
+    pytest.param("gen-data", "--grid-length", ["800", "--raw-length", "720"],
+                 "grid_length = 800 exceeds raw_length = 720", id="gen-data-grid-over-raw"),
+    pytest.param("gen-data", "--distortion-fraction", "2",
+                 "distortion_fraction = 2.0 must be in [0, 1]",
+                 id="gen-data-distortion-fraction"),
+    pytest.param("evaluate", "--distortion-fraction", "2",
+                 "distortion_fraction = 2.0 must be in [0, 1]",
+                 id="evaluate-distortion-fraction"),
+    pytest.param("gen-data", "--n-changed", "-2",
+                 "n_changed = -2 must be non-negative", id="gen-data-n-changed"),
+    pytest.param("evaluate", "--n-changed", "-2",
+                 "n_changed = -2 must be non-negative", id="evaluate-n-changed"),
+    pytest.param("gen-data", "--snr-segments", "7",
+                 "grid_length = 360 does not split into 7 equal segments of at least 2 points "
+                 "(snr_segments = 7)", id="gen-data-snr-segments"),
+    pytest.param("gen-data", "--grid-length", "365",
+                 "grid_length = 365 does not split into 6 equal segments",
+                 id="gen-data-grid-length"),
 ])
 def test_bad_list_or_jobs_setting_exits_1_before_any_work(tmp_path, monkeypatch, caplog,
                                                           command, flag, value, message):
@@ -452,15 +472,19 @@ def test_bad_list_or_jobs_setting_exits_1_before_any_work(tmp_path, monkeypatch,
         raise AssertionError("work started")
     monkeypatch.setattr(evaluate, "build_base_signatures", no_work)
     monkeypatch.setattr(cli, "synthesize_trace", no_work)
+    monkeypatch.setattr(cli, "read_signature", no_work)
     if flag == "--config":
         (tmp_path / "run.cfg").write_text(value)
         value = str(tmp_path / "run.cfg")
-    # The report, or for gen-data the output directory.
+    # The report, the outcome, or for gen-data the output directory.
     out = tmp_path / "out"
-    run = [] if command == "gen-data" else ["--jobs", "1", "--repeats", "1",
-                                            "--sample-sizes", "8"]
-    assert main([command, "--seed", "1", "--n-changed", "8", "--n-noisy", "8", *run,
-                 flag, value, "--out", str(out)]) == 1
+    run = {"gen-data": ["--n-changed", "8", "--n-noisy", "8"],
+           "detect": ["--detector", "sw", "--existing", str(tmp_path / "existing.csv"),
+                      "--recomputed", str(tmp_path / "recomputed.csv")]}.get(
+        command, ["--n-changed", "8", "--n-noisy", "8", "--jobs", "1", "--repeats", "1",
+                  "--sample-sizes", "8"])
+    values = [value] if isinstance(value, str) else value
+    assert main([command, "--seed", "1", *run, flag, *values, "--out", str(out)]) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert len(errors) == 1 and message in errors[0]
     assert not out.exists()

@@ -3,9 +3,14 @@ import argparse
 import json
 import logging
 import os
+import re
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sigdrift.cli import build_parser, main
 from sigdrift.config import RunConfig, load_config, parse_config_file
@@ -96,6 +101,49 @@ NON_DEFAULT = {
     "paper_faithful": ("yes", True, "corpus.paper_faithful"),
 }
 
+#: Settings of a corpus small enough that gen-data and evaluate finish in
+#: a fraction of a second.
+TINY = {"nodes": 3, "raw_length": 60, "grid_length": 36, "changed_segment": 9,
+        "n_changed": 3, "n_noisy": 10, "sample_sizes": (13,), "repeats": 1}
+
+#: Values for each key of its declared type, in a range around its valid
+#: domain at the TINY scale.  ``repeats`` stays at most 1 and ``jobs`` at
+#: most 1, so that no run starts a worker pool.
+DRAWS = {
+    "seed": st.integers(-2, 5),
+    "jobs": st.integers(-1, 1),
+    "trial_length": st.integers(-1, 40),
+    "sensitivity_levels": st.lists(st.floats(-0.5, 1.5), max_size=3),
+    "n_changed": st.integers(-2, 6),
+    "n_noisy": st.integers(-2, 12),
+    "distortion_fraction": st.floats(-0.5, 1.5),
+    "sample_sizes": st.lists(st.integers(-1, 16), max_size=3),
+    "repeats": st.integers(-1, 1),
+    "detectors": st.lists(st.sampled_from(["sw", "snr", "cusum", "psychic"]), max_size=4),
+    "cusum_slack": st.floats(-1.0, 2.0),
+    "cusum_interval": st.floats(-1.0, 10.0),
+    "snr_segments": st.integers(-1, 40),
+    "snr_mode": st.sampled_from(["segments", "aggregate", "foo", ""]),
+    "monitor_fraction": st.floats(-0.5, 1.5),
+    "similarity_floor": st.floats(-1.5, 1.5),
+    "distance_ceiling": st.floats(-0.2, 1.0),
+    "attenuation_ceiling": st.floats(-0.2, 1.0),
+    "scan_window": st.integers(-1, 40),
+    "nodes": st.integers(-1, 4),
+    "raw_length": st.integers(-1, 80),
+    "grid_length": st.integers(-1, 80),
+    "parameter": st.sampled_from(["throughput", "latency", "", "a,b"]),
+    "spike_width": st.integers(-1, 40),
+    "spike_magnitude": st.floats(-1.0, 20.0),
+    "attenuation_low": st.floats(-0.5, 1.5),
+    "attenuation_high": st.floats(-0.5, 1.5),
+    "awgn_db": st.floats(-40.0, 60.0),
+    "attenuation_share": st.floats(-0.5, 1.5),
+    "changed_segment": st.integers(-1, 40),
+    "paper_faithful": st.booleans(),
+}
+KEY = re.compile(r"\b(" + "|".join(DEFAULTS) + r")\b")
+
 COMMON = ["--config", "--help", "--seed", "--verbose", "-h"]
 CORPUS_FLAGS = ["--awgn-db", "--changed-segment", "--distortion-fraction",
                 "--grid-length", "--monitor-fraction", "--n-changed", "--n-noisy",
@@ -155,7 +203,7 @@ def test_defaults_build_the_default_experiment():
 
 
 def test_non_default_table_covers_every_key():
-    assert set(NON_DEFAULT) == set(DEFAULTS)
+    assert set(NON_DEFAULT) == set(DEFAULTS) == set(DRAWS)
     for key, (_, value, _) in NON_DEFAULT.items():
         default = DEFAULTS[key]
         assert (list(value) if isinstance(value, tuple) else value) != default, key
@@ -181,6 +229,60 @@ def test_every_setting_works_at_its_non_default_value(tmp_path, caplog, command)
                                    for key, (raw, _, _) in NON_DEFAULT.items()))
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0, \
         caplog.text
+
+
+def _config_text(values: dict) -> str:
+    def text(value):
+        if isinstance(value, bool):
+            return "yes" if value else "no"
+        if isinstance(value, (list, tuple)):
+            return ", ".join(str(v) for v in value)
+        return str(value)
+    return "".join(f"{key} = {text(value)}\n" for key, value in values.items())
+
+
+class _Errors(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.ERROR)
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def _errors_of(argv) -> tuple[int, list[str]]:
+    handler = _Errors()
+    logger = logging.getLogger("sigdrift")
+    logger.addHandler(handler)
+    try:
+        return main(argv), handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_drawn_setting_runs_or_fails_at_once_naming_a_key(data):
+    """gen-data and evaluate either run, or exit 1 with one error line that
+    names a config key and write nothing; and a setting gen-data rejects,
+    evaluate rejects with the same line (one check for every subcommand)."""
+    keys = data.draw(st.lists(st.sampled_from(sorted(DRAWS)), min_size=1, max_size=3,
+                              unique=True))
+    drawn = {key: data.draw(DRAWS[key], label=key) for key in keys}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "run.cfg"
+        cfg.write_text(_config_text({**TINY, **drawn}), encoding="utf-8")
+        outcomes = {}
+        for command in ("gen-data", "evaluate"):
+            out = Path(tmp) / command
+            code, errors = _errors_of([command, "--config", str(cfg), "--out", str(out)])
+            outcomes[command] = code, errors
+            if code != 0:
+                assert code == 1 and len(errors) == 1 and KEY.search(errors[0]), \
+                    (command, drawn, errors)
+                assert not out.exists()
+    if outcomes["gen-data"][0] != 0:
+        assert outcomes["evaluate"] == outcomes["gen-data"]
 
 
 def test_precedence_flag_over_file_over_env_over_default(tmp_path, monkeypatch):

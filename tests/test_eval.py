@@ -86,7 +86,9 @@ def test_f1_ignores_true_negatives():
 
 # ------------------------------------------------------------------- config
 
-def test_experiment_config_validation():
+def test_experiment_config_validation(monkeypatch):
+    import sigdrift.evaluate as evaluate
+
     with pytest.raises(ValueError):
         ExperimentConfig(repeats=0)
     with pytest.raises(ValueError):
@@ -94,9 +96,17 @@ def test_experiment_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(sample_sizes=(0,))
     with pytest.raises(ValueError):
-        ExperimentConfig(n_changed=5, n_noisy=5, sample_sizes=(11,))
-    with pytest.raises(ValueError):
         ExperimentConfig(detectors=("sw", "psychic"))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+    monkeypatch.setattr(evaluate, "build_base_signatures", no_work)
+    # A corpus too small for a sample is an error of the run, not of the
+    # settings: gen-data writes such corpora.
+    with pytest.raises(ValueError, match=r"sample_sizes = \[11\] must each be at most "
+                                         r"n_changed \+ n_noisy = 10"):
+        run_experiment(ExperimentConfig(n_changed=5, n_noisy=5, sample_sizes=(11,)),
+                       seed=1, jobs=1)
     payload = TINY.to_dict()
     assert payload["sample_sizes"] == [16]
     assert payload["thresholds"]["similarity_floor"] == 0.60

@@ -177,3 +177,15 @@ def test_cli_import_leaves_out_the_process_pool():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_config_imports_no_package_module_but_errors():
+    """The settings classes live in a leaf module: every other module may
+    import them, and importing them pulls in nothing of the program."""
+    tree = ast.parse((PACKAGE / "config.py").read_text(encoding="utf-8"))
+    imported = {_imported_module(node, in_package=True) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)}
+    imported |= {a.name.removeprefix("sigdrift.") for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for a in node.names
+                 if a.name.partition(".")[0] == "sigdrift"}
+    assert imported - {None} == {"errors"}

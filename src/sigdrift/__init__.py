@@ -7,8 +7,7 @@ measurement noise, and decides whether a recomputed signature reflects
 real change or merely a noisy view of the same behaviour.
 """
 from .config import CorpusParams, DetectorThresholds, ExperimentConfig
-from .core import (QoSSeries, Signature, TimeGrid, TrialExperience, read_signature,
-                   write_signature)
+from .core import QoSSeries, Signature, TrialExperience, read_signature, write_signature
 from .cpd import (AnomalyThreshold, ChangePoint, EventConfig, calibrate,
                   detect_events, is_anomalous)
 from .datagen import Label, LabeledPair, build_corpus, build_provider_signatures, synthesize_trace
@@ -45,7 +44,6 @@ __all__ = [
     "SimilarityMethod",
     "SnrValue",
     "SpikeNoise",
-    "TimeGrid",
     "TrialExperience",
     "Verdict",
     "ZeroVectorError",

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import DETECTOR_NAMES, KINDS, PARSERS, RunConfig, load_config
-from .core import TimeGrid, json_text, parse_json, read_signature, write_signature, write_text
+from .core import json_text, parse_json, read_signature, write_signature, write_text
 from .cpd import EventConfig, calibrate, detect_events, read_flags
 from .datagen import (base_signature_seeds, build_corpus, build_provider_signatures,
                       default_profiles, manifest_entry, synthesize_trace, write_manifest,
@@ -124,7 +124,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     log.info("synthesizing trace and provider signatures")
     trace = synthesize_trace(params.nodes, params.raw_length, trace_seed)
     signatures = build_provider_signatures(
-        profiles, trace, TimeGrid(params.grid_length, params.resolution),
+        profiles, trace, params.grid_length,
         parameters=(params.parameter,),
         seed=perf_seed,
     )
@@ -171,7 +171,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_gen_signature(args: argparse.Namespace) -> int:
     experiences = read_experiences(args.cohorts)
     try:
-        sig = generate_signature(experiences, TimeGrid(experiences[0].trial_length))
+        sig = generate_signature(experiences)
     except AlignmentError as exc:
         raise AlignmentError(f"{args.cohorts}: {exc}") from None
     write_signature(sig, args.out)

@@ -5,9 +5,10 @@ Every field of ExperimentConfig, DetectorThresholds and CorpusParams is
 a config key under its own name, with its type and default, plus the
 run-level settings of RunSettings.  Two exceptions: DetectorThresholds'
 ``window`` is addressed as ``scan_window``, and CorpusParams'
-``resolution`` is not a key.  Config files are flat ``key = value``
-lines (# starts a comment).  Precedence, weakest first: built-in
-defaults, SIGDRIFT_SEED, config file, command-line flags.
+``resolution`` is not a key: it only labels the evaluate report.
+Config files are flat ``key = value`` lines (# starts a comment).
+Precedence, weakest first: built-in defaults, SIGDRIFT_SEED, config
+file, command-line flags.
 
 Each class checks its fields when it is built, in messages that name
 the keys.  This module imports nothing of the package but ``errors``.
@@ -23,6 +24,15 @@ from typing import get_type_hints
 from .errors import ParseError
 
 DETECTOR_NAMES = ("sw", "snr", "cusum")
+
+#: Largest |target SNR| in dB a distortion may ask for; 10 ** (dB / 10)
+#: overflows past about 3,080 dB and the noise turns infinite before that.
+MAX_ABS_DB = 300.0
+
+#: Largest corpus spike height in row-stds, far above the paper's 5-7.
+#: The detectors' sums of squares grow as magnitude² × grid length² and
+#: overflow past about 1e151 on a 36-point grid.
+MAX_SPIKE_MAGNITUDE = 1e6
 
 
 def _check(ok: bool, message: str) -> None:
@@ -91,6 +101,10 @@ class CorpusParams:
         _check(self.spike_width >= 1, f"spike_width = {self.spike_width} must be at least 1")
         _check(self.spike_magnitude > 0,
                f"spike_magnitude = {self.spike_magnitude} must be positive")
+        _check(self.spike_magnitude <= MAX_SPIKE_MAGNITUDE,
+               f"spike_magnitude = {self.spike_magnitude} must be at most {MAX_SPIKE_MAGNITUDE:g}")
+        _check(abs(self.awgn_db) <= MAX_ABS_DB,
+               f"awgn_db = {self.awgn_db} must be in [-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]")
         _check(self.spike_width <= self.grid_length,
                f"spike_width = {self.spike_width} exceeds grid_length = {self.grid_length}")
 

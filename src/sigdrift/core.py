@@ -1,7 +1,8 @@
-"""Core domain types: time grids, signatures and their rows, trial experiences.
+"""Core domain types: signatures and their rows, trial experiences.
 
-A signature is a small matrix: one row per QoS parameter, one column per
-grid timestamp.  Rows produced by signature generation have unit
+A signature is its parameter names and a small matrix: one row per QoS
+parameter, one column per grid timestamp, so the grid length is the
+matrix width.  Rows produced by signature generation have unit
 population standard deviation; copies that went through noise injection
 or splicing are allowed to drift off unit scale and carry that fact
 implicitly (detectors must not assume otherwise).
@@ -74,20 +75,6 @@ def _freeze(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniformly spaced observation grid starting at index 0."""
-
-    length: int
-    resolution: str = "day"
-
-    def __post_init__(self):
-        if self.length < 2:
-            raise ValueError("grid needs at least two points")
-        if not self.resolution:
-            raise ValueError("grid resolution label must be non-empty")
-
-
 class QoSSeries(NamedTuple):
     """One QoS parameter's row of a signature: a read-only view of its matrix."""
 
@@ -100,14 +87,14 @@ class Signature:
     """Per-parameter performance matrix for one provider.
 
     ``matrix`` holds one float64 row per entry of ``parameters`` over the
-    grid; it is copied and made read-only once, here.  Structural
-    invariants (checked here, by :func:`check_stack`): at least one row,
-    non-empty unique parameter names, a finite ``(rows, grid.length)``
-    matrix, no constant rows.  ``row_stds`` holds each row's population
-    std as that check computed it, read-only.  Unit-std normalization is
-    established by the generation and file ingest paths, not re-checked
-    on every instance, because noisy and spliced copies legitimately
-    leave unit scale.
+    grid, whose length is the matrix width; it is copied and made
+    read-only once, here.  Structural invariants (checked here, by
+    :func:`check_stack`): at least one row, non-empty unique parameter
+    names, a finite ``(rows, L)`` matrix with L >= 2, no constant rows.
+    ``row_stds`` holds each row's population std as that check computed
+    it, read-only.  Unit-std normalization is established by the
+    generation and file ingest paths, not re-checked on every instance,
+    because noisy and spliced copies legitimately leave unit scale.
 
     ``provider_id`` is provenance, not data: the on-disk format does not
     carry it, so equality ignores it.
@@ -115,7 +102,6 @@ class Signature:
 
     parameters: tuple[str, ...]
     matrix: np.ndarray
-    grid: TimeGrid
     provider_id: str = ""
     row_stds: np.ndarray = field(init=False, repr=False)
 
@@ -133,18 +119,18 @@ class Signature:
         if matrix.ndim != 2 or matrix.shape[0] != len(names):
             raise ValueError(f"need one 1-D row per parameter ({len(names)}), "
                              f"got an array of shape {matrix.shape}")
-        if matrix.shape[1] != self.grid.length:
-            raise ValueError(f"rows have {matrix.shape[1]} points, grid has {self.grid.length}")
+        if matrix.shape[1] < 2:
+            raise ValueError(f"rows need at least two points, got {matrix.shape[1]}")
         object.__setattr__(self, "row_stds", check_stack(matrix[None], names)[0])
 
     @classmethod
-    def _checked(cls, parameters: tuple[str, ...], matrix: np.ndarray, grid: TimeGrid,
+    def _checked(cls, parameters: tuple[str, ...], matrix: np.ndarray,
                  provider_id: str, row_stds: np.ndarray) -> "Signature":
-        """A signature over a read-only ``(rows, grid.length)`` matrix that
+        """A signature over a read-only ``(rows, L)`` matrix that
         :func:`check_stack` has passed, with the stds it returned: no
         copy and no second check."""
         sig = object.__new__(cls)
-        for name, value in (("parameters", parameters), ("matrix", matrix), ("grid", grid),
+        for name, value in (("parameters", parameters), ("matrix", matrix),
                             ("provider_id", provider_id), ("row_stds", row_stds)):
             object.__setattr__(sig, name, value)
         return sig
@@ -161,8 +147,7 @@ class Signature:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Signature):
             return NotImplemented
-        return (self.grid == other.grid and self.parameters == other.parameters
-                and np.array_equal(self.matrix, other.matrix))
+        return self.parameters == other.parameters and np.array_equal(self.matrix, other.matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +262,7 @@ def _signature_header(length: int) -> tuple[str, ...]:
 
 
 def write_signature(sig: Signature, path) -> None:
-    write_csv(path, _signature_header(sig.grid.length),
+    write_csv(path, _signature_header(sig.matrix.shape[1]),
               [csv_field(name) + "," + ",".join(repr(float(v)) for v in values)
                for name, values in zip(sig.parameters, sig.matrix)])
 
@@ -302,7 +287,7 @@ def read_signature(path) -> Signature:
         raise ParseError(f"{path}: {exc}") from None
     off = np.abs(stds - 1.0) > STD_TOLERANCE
     matrix[off] /= stds[off, None]
-    return Signature(names, matrix, TimeGrid(length), path.stem)
+    return Signature(names, matrix, path.stem)
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,9 @@ def _experience_similarity(exp: TrialExperience, sig: Signature,
                            method: SimilarityMethod) -> float:
     row = sig.row(exp.parameter)
     start, length = exp.window
-    if length >= sig.grid.length:
+    if length >= sig.matrix.shape[1]:
         raise AlignmentError("trial window must be shorter than the grid")
-    if start + length > sig.grid.length:
+    if start + length > sig.matrix.shape[1]:
         raise AlignmentError("trial window exceeds the grid")
     segment = row.values[start:start + length]
     # Scaled to unit std, and checked, as a signature row is.

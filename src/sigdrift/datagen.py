@@ -26,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import CorpusParams
-from .core import (Signature, TimeGrid, block_slices, check_stack, json_list, json_number,
-                   json_text, parse_json, unit_rows, write_csv, write_text)
+from .core import (Signature, block_slices, check_stack, json_list, json_number, json_text,
+                   parse_json, unit_rows, write_csv, write_text)
 from .errors import AlignmentError, ParseError
 from .noisegen import AttenuationNoise, DistortionNoise, NoiseSpec, SpikeNoise, spec_to_dict
 from .signature import paa, paa_boundaries
@@ -291,7 +291,7 @@ def _performance_matrix(profile: QoSProfile, levels, level_of,
     return perf
 
 
-def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
+def build_provider_signatures(profiles, trace: WorkloadTrace, grid_length: int,
                               parameters: tuple[str, ...] = ("throughput",),
                               seed: int | np.random.SeedSequence = 0) -> list[Signature]:
     """One signature per profile: every trace node acts as a trial user.
@@ -302,10 +302,10 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
     profiles = list(profiles)
     if not profiles:
         raise ValueError("need at least one profile")
-    if grid.length > trace.length:
+    if grid_length > trace.length:
         raise AlignmentError("grid cannot be finer than the trace")
 
-    bounds = paa_boundaries(trace.length, grid.length)
+    bounds = paa_boundaries(trace.length, grid_length)
     # Grid index of each raw timestamp: the PAA frame it lands in.
     day_of = np.searchsorted(bounds, np.arange(trace.length), side="right") - 1
     # Demand level k is k whole cores; the trace holds each point's level.
@@ -318,12 +318,11 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid: TimeGrid,
     for profile, stream in zip(profiles, streams):
         rng = np.random.default_rng(stream)
         means = np.stack([
-            paa(_performance_matrix(profile, levels, trace.cores, day_of, grid.length,
+            paa(_performance_matrix(profile, levels, trace.cores, day_of, grid_length,
                                     baseline, rng),
-                grid.length).mean(axis=0)
+                grid_length).mean(axis=0)
             for _ in parameters])
-        signatures.append(Signature(parameters, unit_rows(means, parameters), grid,
-                                    profile.provider_id))
+        signatures.append(Signature(parameters, unit_rows(means, parameters), profile.provider_id))
     return signatures
 
 
@@ -367,7 +366,7 @@ def _build_pairs(bases: list[Signature], base_of: list[int],
     """
     first = bases[0]
     for base in bases[1:]:
-        if base.grid != first.grid or base.parameters != first.parameters:
+        if base.matrix.shape != first.matrix.shape or base.parameters != first.parameters:
             raise AlignmentError("base signatures must share grid and parameters")
     matrices = np.stack([base.matrix for base in bases])
     indices = np.array(base_of, dtype=np.intp)
@@ -389,7 +388,7 @@ def _build_pairs(bases: list[Signature], base_of: list[int],
         for values, stds, base, edit, provenance in zip(stack, row_stds, base_ids, block_edits,
                                                         block_provenances):
             existing = bases[base]
-            recomputed = Signature._checked(existing.parameters, values, existing.grid,
+            recomputed = Signature._checked(existing.parameters, values,
                                             existing.provider_id, stds)
             if isinstance(edit, _Splice):
                 pairs.append(LabeledPair(existing, recomputed, Label.CHANGED, None, provenance))
@@ -413,7 +412,7 @@ def build_base_signatures(seed: int, params: CorpusParams = CorpusParams(),
     return build_provider_signatures(
         profiles,
         trace,
-        TimeGrid(params.grid_length, params.resolution),
+        params.grid_length,
         parameters=(params.parameter,),
         seed=perf_seed,
     )
@@ -455,7 +454,7 @@ def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
     if k < 1:
         raise ValueError("need at least one base signature")
 
-    grid_length = signatures[0].grid.length
+    grid_length = signatures[0].matrix.shape[1]
     pair_seeds = [int(s) for s in ss_pair_seeds.generate_state(n_changed + n_noisy,
                                                                dtype=np.uint64)]
     # Draw every pair's parameters first, one scalar draw at a time in the
@@ -476,8 +475,7 @@ def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
             raise ValueError("donor must be a different provider")
         base_of.append(base)
         edits.append(_Splice(donor, start, start + params.changed_segment))
-        provenances.append({"provider": signatures[base].provider_id,
-                            "donor": signatures[donor].provider_id,
+        provenances.append({"donor": signatures[donor].provider_id,
                             "segment_start": start, "segment_length": params.changed_segment,
                             "seed": pair_seeds[i], "index": i})
 
@@ -500,9 +498,7 @@ def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
                 params.attenuation_low, params.attenuation_high)))
         base_of.append(base)
         edits.append(spec)
-        provenances.append({"provider": signatures[base].provider_id,
-                            "noise": spec_to_dict(spec), "seed": pair_seeds[idx],
-                            "index": idx})
+        provenances.append({"seed": pair_seeds[idx], "index": idx})
 
     return _build_pairs(signatures, base_of, edits, provenances)
 

@@ -114,7 +114,7 @@ def sliding_window_detect(existing: Signature, recomputed: Signature,
                           thresholds: DetectorThresholds = DetectorThresholds()
                           ) -> DetectionOutcome:
     check_aligned(existing, recomputed)
-    if thresholds.window >= existing.grid.length - 1:
+    if thresholds.window >= existing.matrix.shape[1] - 1:
         raise ValueError("scan window must be shorter than the grid")
 
     decisions = []
@@ -147,9 +147,9 @@ def snr_detect(existing: Signature, recomputed: Signature, profile: NoiseProfile
     """
     res = residual(existing, recomputed)
     seg = profile.segment_length
-    if profile.segments * seg != existing.grid.length:
+    if profile.segments * seg != existing.matrix.shape[1]:
         raise AlignmentError(f"profile covers {profile.segments * seg} points, "
-                             f"the grid {existing.grid.length}")
+                             f"the grid {existing.matrix.shape[1]}")
 
     # Ratios are floats with inf for an unbounded SNR, so `<` orders them
     # as SnrValue does.  Aggregate mode is the one-segment case.

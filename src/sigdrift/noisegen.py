@@ -13,6 +13,7 @@ from typing import get_args
 
 import numpy as np
 
+from .config import MAX_ABS_DB
 from .core import (Signature, json_integer, json_list, json_number, json_text, read_json,
                    write_text)
 from .errors import AlignmentError, ParseError
@@ -69,6 +70,11 @@ class DistortionNoise:
     target_snr_db: float = 20.0
     kind = "distortion"
 
+    def __post_init__(self):
+        if not abs(self.target_snr_db) <= MAX_ABS_DB:
+            raise ValueError(f"target_snr_db = {self.target_snr_db} must be in "
+                             f"[-{MAX_ABS_DB:g}, {MAX_ABS_DB:g}]")
+
     def apply(self, matrix: np.ndarray, row_stds: np.ndarray, seed: int) -> None:
         """A generator seeded with `seed` draws the noise row after row."""
         rng = np.random.default_rng(seed)
@@ -115,7 +121,7 @@ def inject(sig: Signature, spec: NoiseSpec, seed: int) -> Signature:
     """A copy of `sig` with `spec` applied to every row."""
     matrix = sig.matrix.copy()
     spec.apply(matrix, sig.row_stds, seed)
-    return Signature(sig.parameters, matrix, sig.grid, sig.provider_id)
+    return Signature(sig.parameters, matrix, sig.provider_id)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +171,8 @@ def snr(signal, noise) -> SnrValue:
 
 def check_aligned(existing: Signature, recomputed: Signature) -> None:
     """Raise unless the two signatures share grid and parameters."""
-    if existing.grid != recomputed.grid or existing.parameters != recomputed.parameters:
+    if (existing.matrix.shape != recomputed.matrix.shape
+            or existing.parameters != recomputed.parameters):
         raise AlignmentError("signatures must share grid and parameters")
 
 
@@ -236,10 +243,10 @@ def learn_noise_profile(existing: Signature, recomputed: Signature,
     signature taken over a noise-only monitoring period.
 
     Segment i covers grid indices [i*seg, (i+1)*seg) with
-    seg = grid.length / segments; see :func:`snr_ratios`.
+    seg = L / segments over an L-point grid; see :func:`snr_ratios`.
     """
     ratios = snr_ratios(existing.matrix, residual(existing, recomputed), segments)
-    return profile_from_ratios(ratios, existing.grid.length // segments)
+    return profile_from_ratios(ratios, existing.matrix.shape[1] // segments)
 
 
 def profile_to_dict(profile: NoiseProfile) -> dict:

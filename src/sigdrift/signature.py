@@ -8,31 +8,33 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (Signature, TimeGrid, TrialExperience, csv_field, read_csv, unit_rows,
-                   write_csv)
+from .core import Signature, TrialExperience, csv_field, read_csv, unit_rows, write_csv
 from .errors import AlignmentError, ParseError
 
 
-def generate_signature(experiences, grid: TimeGrid, provider_id: str = "") -> Signature:
+def generate_signature(experiences, provider_id: str = "") -> Signature:
     """Mean each parameter's experiences across users, normalize, stack
     into a signature with rows in order of each parameter's first
     appearance.
 
-    Every experience must cover the full grid (window == (0, grid.length)).
+    The first experience's length is the grid length, and every
+    experience must cover the full grid (window == (0, length)).
     """
+    experiences = list(experiences)
+    if not experiences:
+        raise ValueError("need at least one trial experience")
+    length = experiences[0].trial_length
     by_param: dict[str, list[np.ndarray]] = {}
     for e in experiences:
-        if e.window != (0, grid.length):
+        if e.window != (0, length):
             raise AlignmentError(
                 f"user {e.user_id!r} covers {e.window} for {e.parameter!r}, "
-                f"signature generation needs (0, {grid.length})"
+                f"signature generation needs (0, {length})"
             )
         by_param.setdefault(e.parameter, []).append(e.values)
-    if not by_param:
-        raise ValueError("need at least one trial experience")
     names = tuple(by_param)
     means = np.stack([np.stack(values).mean(axis=0) for values in by_param.values()])
-    return Signature(names, unit_rows(means, names), grid, provider_id)
+    return Signature(names, unit_rows(means, names), provider_id)
 
 
 def paa_boundaries(length: int, target_length: int) -> np.ndarray:

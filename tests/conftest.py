@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from sigdrift.core import Signature, TimeGrid
+from sigdrift.core import Signature
 
 
-def raw_signature(matrix, provider_id="prov", parameters=None, resolution="day"):
+def raw_signature(matrix, provider_id="prov", parameters=None):
     """Signature straight from the given rows, no renormalization."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim == 1:
         matrix = matrix[None, :]
     if parameters is None:
         parameters = [f"q{i}" for i in range(matrix.shape[0])]
-    grid = TimeGrid(matrix.shape[1], resolution)
-    return Signature(tuple(parameters), matrix, grid, provider_id=provider_id)
+    return Signature(tuple(parameters), matrix, provider_id=provider_id)
 
 
 def unit_signature(matrix, provider_id="prov", parameters=None):
@@ -23,7 +22,7 @@ def unit_signature(matrix, provider_id="prov", parameters=None):
     if parameters is None:
         parameters = [f"q{i}" for i in range(matrix.shape[0])]
     rows = [row / np.std(row) for row in matrix]
-    return Signature(tuple(parameters), rows, TimeGrid(matrix.shape[1]), provider_id)
+    return Signature(tuple(parameters), rows, provider_id)
 
 
 def wavy_row(length, seed=0, mean=0.0):

@@ -21,7 +21,7 @@ from sigdrift.detect import DetectorThresholds, Verdict, sliding_window_detect
 from sigdrift.evaluate import (ConfusionCounts, ExperimentConfig, accuracy, f1,
                                fp_rate, run_experiment, sensitivity_analysis,
                                tp_rate)
-from sigdrift.noisegen import DistortionNoise, inject, residual, snr
+from sigdrift.noisegen import DistortionNoise, SpikeNoise, inject, residual, snr
 from sigdrift.similarity import SimilarityMethod, cosine, euclidean, pcc, rmse
 
 from conftest import unit_signature
@@ -158,7 +158,7 @@ def test_c04_spike_pairs_classified_with_window_overlap():
     t0 = time.monotonic()
     sigs = build_base_signatures(seed=SEED)
     corpus = build_corpus(0, 223, 0.0, seed=7, signatures=sigs)
-    spikes = [p for p in corpus if p.provenance["noise"]["kind"] == "spike"][:200]
+    spikes = [p for p in corpus if isinstance(p.noise, SpikeNoise)][:200]
     assert len(spikes) == 200
     th = DetectorThresholds()
     hits = 0
@@ -166,8 +166,7 @@ def test_c04_spike_pairs_classified_with_window_overlap():
         out = sliding_window_detect(pair.existing, pair.recomputed, th)
         if out.verdict is not Verdict.NOISE or out.noise_kind != "spike":
             continue
-        pos = pair.provenance["noise"]["position"]
-        width = pair.provenance["noise"]["width"]
+        pos, width = pair.noise.position, pair.noise.width
         start = out.rows[0].diagnostics["removed_window_start"]
         if start < pos + width and start + th.window > pos:
             hits += 1

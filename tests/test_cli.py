@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -142,6 +143,16 @@ def test_detect_missing_file_is_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_inject_rejects_a_distortion_beyond_300_db(tmp_path, caplog):
+    ex, _ = _write_pair(tmp_path)
+    out = tmp_path / "noisy.csv"
+    assert main(["inject", "--signature", str(ex), "--out", str(out), "--spec",
+                 '{"kind": "distortion", "target_snr_db": 4000}']) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "target_snr_db = 4000.0 must be in [-300, 300]" in errors[0]
+    assert not out.exists()
+
+
 def test_inject_spike_via_spec_file(tmp_path):
     ex, _ = _write_pair(tmp_path)
     spec = tmp_path / "spec.json"
@@ -169,7 +180,7 @@ def test_gen_signature_from_cohorts(tmp_path):
     assert main(["gen-signature", "--cohorts", str(cohorts), "--out", str(out)]) == 0
     sig = read_signature(out)
     assert sig.provider_id == "sig"  # stem wins on read; file stores values only
-    assert sig.grid.length == 4
+    assert sig.matrix.shape == (1, 4)
 
 
 def test_gen_signature_header_only_cohort_file_is_exit_one(tmp_path, caplog):
@@ -392,6 +403,20 @@ def test_seed_env_fallback(tmp_path, monkeypatch):
     assert json.loads(out2.read_text())["seed"] == 5
 
 
+@pytest.mark.parametrize("grid", [
+    ["--nodes", "3", "--raw-length", "60", "--grid-length", "36", "--changed-segment", "9"],
+    ["--nodes", "2", "--raw-length", "23040", "--grid-length", "23040",
+     "--changed-segment", "5760"]], ids=["36-points", "23040-points"])
+def test_evaluate_at_the_spike_and_awgn_caps_warns_of_no_overflow(tmp_path, grid):
+    for awgn_db in ("-300", "300"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["evaluate", "--seed", "1", "--jobs", "1", *grid,
+                         "--n-changed", "2", "--n-noisy", "8", "--sample-sizes", "10",
+                         "--repeats", "1", "--spike-magnitude", "1e6",
+                         "--awgn-db", awgn_db, "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_sensitivity_tiny_run(tmp_path):
     out = tmp_path / "s.json"
     assert main(["sensitivity", "--seed", "1", "--jobs", "1",
@@ -424,6 +449,16 @@ def test_sensitivity_tiny_run(tmp_path):
                  "spike_magnitude = -1.0 must be positive", id="gen-data-spike-magnitude"),
     pytest.param("evaluate", "--spike-magnitude", "0",
                  "spike_magnitude = 0.0 must be positive", id="evaluate-spike-magnitude"),
+    pytest.param("gen-data", "--spike-magnitude", "1e308",
+                 "spike_magnitude = 1e+308 must be at most 1e+06",
+                 id="gen-data-spike-magnitude-overflow"),
+    pytest.param("evaluate", "--spike-magnitude", "1e152",
+                 "spike_magnitude = 1e+152 must be at most 1e+06",
+                 id="evaluate-spike-magnitude-overflow"),
+    pytest.param("gen-data", "--awgn-db", "4000",
+                 "awgn_db = 4000.0 must be in [-300, 300]", id="gen-data-awgn-db"),
+    pytest.param("evaluate", "--awgn-db", "-4000",
+                 "awgn_db = -4000.0 must be in [-300, 300]", id="evaluate-awgn-db"),
     pytest.param("gen-data", "--config",
                  "grid_length = 12\nchanged_segment = 3\nspike_width = 20\n",
                  "spike_width = 20 exceeds grid_length = 12", id="gen-data-small-grid"),

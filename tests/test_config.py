@@ -134,10 +134,11 @@ DRAWS = {
     "grid_length": st.integers(-1, 80),
     "parameter": st.sampled_from(["throughput", "latency", "", "a,b"]),
     "spike_width": st.integers(-1, 40),
-    "spike_magnitude": st.floats(-1.0, 20.0),
+    # Both also draw far into the range where their arithmetic overflows.
+    "spike_magnitude": st.one_of(st.floats(-1.0, 20.0), st.floats(20.0, 1e308)),
     "attenuation_low": st.floats(-0.5, 1.5),
     "attenuation_high": st.floats(-0.5, 1.5),
-    "awgn_db": st.floats(-40.0, 60.0),
+    "awgn_db": st.one_of(st.floats(-40.0, 60.0), st.floats(-1e308, 1e308)),
     "attenuation_share": st.floats(-0.5, 1.5),
     "changed_segment": st.integers(-1, 40),
     "paper_faithful": st.booleans(),
@@ -260,12 +261,14 @@ def _errors_of(argv) -> tuple[int, list[str]]:
         logger.removeHandler(handler)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_a_drawn_setting_runs_or_fails_at_once_naming_a_key(data):
-    """gen-data and evaluate either run, or exit 1 with one error line that
-    names a config key and write nothing; and a setting gen-data rejects,
-    evaluate rejects with the same line (one check for every subcommand)."""
+    """gen-data and evaluate either run with no runtime warning (an
+    overflow), or exit 1 with one error line that names a config key and
+    write nothing; and a setting gen-data rejects, evaluate rejects with
+    the same line (one check for every subcommand)."""
     keys = data.draw(st.lists(st.sampled_from(sorted(DRAWS)), min_size=1, max_size=3,
                               unique=True))
     drawn = {key: data.draw(DRAWS[key], label=key) for key in keys}

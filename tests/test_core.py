@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sigdrift.core import (QoSSeries, Signature, TimeGrid, TrialExperience, json_text,
+from sigdrift.core import (QoSSeries, Signature, TrialExperience, json_text,
                            read_signature, write_signature)
 from sigdrift.errors import ConstantSeriesError, ParseError
 
@@ -17,29 +17,27 @@ def test_population_std_is_ddof_zero():
 
 
 def test_grid_rejects_short_lengths():
-    with pytest.raises(ValueError):
-        TimeGrid(1)
-    assert TimeGrid(2).length == 2
-    assert TimeGrid(5).resolution == "day"
+    with pytest.raises(ValueError, match="rows need at least two points, got 1"):
+        Signature(("cpu",), [[1.0]])
+    assert Signature(("cpu",), [[1.0, 2.0]]).matrix.shape == (1, 2)
 
 
 def test_series_rejects_nan_and_inf():
-    grid = TimeGrid(3)
     with pytest.raises(ValueError):
-        Signature(("cpu",), [[1.0, np.nan, 2.0]], grid)
+        Signature(("cpu",), [[1.0, np.nan, 2.0]])
     with pytest.raises(ValueError):
-        Signature(("cpu",), [[1.0, np.inf, 2.0]], grid)
+        Signature(("cpu",), [[1.0, np.inf, 2.0]])
     with pytest.raises(ValueError):
-        Signature(("cpu",), [1.0, 2.0, 3.0], grid)  # a row must be a matrix row
+        Signature(("cpu",), [1.0, 2.0, 3.0])  # a row must be a matrix row
     with pytest.raises(ValueError):
-        Signature(("cpu",), [[[1.0, 2.0, 3.0]]], grid)
+        Signature(("cpu",), [[[1.0, 2.0, 3.0]]])
     with pytest.raises(ValueError):
-        Signature(("",), [[1.0, 2.0, 3.0]], grid)
+        Signature(("",), [[1.0, 2.0, 3.0]])
 
 
 def test_series_values_are_frozen():
     values = np.array([[1.0, 2.0, 3.0]])
-    sig = Signature(("cpu",), values, TimeGrid(3))
+    sig = Signature(("cpu",), values)
     values[0, 0] = 9.0  # the signature holds its own copy
     assert sig.matrix[0, 0] == 1.0
     row = sig.row("cpu")
@@ -53,25 +51,21 @@ def test_series_values_are_frozen():
 
 
 def test_signature_shape_checks():
-    grid = TimeGrid(4)
     row = [0.5, -0.5, 1.5, -1.5]
     with pytest.raises(ValueError):
-        Signature((), np.empty((0, 4)), grid)
+        Signature((), np.empty((0, 4)))
     with pytest.raises(ValueError):
-        Signature(("cpu", "cpu"), [row, row], grid)  # duplicate parameter name
+        Signature(("cpu", "cpu"), [row, row])  # duplicate parameter name
     with pytest.raises(ValueError):
-        Signature(("cpu", "io"), [row], grid)  # fewer rows than parameters
-    with pytest.raises(ValueError):
-        Signature(("cpu",), [[1.0, 2.0]], grid)
+        Signature(("cpu", "io"), [row])  # fewer rows than parameters
     with pytest.raises(ConstantSeriesError):
-        Signature(("cpu",), [[2.0, 2.0, 2.0, 2.0]], grid)
+        Signature(("cpu",), [[2.0, 2.0, 2.0, 2.0]])
 
 
 def test_constant_row_error_names_the_first_constant_row():
     flat = [2.0, 2.0, 2.0, 2.0]
     with pytest.raises(ConstantSeriesError, match="row 'io' is constant"):
-        Signature(("cpu", "io", "net"), [[0.5, -0.5, 1.5, -1.5], flat, flat],
-                  TimeGrid(4))
+        Signature(("cpu", "io", "net"), [[0.5, -0.5, 1.5, -1.5], flat, flat])
 
 
 def test_equality_ignores_provider_id():

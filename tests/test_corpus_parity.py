@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sigdrift.core import Signature, TimeGrid, check_stack
+from sigdrift.core import Signature, check_stack
 from sigdrift.datagen import CorpusParams, Label, LabeledPair, _noise_counts, build_corpus
 from sigdrift.evaluate import learn_monitoring_profiles
 from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
-                               SpikeNoise, inject, learn_noise_profile, spec_to_dict)
+                               SpikeNoise, inject, learn_noise_profile)
 
 from conftest import unit_signature, wavy_row
 
@@ -38,14 +38,14 @@ def _ref_inject(sig, spec, seed):
             power = float(np.mean(np.square(values)))
             sigma = math.sqrt(power / (10.0 ** (spec.target_snr_db / 10.0)))
             values += rng.normal(0.0, sigma, size=values.size)
-    return Signature(sig.parameters, matrix, sig.grid, sig.provider_id)
+    return Signature(sig.parameters, matrix, sig.provider_id)
 
 
 def _ref_build_corpus(n_changed, n_noisy, distortion_fraction, seed, signatures,
                       params):
     ss_sigs, ss_changed, ss_noisy, ss_pair_seeds = np.random.SeedSequence(seed).spawn(4)
     k = len(signatures)
-    grid_length = signatures[0].grid.length
+    grid_length = signatures[0].matrix.shape[1]
     pair_seeds = [int(s) for s in ss_pair_seeds.generate_state(n_changed + n_noisy,
                                                                dtype=np.uint64)]
     pairs = []
@@ -60,12 +60,11 @@ def _ref_build_corpus(n_changed, n_noisy, distortion_fraction, seed, signatures,
         matrix = np.array(original.matrix)
         end = start + params.changed_segment
         matrix[:, start:end] = other.matrix[:, start:end]
-        spliced = Signature(original.parameters, matrix, original.grid, original.provider_id)
+        spliced = Signature(original.parameters, matrix, original.provider_id)
         pairs.append(LabeledPair(
             original, spliced, Label.CHANGED, None,
-            {"provider": original.provider_id, "donor": other.provider_id,
-             "segment_start": start, "segment_length": params.changed_segment,
-             "seed": pair_seeds[i], "index": i}))
+            {"donor": other.provider_id, "segment_start": start,
+             "segment_length": params.changed_segment, "seed": pair_seeds[i], "index": i}))
 
     n_spike, n_distortion, n_attenuation = _noise_counts(n_noisy, distortion_fraction,
                                                          params)
@@ -86,8 +85,7 @@ def _ref_build_corpus(n_changed, n_noisy, distortion_fraction, seed, signatures,
         original = signatures[base]
         pairs.append(LabeledPair(
             original, _ref_inject(original, spec, pair_seeds[idx]), Label.NOISY, spec,
-            {"provider": original.provider_id, "noise": spec_to_dict(spec),
-             "seed": pair_seeds[idx], "index": idx}))
+            {"seed": pair_seeds[idx], "index": idx}))
     return pairs
 
 
@@ -125,8 +123,7 @@ def test_inject_matches_the_row_at_a_time_reference(spec):
     for seed in (0, 1, 2**63):
         got, want = inject(sig, spec, seed), _ref_inject(sig, spec, seed)
         assert got.matrix.tobytes() == want.matrix.tobytes()
-        assert (got.parameters, got.grid, got.provider_id) == (
-            want.parameters, want.grid, want.provider_id)
+        assert (got.parameters, got.provider_id) == (want.parameters, want.provider_id)
 
 
 CORPUS_CASE = dict(
@@ -153,7 +150,6 @@ def test_build_corpus_matches_the_pair_at_a_time_build(count, rows, length, n_ch
         assert g.provenance == w.provenance
         assert list(g.provenance) == list(w.provenance)
         assert g.recomputed.parameters == w.recomputed.parameters
-        assert g.recomputed.grid == w.recomputed.grid
         assert g.recomputed.provider_id == w.recomputed.provider_id
         assert g.recomputed.matrix.shape == w.recomputed.matrix.shape
         assert g.recomputed.matrix.tobytes() == w.recomputed.matrix.tobytes()
@@ -184,7 +180,7 @@ def test_row_stds_are_population_std_of_each_row(rows, length, pairs, seed, scal
     names = tuple(f"q{r}" for r in range(rows))
     stacked = check_stack(stack, names)  # the corpus path: one check per stack
     for p in range(pairs):
-        sig = Signature(names, stack[p], TimeGrid(length))
+        sig = Signature(names, stack[p])
         for r in range(rows):
             want = np.std(stack[p, r]).tobytes()
             assert sig.row_stds[r].tobytes() == want

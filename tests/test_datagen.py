@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from sigdrift.core import Signature, TimeGrid
+from sigdrift.core import Signature
 from sigdrift.datagen import (CORES_TOTAL, BaselineMap, CorpusParams, IntervalRule, Label,
                               QoSProfile, WorkloadTrace, _performance_matrix,
                               baseline_performance, build_base_signatures, build_corpus,
@@ -191,13 +191,12 @@ def test_default_profiles_are_five_distinct_providers():
 def test_build_provider_signatures_shape_and_determinism():
     trace = synthesize_trace(8, 720, seed=5)
     profiles = default_profiles()
-    grid = TimeGrid(360)
-    sigs = build_provider_signatures(profiles, trace, grid, seed=11)
+    sigs = build_provider_signatures(profiles, trace, 360, seed=11)
     assert len(sigs) == 5
     for sig in sigs:
-        assert sig.grid.length == 360
+        assert sig.matrix.shape == (1, 360)
         assert abs(np.std(sig.matrix[0]) - 1.0) < 1e-9
-    again = build_provider_signatures(profiles, trace, grid, seed=11)
+    again = build_provider_signatures(profiles, trace, 360, seed=11)
     for a, b in zip(sigs, again):
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
@@ -206,7 +205,7 @@ def test_identical_profiles_with_zero_jitter_coincide():
     trace = synthesize_trace(4, 720, seed=5)
     base = _example_profile(jitter=0.0)
     twin = QoSProfile("twin", base.workload_map, base.seasonal_map, 0.0)
-    sigs = build_provider_signatures([base, twin], trace, TimeGrid(360), seed=2)
+    sigs = build_provider_signatures([base, twin], trace, 360, seed=2)
     np.testing.assert_array_equal(sigs[0].matrix, sigs[1].matrix)
     assert sigs[0].provider_id == "example" and sigs[1].provider_id == "twin"
 
@@ -229,7 +228,7 @@ def test_corpus_counts_and_composition():
     kinds = {}
     for p in corpus:
         if p.label is Label.NOISY:
-            k = p.provenance["noise"]["kind"]
+            k = p.noise.kind
             kinds[k] = kinds.get(k, 0) + 1
     # half distortion, a tenth attenuation, spikes take the rest
     assert kinds == {"distortion": 150, "attenuation": 30, "spike": 120}
@@ -238,7 +237,7 @@ def test_corpus_counts_and_composition():
 def test_zero_distortion_level_has_none():
     sigs = build_base_signatures(seed=42)
     corpus = build_corpus(0, 40, 0.0, seed=1, signatures=sigs)
-    kinds = {p.provenance["noise"]["kind"] for p in corpus}
+    kinds = {p.noise.kind for p in corpus}
     assert "distortion" not in kinds
 
 
@@ -257,13 +256,13 @@ def test_changed_pairs_use_distinct_donors():
     sigs = build_base_signatures(seed=42)
     corpus = build_corpus(30, 0, 0.5, seed=2, signatures=sigs)
     for p in corpus:
-        assert p.provenance["donor"] != p.provenance["provider"]
+        assert p.provenance["donor"] != p.existing.provider_id
         assert 0 <= p.provenance["segment_start"] <= 270
 
 
 def test_corpus_rejects_base_signatures_that_do_not_align():
     sigs = build_base_signatures(seed=42)
-    renamed = Signature(("latency",), sigs[1].matrix, sigs[1].grid, sigs[1].provider_id)
+    renamed = Signature(("latency",), sigs[1].matrix, sigs[1].provider_id)
     with pytest.raises(AlignmentError, match="base signatures must share grid and parameters"):
         build_corpus(1, 0, 0.5, seed=0, signatures=[sigs[0], renamed])
 

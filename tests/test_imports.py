@@ -189,3 +189,13 @@ def test_config_imports_no_package_module_but_errors():
                  if isinstance(node, ast.Import) for a in node.names
                  if a.name.partition(".")[0] == "sigdrift"}
     assert imported - {None} == {"errors"}
+
+
+def test_package_exports_exactly_what_it_imports():
+    """``__all__`` lists each name ``__init__`` imports, plus ``__version__``,
+    so that a removed export cannot linger in one of the two lists."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+                for a in node.names]
+    assert len(sigdrift.__all__) == len(set(sigdrift.__all__))
+    assert set(sigdrift.__all__) == {*imported, "__version__"}

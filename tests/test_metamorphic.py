@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sigdrift._kernels import cusum_scan
-from sigdrift.core import Signature, TimeGrid
+from sigdrift.core import Signature
 from sigdrift.detect import Verdict, cusum_detect, sliding_window_detect, snr_detect
 from sigdrift.noisegen import profile_from_ratios, residual, snr_ratios
 
@@ -99,8 +99,7 @@ def _pair(draw, lengths=st.integers(8, 400)):
 
 
 def _sig(matrix: np.ndarray, scale: float = 1.0) -> Signature:
-    return Signature(tuple(f"q{r}" for r in range(matrix.shape[0])), matrix * scale,
-                     TimeGrid(matrix.shape[1]))
+    return Signature(tuple(f"q{r}" for r in range(matrix.shape[0])), matrix * scale)
 
 
 def _bits(value: float) -> str:

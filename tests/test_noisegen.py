@@ -98,6 +98,20 @@ def test_spec_numbers_are_json_numbers(payload, key):
         spec_from_dict(payload)
 
 
+@pytest.mark.parametrize("db", [4000.0, -4000.0, -3200.0, 300.5])
+def test_distortion_rejects_a_target_snr_beyond_300_db(db):
+    """Beyond it 10 ** (dB / 10) overflows or the noise turns infinite."""
+    with pytest.raises(ValueError, match=r"^target_snr_db = .* must be in \[-300, 300\]$"):
+        DistortionNoise(db)
+    with pytest.raises(ParseError, match="target_snr_db = "):
+        spec_from_dict({"kind": "distortion", "target_snr_db": db})
+
+
+@pytest.mark.parametrize("db", [-300.0, 300.0])
+def test_distortion_at_the_db_bound_stays_finite(sig, db):
+    assert np.isfinite(inject(sig, DistortionNoise(db), seed=1).matrix).all()
+
+
 # ------------------------------------------------------------------ inject
 
 def test_spike_touches_exactly_width_points(sig):

@@ -59,7 +59,7 @@ def _spliced(original, donor, start, stop):
     """A copy of `original` with the donor's columns [start, stop)."""
     values = original.matrix.copy()
     values[:, start:stop] = donor.matrix[:, start:stop]
-    return Signature(original.parameters, values, original.grid, original.provider_id)
+    return Signature(original.parameters, values, original.provider_id)
 
 
 def test_multi_row_detector_outcomes_are_pinned():

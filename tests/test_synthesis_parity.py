@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sigdrift.core import TimeGrid, TrialExperience
+from sigdrift.core import TrialExperience
 from sigdrift.datagen import (CORES_TOTAL, IntervalRule, QoSProfile,
                               build_provider_signatures, default_baseline,
                               default_profiles, synthesize_trace)
@@ -38,9 +38,9 @@ def _ref_paa(series, target):
     return np.add.reduceat(series, bounds[:-1]) / np.diff(bounds)
 
 
-def _ref_build(profiles, trace, grid, seed):
+def _ref_build(profiles, trace, grid_length, seed):
     demands = trace.cores / CORES_TOTAL
-    bounds = _ref_paa_bounds(trace.length, grid.length)
+    bounds = _ref_paa_bounds(trace.length, grid_length)
     day_of = np.searchsorted(bounds, np.arange(trace.length), side="right") - 1
     baseline = default_baseline()
     xs = np.array([d for d, _ in baseline.breakpoints])
@@ -51,9 +51,9 @@ def _ref_build(profiles, trace, grid, seed):
         perf = np.interp(demands, xs, ys) * _ref_lookup(profile.workload_map, demands)
         perf = perf * _ref_lookup(profile.seasonal_map, day_of)[None, :]
         perf = perf * (1.0 + profile.jitter_amplitude * rng.random(demands.shape))
-        experiences = [TrialExperience(node, "throughput", _ref_paa(perf[i], grid.length), 0)
+        experiences = [TrialExperience(node, "throughput", _ref_paa(perf[i], grid_length), 0)
                        for i, node in enumerate(trace.node_ids)]
-        signatures.append(generate_signature(experiences, grid, profile.provider_id))
+        signatures.append(generate_signature(experiences, profile.provider_id))
     return signatures
 
 
@@ -102,12 +102,11 @@ def test_provider_signatures_match_the_point_at_a_time_build(length, prestretche
     """The program stretches the packaged seasonal maps over the grid itself,
     and leaves maps that already span the grid as they are."""
     stretched = _stretched(length / 360)
-    grid = TimeGrid(length)
-    trace = synthesize_trace(nodes, int(grid.length * scale), trace_seed)
+    trace = synthesize_trace(nodes, int(length * scale), trace_seed)
     got = build_provider_signatures(stretched if prestretched else default_profiles(),
-                                    trace, grid, seed=perf_seed)
-    want = _ref_build(stretched, trace, grid, perf_seed)
+                                    trace, length, seed=perf_seed)
+    want = _ref_build(stretched, trace, length, perf_seed)
     assert [s.provider_id for s in got] == [s.provider_id for s in want]
     for a, b in zip(got, want):
-        assert a.parameters == b.parameters and a.grid == b.grid
+        assert a.parameters == b.parameters
         assert a.matrix.tobytes() == b.matrix.tobytes()

@@ -25,6 +25,17 @@ checks each against the plain numpy form):
   it back into the 0.0 that ``minimum.accumulate`` yields.
 - ``np.maximum``/``np.minimum`` clamp exactly as ``ndarray.clip`` does,
   NaN included, without its Python wrapper.
+- ``deletion_pcc_scan`` is split in two: :func:`deletion_scan_base`
+  takes what depends on x alone (x0, and sx and the clamped varx after
+  each deletion), :func:`deletion_scan_finish` the rest for one y.  The
+  detectors keep the first half per existing row, so a row checked
+  against many recomputed ones is centered and summed once.  The scan
+  is still one arithmetic path: ``deletion_pcc_scan`` is the two halves
+  composed.  Its lanes are the ones the packed three-row form had
+  (x0|y0, x0*x0|y0*y0, x0*y0|0), regrouped as x0|x0*x0, y0|y0*y0 and a
+  real x0*y0.  By the rule above a lane's prefix sums are the same bits
+  whichever lane shares its complex row, and every step after the sums
+  is elementwise, so the output is bit-identical to the packed form.
 - Not allowed until rounding-decided verdicts are handled explicitly:
   ``einsum``, and dot products reordered or moved off BLAS ``@``, which
   round differently.
@@ -37,6 +48,81 @@ import numpy as np
 backend = "python"
 
 
+def _deleted_sums(terms: np.ndarray, window: int):
+    """For an ``(n + 1, 2)`` array of a leading zero row and two series,
+    each series' sum over the points left after deleting [w, w+window),
+    for every w.  One complex cumsum runs both prefix sums, in place."""
+    cs = terms.view(np.complex128)[:, 0]
+    np.cumsum(cs[1:], out=cs[1:])
+    rest = np.subtract(cs[window:], cs[:-window])
+    np.subtract(cs[-1:], rest, out=rest)
+    return rest.real, rest.imag
+
+
+def deletion_scan_base(x: np.ndarray, window: int):
+    """The half of :func:`deletion_pcc_scan` that depends on x alone.
+
+    Returns ``(x0, sx, varx)``, each read-only: x centered by its mean,
+    and for every deleted block [w, w+window) the sum of x0 over the
+    remainder and m * sum(x0**2) - sx**2 (clamped at 0), with m the
+    remainder's length.  A caller that scans one x against many y keeps
+    this and passes it to :func:`deletion_scan_finish` for each y.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    n = x.size
+    if not 1 <= window < n - 1:
+        raise ValueError("window must leave at least two points behind")
+
+    # x0|x0*x0 as one complex row after a leading zero.  Centering by
+    # the global mean keeps the running sums small and the variance
+    # subtraction below well conditioned.
+    x0 = np.subtract(x, np.add.reduce(x) / n)
+    terms = np.zeros((n + 1, 2))
+    terms[1:, 0] = x0
+    np.square(x0, out=terms[1:, 1])
+    sx, sxx = _deleted_sums(terms, window)
+    varx = (n - window) * sxx - sx * sx
+    np.maximum(varx, 0.0, out=varx)
+    sx = sx.copy()
+    for a in (x0, sx, varx):
+        a.setflags(write=False)
+    return x0, sx, varx
+
+
+def deletion_scan_finish(base, y: np.ndarray) -> np.ndarray:
+    """:func:`deletion_pcc_scan` of the x and window that
+    :func:`deletion_scan_base` turned into ``base``, against y."""
+    x0, sx, varx = base
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    n = y.size
+    if x0.size != n:
+        raise ValueError("series must have equal length")
+    window = n + 1 - sx.size
+
+    # y0|y0*y0 as one complex row, x0*y0 as one real row, each after a
+    # leading zero; the product is taken before the sums overwrite y0.
+    terms = np.zeros((n + 1, 2))
+    y0 = terms[1:, 0]
+    np.subtract(y, np.add.reduce(y) / n, out=y0)
+    np.square(y0, out=terms[1:, 1])
+    xy = np.zeros(n + 1)
+    np.multiply(x0, y0, out=xy[1:])
+    sy, syy = _deleted_sums(terms, window)
+    np.cumsum(xy[1:], out=xy[1:])
+    sxy = np.subtract(xy[window:], xy[:-window])
+    np.subtract(xy[-1:], sxy, out=sxy)
+
+    m = n - window
+    num = m * sxy - sx * sy
+    vary = m * syy - sy * sy
+    np.maximum(vary, 0.0, out=vary)
+    denom = np.sqrt(varx * vary)
+    out = np.full(n - window + 1, np.nan)
+    np.divide(num, denom, out=out, where=denom > 0.0)
+    np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
+    return out
+
+
 def deletion_pcc_scan(x: np.ndarray, y: np.ndarray, window: int) -> np.ndarray:
     """Pearson correlation of x and y after deleting each length-`window` block.
 
@@ -46,44 +132,10 @@ def deletion_pcc_scan(x: np.ndarray, y: np.ndarray, window: int) -> np.ndarray:
     remainder is constant in either series are NaN.
 
     Uses prefix sums, so the whole scan is O(n) instead of the naive
-    O(n * window).
+    O(n * window).  It is :func:`deletion_scan_base` of x, then
+    :func:`deletion_scan_finish` with y.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    n = x.size
-    if y.size != n:
-        raise ValueError("series must have equal length")
-    if not 1 <= window < n - 1:
-        raise ValueError("window must leave at least two points behind")
-
-    # Five series in three complex rows, x0|y0, x0*x0|y0*y0 and x0*y0|0,
-    # each after a leading zero.  Centering by the global means keeps the
-    # running sums small and the variance subtraction below well
-    # conditioned.
-    terms = np.zeros((3, n + 1, 2))
-    xy0 = terms[0, 1:]
-    np.subtract(x, np.add.reduce(x) / n, out=xy0[:, 0])
-    np.subtract(y, np.add.reduce(y) / n, out=xy0[:, 1])
-    np.square(xy0, out=terms[1, 1:])
-    np.multiply(xy0[:, 0], xy0[:, 1], out=terms[2, 1:, 0])
-
-    # Prefix sums, then the sums left over after deleting each block
-    # [w, w+window): sx|sy, sxx|syy, sxy|0.
-    cs = terms.view(np.complex128)[..., 0]
-    np.cumsum(cs[:, 1:], axis=1, out=cs[:, 1:])
-    rest = np.subtract(cs[:, window:], cs[:, :-window])
-    np.subtract(cs[:, -1:], rest, out=rest)
-    sums = rest.view(np.float64).reshape(3, -1, 2)
-
-    m = n - window
-    num = m * sums[2, :, 0] - sums[0, :, 0] * sums[0, :, 1]
-    var = m * sums[1] - sums[0] * sums[0]  # varx|vary
-    np.maximum(var, 0.0, out=var)
-    denom = np.sqrt(var[:, 0] * var[:, 1])
-    out = np.full(n - window + 1, np.nan)
-    np.divide(num, denom, out=out, where=denom > 0.0)
-    np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
-    return out
+    return deletion_scan_finish(deletion_scan_base(x, window), y)
 
 
 def cusum_scan(z: np.ndarray, slack: float, threshold: float):

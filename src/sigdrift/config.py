@@ -29,7 +29,8 @@ DETECTOR_NAMES = ("sw", "snr", "cusum")
 #: overflows past about 3,080 dB and the noise turns infinite before that.
 MAX_ABS_DB = 300.0
 
-#: Largest corpus spike height in row-stds, far above the paper's 5-7.
+#: Largest spike height in row-stds, in a corpus or an injected spec,
+#: far above the paper's 5-7.
 #: The detectors' sums of squares grow as magnitude² × grid length² and
 #: overflow past about 1e151 on a 36-point grid.
 MAX_SPIKE_MAGNITUDE = 1e6

@@ -135,6 +135,18 @@ class Signature:
             object.__setattr__(sig, name, value)
         return sig
 
+    @functools.cached_property
+    def memo(self) -> dict:
+        """Values the detectors derive from ``matrix`` alone, kept the
+        first time a detector computes them; see ``detect``.  ``matrix``
+        is read-only, so an entry never goes stale."""
+        return {}
+
+    def __reduce__(self):
+        # Unpickled arrays are writable: rebuild through the constructor,
+        # which makes the matrix read-only again and starts an empty memo.
+        return Signature, (self.parameters, self.matrix, self.provider_id)
+
     @property
     def rows(self) -> tuple[QoSSeries, ...]:
         return tuple(QoSSeries(p, v) for p, v in zip(self.parameters, self.matrix))

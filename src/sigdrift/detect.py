@@ -25,11 +25,12 @@ from enum import Enum
 
 import numpy as np
 
-from ._kernels import cusum_scan, deletion_pcc_scan
+from ._kernels import cusum_scan, deletion_scan_base, deletion_scan_finish
 from .config import DetectorThresholds
 from .core import Signature
 from .errors import AlignmentError
-from .noisegen import NoiseProfile, check_aligned, residual, snr_ratios
+from .noisegen import (NoiseProfile, check_aligned, mean_square_ratios, residual,
+                       segment_mean_squares)
 from .similarity import pcc, rmse
 
 
@@ -110,15 +111,32 @@ def _first_max(scan: np.ndarray) -> tuple[int, float]:
     return start, best
 
 
+def _memoized(sig: Signature, key: tuple, compute, *args):
+    """``compute(*args)``, kept in ``sig.memo`` under ``key``, which
+    names everything the value depends on besides ``sig.matrix``.
+
+    Only the existing side is memoized: a corpus checks each existing
+    signature against many recomputed ones, so its half of the deletion
+    scan and its segment mean squares are computed once, not per pair.
+    """
+    memo = sig.memo
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute(*args)
+    return value
+
+
 def sliding_window_detect(existing: Signature, recomputed: Signature,
                           thresholds: DetectorThresholds = DetectorThresholds()
                           ) -> DetectionOutcome:
     check_aligned(existing, recomputed)
-    if thresholds.window >= existing.matrix.shape[1] - 1:
+    window = thresholds.window
+    if window >= existing.matrix.shape[1] - 1:
         raise ValueError("scan window must be shorter than the grid")
 
     decisions = []
-    for parameter, x, y in zip(existing.parameters, existing.matrix, recomputed.matrix):
+    for row, (parameter, x, y) in enumerate(zip(existing.parameters, existing.matrix,
+                                                recomputed.matrix)):
         p = pcc(x, y)
         r = rmse(x, y)
         diag = {"pcc": p, "rmse": r}
@@ -128,7 +146,8 @@ def sliding_window_detect(existing: Signature, recomputed: Signature,
         if p >= thresholds.similarity_floor and r <= thresholds.attenuation_ceiling:
             decisions.append(RowDecision(parameter, Verdict.NOISE, "attenuation", diag))
             continue
-        best_start, best = _first_max(deletion_pcc_scan(x, y, thresholds.window))
+        base = _memoized(existing, ("scan", row, window), deletion_scan_base, x, window)
+        best_start, best = _first_max(deletion_scan_finish(base, y))
         diag["best_window_pcc"] = best
         diag["removed_window_start"] = best_start
         if not math.isnan(best) and best >= thresholds.similarity_floor:
@@ -159,7 +178,10 @@ def snr_detect(existing: Signature, recomputed: Signature, profile: NoiseProfile
     elif mode != "segments":
         raise ValueError(f"unknown snr mode {mode!r}")
 
-    currents = snr_ratios(existing.matrix, res, len(floors)).tolist()
+    segments = len(floors)
+    signal_ms = _memoized(existing, ("snr", segments), segment_mean_squares,
+                          existing.matrix, segments)
+    currents = mean_square_ratios(signal_ms, segment_mean_squares(res, segments)).tolist()
     violated = next((i for i, (current, floor) in enumerate(zip(currents, floors))
                      if current < floor), -1)
     diag = {"snr_current": currents, "snr_baseline": floors}

@@ -13,7 +13,7 @@ from typing import get_args
 
 import numpy as np
 
-from .config import MAX_ABS_DB
+from .config import MAX_ABS_DB, MAX_SPIKE_MAGNITUDE
 from .core import (Signature, json_integer, json_list, json_number, json_text, read_json,
                    write_text)
 from .errors import AlignmentError, ParseError
@@ -40,6 +40,9 @@ class SpikeNoise:
             raise ValueError("spike width must be at least 1")
         if self.magnitude <= 0:
             raise ValueError("spike magnitude must be positive")
+        if not self.magnitude <= MAX_SPIKE_MAGNITUDE:
+            raise ValueError(f"magnitude = {self.magnitude} must be at most "
+                             f"{MAX_SPIKE_MAGNITUDE:g}")
 
     def apply(self, matrix: np.ndarray, row_stds: np.ndarray, seed: int) -> None:
         """Sized by the rows before the spike; draws no random numbers."""
@@ -130,8 +133,8 @@ def inject(sig: Signature, spec: NoiseSpec, seed: int) -> Signature:
 @dataclass(frozen=True, order=True)
 class SnrValue:
     """A signal-to-noise ratio; ``inf`` when it is unbounded (see
-    :func:`_ratios`), which orders it above every finite ratio, so ``min``
-    picks the lowest."""
+    :func:`mean_square_ratios`), which orders it above every finite
+    ratio, so ``min`` picks the lowest."""
 
     ratio: float
 
@@ -150,7 +153,7 @@ class SnrValue:
         return 10.0 * math.log10(self.ratio)
 
 
-def _ratios(signal_ms, noise_ms) -> np.ndarray:
+def mean_square_ratios(signal_ms, noise_ms) -> np.ndarray:
     """Signal over noise mean squares, elementwise; ``inf`` where the noise
     mean square is zero (all-zero noise, or squares so small they
     underflow) or the quotient overflows."""
@@ -160,13 +163,13 @@ def _ratios(signal_ms, noise_ms) -> np.ndarray:
 
 def snr(signal, noise) -> SnrValue:
     """Mean-square(signal) over mean-square(noise); arrays of any shape
-    are pooled.  See :func:`_ratios` for the infinite case."""
+    are pooled.  See :func:`mean_square_ratios` for the infinite case."""
     s = np.asarray(signal, dtype=np.float64)
     n = np.asarray(noise, dtype=np.float64)
     if s.size == 0 or n.size == 0:
         raise ValueError("signal and noise must be non-empty")
-    return SnrValue(float(_ratios(np.add.reduce(np.square(s), axis=None) / s.size,
-                                  np.add.reduce(np.square(n), axis=None) / n.size)))
+    return SnrValue(float(mean_square_ratios(np.add.reduce(np.square(s), axis=None) / s.size,
+                                             np.add.reduce(np.square(n), axis=None) / n.size)))
 
 
 def check_aligned(existing: Signature, recomputed: Signature) -> None:
@@ -182,11 +185,20 @@ def residual(existing: Signature, recomputed: Signature) -> np.ndarray:
     return existing.matrix - recomputed.matrix
 
 
-def _segment_mean_squares(a: np.ndarray, segments: int) -> np.ndarray:
+def segment_mean_squares(a: np.ndarray, segments: int) -> np.ndarray:
     """Mean square of each of `segments` equal column blocks of a
-    ``(..., rows, L)`` array, shape ``(..., segments)``."""
+    ``(..., rows, L)`` array, shape ``(..., segments)``.  L must split
+    into whole segments of at least two points, so that every point is
+    checked."""
+    if segments < 1:
+        raise ValueError("need at least one segment")
     *lead, rows, length = a.shape
-    seg_len = length // segments
+    seg_len, rest = divmod(length, segments)
+    if rest:
+        raise AlignmentError(f"a {length}-point grid does not split "
+                             f"into {segments} equal segments")
+    if seg_len < 2:
+        raise ValueError("segments too short for the grid")
     # Row i of the last two axes holds a[..., :, i*seg_len:(i+1)*seg_len]
     # in C order, so each sum along the contiguous last axis is the one
     # np.mean of that column block takes.
@@ -198,19 +210,10 @@ def _segment_mean_squares(a: np.ndarray, segments: int) -> np.ndarray:
 def snr_ratios(signal: np.ndarray, noise: np.ndarray, segments: int) -> np.ndarray:
     """SNR ratio of each of `segments` equal column blocks of two
     ``(..., rows, L)`` arrays, shape ``(..., segments)``, with ``inf`` for
-    the unbounded case of :func:`_ratios`.  L must split into whole
-    segments, so that every point is checked."""
-    if segments < 1:
-        raise ValueError("need at least one segment")
-    length = signal.shape[-1]
-    seg_len, rest = divmod(length, segments)
-    if rest:
-        raise AlignmentError(f"a {length}-point grid does not split "
-                             f"into {segments} equal segments")
-    if seg_len < 2:
-        raise ValueError("segments too short for the grid")
-    return _ratios(_segment_mean_squares(signal, segments),
-                   _segment_mean_squares(noise, segments))
+    the unbounded case of :func:`mean_square_ratios`; see
+    :func:`segment_mean_squares`."""
+    return mean_square_ratios(segment_mean_squares(signal, segments),
+                              segment_mean_squares(noise, segments))
 
 
 @dataclass(frozen=True)

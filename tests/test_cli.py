@@ -153,6 +153,16 @@ def test_inject_rejects_a_distortion_beyond_300_db(tmp_path, caplog):
     assert not out.exists()
 
 
+def test_inject_rejects_a_spike_beyond_the_cap(tmp_path, caplog):
+    ex, _ = _write_pair(tmp_path)
+    out = tmp_path / "noisy.csv"
+    assert main(["inject", "--signature", str(ex), "--out", str(out), "--spec",
+                 '{"kind": "spike", "position": 0, "magnitude": 1e308}']) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "magnitude = 1e+308 must be at most 1e+06" in errors[0]
+    assert not out.exists()
+
+
 def test_inject_spike_via_spec_file(tmp_path):
     ex, _ = _write_pair(tmp_path)
     spec = tmp_path / "spec.json"

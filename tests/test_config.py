@@ -9,7 +9,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sigdrift.cli import build_parser, main
@@ -262,6 +262,7 @@ def _errors_of(argv) -> tuple[int, list[str]]:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@seed(20240521)  # so that editing the body does not change the draws
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_a_drawn_setting_runs_or_fails_at_once_naming_a_key(data):

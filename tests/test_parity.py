@@ -6,8 +6,13 @@ expressions they stand for to the last bit.  Each reference below is the
 straightforward numpy form (``np.mean``, ``np.std``, ``np.nanargmax``,
 separate cumulative sums); the program computes the same ufunc sequence
 with fewer calls.
+
+The detectors keep the existing signature's half of the deletion scan
+and its segment mean squares in ``Signature.memo``; the tests at the end
+check that an outcome does not depend on whether that memo was warm.
 """
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,11 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sigdrift._kernels import cusum_scan, deletion_pcc_scan
-from sigdrift.detect import _first_max
+from sigdrift._kernels import (cusum_scan, deletion_pcc_scan, deletion_scan_base,
+                               deletion_scan_finish)
+from sigdrift.config import DetectorThresholds
+from sigdrift.detect import _first_max, cusum_detect, sliding_window_detect, snr_detect
 from sigdrift.errors import ConstantSeriesError
-from sigdrift.noisegen import SnrValue, snr, snr_ratios
+from sigdrift.noisegen import SnrValue, profile_from_ratios, snr, snr_ratios
 from sigdrift.similarity import pcc, rmse
+from test_metamorphic import _edited, _pair, _sig
 
 FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
 # Values on which fmin and minimum, or a packed and a separate sum, could
@@ -186,3 +194,52 @@ def test_deletion_scan_matches_on_constant_runs_and_ties(data, n, window):
     x = data.draw(hnp.arrays(np.float64, n, elements=STEPS))
     y = data.draw(hnp.arrays(np.float64, n, elements=STEPS))
     assert _same(deletion_pcc_scan(x, y, window), _ref_deletion_pcc_scan(x, y, window))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(4, 120), window=st.integers(1, 12),
+       elements=st.sampled_from([FINITE, STEPS, st.one_of(SPECIAL, FINITE)]))
+def test_one_scan_base_serves_every_y_as_the_whole_scan_does(data, n, window, elements):
+    window = min(window, n - 2)
+    x = data.draw(hnp.arrays(np.float64, n, elements=elements))
+    ys = [data.draw(hnp.arrays(np.float64, n, elements=elements)) for _ in range(3)]
+    with np.errstate(all="ignore"):
+        base = deletion_scan_base(x, window)
+        for y in ys:
+            assert _same(deletion_scan_finish(base, y),
+                         _ref_deletion_pcc_scan(x, y, window))
+
+
+SEGMENT_COUNTS = (2, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.integers(2, 40))
+def test_a_warm_memo_gives_the_outcomes_of_a_fresh_existing(data, k):
+    length = 6 * k  # splits into either segment count
+    existing_m, first = data.draw(_pair(st.just(length)))
+    recomputed = [first] + [np.stack([data.draw(_edited(row)) for row in existing_m])
+                            for _ in range(2)]
+    windows = data.draw(st.lists(st.integers(1, min(12, length - 2)),
+                                 min_size=2, max_size=2, unique=True))
+    factor = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    calls = [(sliding_window_detect, DetectorThresholds(window=w)) for w in windows]
+    for segments in SEGMENT_COUNTS:
+        own = snr_ratios(existing_m, existing_m - first, segments)
+        profile = profile_from_ratios(own * factor, length // segments)
+        calls += [(snr_detect, profile, mode) for mode in ("segments", "aggregate")]
+    calls.append((cusum_detect,))
+
+    existing = _sig(existing_m)
+    for rec in map(_sig, recomputed):  # warm the memo
+        for fn, *args in calls:
+            fn(existing, rec, *args)
+    assert {("snr", 1), *(("snr", s) for s in SEGMENT_COUNTS)} <= set(existing.memo)
+    copied = pickle.loads(pickle.dumps(existing))
+    assert existing == _sig(existing_m) and copied == existing
+    for rec in map(_sig, recomputed):
+        for fn, *args in calls:
+            want = repr(fn(_sig(existing_m), rec, *args))
+            assert repr(fn(existing, rec, *args)) == want
+            assert repr(fn(copied, rec, *args)) == want
+        assert "memo" not in vars(rec)

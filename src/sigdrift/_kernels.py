@@ -83,7 +83,7 @@ def deletion_scan_base(x: np.ndarray, window: int):
     sx, sxx = _deleted_sums(terms, window)
     varx = (n - window) * sxx - sx * sx
     np.maximum(varx, 0.0, out=varx)
-    sx = sx.copy()
+    sx = sx.copy()  # a view would keep the complex sums, twice its size, alive
     for a in (x0, sx, varx):
         a.setflags(write=False)
     return x0, sx, varx

@@ -57,7 +57,6 @@ _OVERRIDE_FLAGS = {
     "spike_width": "corpus spike width in grid steps",
     "awgn_db": "distortion target SNR in dB",
     "changed_segment": "spliced segment length for changed pairs",
-    "paper_faithful": "restrict noise to spikes and AWGN",
     "nodes": "trace nodes (trial users)",
     "raw_length": "raw trace timestamps",
     "grid_length": "observation grid length",
@@ -69,12 +68,8 @@ _OVERRIDE_FLAGS = {
 def _add_override(parser: argparse.ArgumentParser, name: str, help_text: str,
                   flag: str | None = None) -> None:
     flag = flag or "--" + name.replace("_", "-")
-    if KINDS[name] is bool:
-        parser.add_argument(flag, dest=name, action="store_true",
-                            default=None, help=help_text)
-    else:
-        parser.add_argument(flag, dest=name, type=PARSERS[KINDS[name]],
-                            default=None, help=help_text)
+    parser.add_argument(flag, dest=name, type=PARSERS[KINDS[name]],
+                        default=None, help=help_text)
 
 
 def _add_overrides(parser: argparse.ArgumentParser, names) -> None:
@@ -228,6 +223,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_events(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
+    if args.f_thresh < 1:
+        raise SigdriftError(f"--f-thresh = {args.f_thresh} must be at least 1")
     flags = [(idx, flag) for idx, flag, _ in read_flags(args.flags)]
     event_config = EventConfig(config.trial_length, args.f_thresh)
     events = detect_events(flags, event_config)
@@ -281,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_overrides(p, ["n_changed", "n_noisy", "distortion_fraction",
                        "monitor_fraction", "snr_segments", "spike_magnitude",
                        "spike_width", "awgn_db", "changed_segment",
-                       "paper_faithful", "nodes", "raw_length", "grid_length"])
+                       "nodes", "raw_length", "grid_length"])
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_data)
 

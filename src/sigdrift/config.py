@@ -3,12 +3,9 @@ environment, overrides.
 
 Every field of ExperimentConfig, DetectorThresholds and CorpusParams is
 a config key under its own name, with its type and default, plus the
-run-level settings of RunSettings.  Two exceptions: DetectorThresholds'
-``window`` is addressed as ``scan_window``, and CorpusParams'
-``resolution`` is not a key: it only labels the evaluate report.
-Config files are flat ``key = value`` lines (# starts a comment).
-Precedence, weakest first: built-in defaults, SIGDRIFT_SEED, config
-file, command-line flags.
+run-level settings of RunSettings.  Config files are flat
+``key = value`` lines (# starts a comment).  Precedence, weakest first:
+built-in defaults, SIGDRIFT_SEED, config file, command-line flags.
 
 Each class checks its fields when it is built, in messages that name
 the keys.  This module imports nothing of the package but ``errors``.
@@ -35,6 +32,10 @@ MAX_ABS_DB = 300.0
 #: overflow past about 1e151 on a 36-point grid.
 MAX_SPIKE_MAGNITUDE = 1e6
 
+#: Largest |value| in a signature or cohort file: the detectors' sums of
+#: (2v)² over a grid of L points stay finite for any L below 1e107.
+MAX_ABS_VALUE = 1e100
+
 
 def _check(ok: bool, message: str) -> None:
     if not ok:
@@ -53,7 +54,7 @@ class DetectorThresholds:
     similarity_floor: float = 0.60   # s_p: minimum PCC to call shapes alike
     distance_ceiling: float = 0.20   # s_r: maximum RMSE for "no change"
     attenuation_ceiling: float = 0.50  # t_d: maximum RMSE still explainable as damping
-    window: int = 6                  # W: deletion window width for the spike scan
+    scan_window: int = 6             # W: deletion window width for the spike scan
 
     def __post_init__(self):
         _check(-1.0 <= self.similarity_floor <= 1.0,
@@ -61,7 +62,7 @@ class DetectorThresholds:
         _check(0.0 <= self.distance_ceiling <= self.attenuation_ceiling,
                f"distance_ceiling = {self.distance_ceiling} must be non-negative and at most "
                f"attenuation_ceiling = {self.attenuation_ceiling}")
-        _check(self.window >= 1, f"scan_window = {self.window} must be at least 1")
+        _check(self.scan_window >= 1, f"scan_window = {self.scan_window} must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -71,7 +72,6 @@ class CorpusParams:
     nodes: int = 31
     raw_length: int = 6486
     grid_length: int = 360
-    resolution: str = "day"
     parameter: str = "throughput"
     spike_width: int = 3
     spike_magnitude: float = 7.0
@@ -80,7 +80,6 @@ class CorpusParams:
     awgn_db: float = 20.0
     attenuation_share: float = 0.10
     changed_segment: int = 90
-    paper_faithful: bool = False
 
     def __post_init__(self):
         _check(self.nodes >= 1, f"nodes = {self.nodes} must be at least 1")
@@ -155,8 +154,8 @@ class ExperimentConfig:
                f"snr_mode = {self.snr_mode!r} must be segments or aggregate")
         _check(0.0 < self.monitor_fraction <= 1.0,
                f"monitor_fraction = {self.monitor_fraction} must be in (0, 1]")
-        _check(self.thresholds.window < grid - 1,
-               f"scan_window = {self.thresholds.window} must be less than "
+        _check(self.thresholds.scan_window < grid - 1,
+               f"scan_window = {self.thresholds.scan_window} must be less than "
                f"grid_length - 1 = {grid - 1}")
 
     def to_dict(self) -> dict:
@@ -167,17 +166,6 @@ class ExperimentConfig:
 
 
 ENV_SEED = "SIGDRIFT_SEED"
-RENAMED = {"window": "scan_window"}
-HIDDEN = {"resolution"}
-
-
-def _boolean(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "1", "yes", "on"):
-        return True
-    if low in ("false", "0", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw.strip()!r}")
 
 
 def finite_float(raw: str) -> float:
@@ -199,7 +187,6 @@ def _comma_list(item):
 PARSERS = {
     int: int,
     float: finite_float,
-    bool: _boolean,
     str: str.strip,
     tuple[int, ...]: _comma_list(int),
     tuple[float, ...]: _comma_list(finite_float),
@@ -208,9 +195,9 @@ PARSERS = {
 
 
 def _settable(cls) -> list:
-    """(field, resolved annotation) for each field of `cls` a run may set."""
+    """(field, resolved annotation) for each field of `cls`."""
     hints = get_type_hints(cls)
-    return [(f, hints[f.name]) for f in fields(cls) if f.name not in HIDDEN]
+    return [(f, hints[f.name]) for f in fields(cls)]
 
 
 def _flat_fields(cls) -> list:
@@ -220,7 +207,7 @@ def _flat_fields(cls) -> list:
         if is_dataclass(kind):
             flat += _flat_fields(kind)
         else:
-            flat.append((RENAMED.get(f.name, f.name), kind,
+            flat.append((f.name, kind,
                          field(default=f.default, default_factory=f.default_factory)))
     return flat
 
@@ -256,7 +243,7 @@ class RunSettings:
         """The component `cls`, nested components included, from the flat keys."""
         return cls(**{
             f.name: self.build(kind) if is_dataclass(kind)
-            else getattr(self, RENAMED.get(f.name, f.name))
+            else getattr(self, f.name)
             for f, kind in _settable(cls)
         })
 

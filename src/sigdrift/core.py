@@ -18,6 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .config import MAX_ABS_VALUE
 from .errors import ConstantSeriesError, ParseError
 
 #: |population std - 1| above this means a row does not count as normalized.
@@ -61,6 +62,14 @@ def check_stack(stack: np.ndarray, parameters: tuple[str, ...]) -> np.ndarray:
         raise ValueError("signature values must be finite (no NaN/inf)")
     stds.setflags(write=False)
     return stds
+
+
+def _check_magnitude(values: np.ndarray, where: str = "") -> None:
+    """A finite value above ``MAX_ABS_VALUE`` in magnitude is an error,
+    prefixed by `where`; a non-finite one is left to the finiteness checks."""
+    huge = values[(np.abs(values) > MAX_ABS_VALUE) & np.isfinite(values)]
+    if huge.size:
+        raise ValueError(f"{where}{float(huge[0])!r} exceeds {MAX_ABS_VALUE:g} in magnitude")
 
 
 def unit_rows(matrix: np.ndarray, parameters: tuple[str, ...]) -> np.ndarray:
@@ -181,6 +190,7 @@ class TrialExperience:
             raise ValueError("trial values must be a series of at least two points")
         if not np.all(np.isfinite(arr)):
             raise ValueError("trial values must be finite")
+        _check_magnitude(arr)
         if self.trial_start < 0:
             raise ValueError("trial_start must be non-negative")
         object.__setattr__(self, "values", arr)
@@ -292,6 +302,8 @@ def read_signature(path) -> Signature:
     names = tuple(row[0] for row in rows)
     try:
         matrix = np.array([[float(p) for p in cells] for _, *cells in rows])
+        for name, values in zip(names, matrix):
+            _check_magnitude(values, f"row {name!r}: ")
         stds = check_stack(matrix[None], names)[0]
     except ConstantSeriesError as exc:
         raise ConstantSeriesError(f"{path}: {exc}") from None

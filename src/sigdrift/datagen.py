@@ -421,11 +421,8 @@ def build_base_signatures(seed: int, params: CorpusParams = CorpusParams(),
 def _noise_counts(n_noisy: int, distortion_fraction: float,
                   params: CorpusParams) -> tuple[int, int, int]:
     n_distortion = int(round(distortion_fraction * n_noisy))
-    if params.paper_faithful:
-        n_attenuation = 0
-    else:
-        n_attenuation = min(int(round(params.attenuation_share * n_noisy)),
-                            n_noisy - n_distortion)
+    n_attenuation = min(int(round(params.attenuation_share * n_noisy)),
+                        n_noisy - n_distortion)
     n_spike = n_noisy - n_distortion - n_attenuation
     return n_spike, n_distortion, n_attenuation
 

@@ -130,7 +130,7 @@ def sliding_window_detect(existing: Signature, recomputed: Signature,
                           thresholds: DetectorThresholds = DetectorThresholds()
                           ) -> DetectionOutcome:
     check_aligned(existing, recomputed)
-    window = thresholds.window
+    window = thresholds.scan_window
     if window >= existing.matrix.shape[1] - 1:
         raise ValueError("scan window must be shorter than the grid")
 

@@ -47,7 +47,8 @@ class SpikeNoise:
     def apply(self, matrix: np.ndarray, row_stds: np.ndarray, seed: int) -> None:
         """Sized by the rows before the spike; draws no random numbers."""
         if self.position + self.width > matrix.shape[1]:
-            raise ValueError("spike window exceeds the grid")
+            raise ValueError(f"spike at position = {self.position} with width = {self.width} "
+                             f"exceeds the grid of {matrix.shape[1]} points")
         matrix[:, self.position:self.position + self.width] += self.magnitude * row_stds[:, None]
 
 

@@ -168,7 +168,7 @@ def test_c04_spike_pairs_classified_with_window_overlap():
             continue
         pos, width = pair.noise.position, pair.noise.width
         start = out.rows[0].diagnostics["removed_window_start"]
-        if start < pos + width and start + th.window > pos:
+        if start < pos + width and start + th.scan_window > pos:
             hits += 1
     elapsed = time.monotonic() - t0
     assert hits >= 190  # 95% of 200

@@ -163,6 +163,17 @@ def test_inject_rejects_a_spike_beyond_the_cap(tmp_path, caplog):
     assert not out.exists()
 
 
+def test_inject_rejects_a_spike_beyond_the_grid_naming_where(tmp_path, caplog):
+    ex, _ = _write_pair(tmp_path)
+    out = tmp_path / "noisy.csv"
+    assert main(["inject", "--signature", str(ex), "--out", str(out), "--spec",
+                 '{"kind": "spike", "position": 400}']) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1
+    assert "position = 400 with width = 3 exceeds the grid of 360 points" in errors[0]
+    assert not out.exists()
+
+
 def test_inject_spike_via_spec_file(tmp_path):
     ex, _ = _write_pair(tmp_path)
     spec = tmp_path / "spec.json"
@@ -258,6 +269,20 @@ def test_a_zero_trial_window_is_exit_one(tmp_path, capsys):
     assert main(["events", "--flags", str(flag_path), "--window-length", "0",
                  "--f-thresh", "1"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_events_checks_f_thresh_before_reading_the_flags(tmp_path, monkeypatch, caplog):
+    import sigdrift.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+    monkeypatch.setattr(cli, "read_flags", no_work)
+    out = tmp_path / "events.json"
+    assert main(["events", "--flags", str(tmp_path / "flags.csv"), "--f-thresh", "-1",
+                 "--out", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["--f-thresh = -1 must be at least 1"]
+    assert not out.exists()
 
 
 def test_events_fixture_through_cli(tmp_path):

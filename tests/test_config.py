@@ -7,15 +7,16 @@ import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from sigdrift.cli import build_parser, main
-from sigdrift.config import RunConfig, load_config, parse_config_file
+from sigdrift.config import (KINDS, CorpusParams, DetectorThresholds, ExperimentConfig,
+                             RunConfig, RunSettings, load_config, parse_config_file)
 from sigdrift.errors import ParseError
-from sigdrift.evaluate import ExperimentConfig
 
 DEFAULTS = {
     "attenuation_ceiling": 0.5,
@@ -35,7 +36,6 @@ DEFAULTS = {
     "n_changed": 3000,
     "n_noisy": 3000,
     "nodes": 31,
-    "paper_faithful": False,
     "parameter": "throughput",
     "raw_length": 6486,
     "repeats": 30,
@@ -58,7 +58,7 @@ TYPES = {
     "detectors": "tuple[str, ...]", "distance_ceiling": "float",
     "distortion_fraction": "float", "grid_length": "int", "jobs": "int",
     "monitor_fraction": "float", "n_changed": "int", "n_noisy": "int",
-    "nodes": "int", "paper_faithful": "bool", "parameter": "str",
+    "nodes": "int", "parameter": "str",
     "raw_length": "int", "repeats": "int", "sample_sizes": "tuple[int, ...]",
     "scan_window": "int", "seed": "int", "sensitivity_levels": "tuple[float, ...]",
     "similarity_floor": "float", "snr_mode": "str", "snr_segments": "int",
@@ -86,7 +86,7 @@ NON_DEFAULT = {
     "similarity_floor": ("0.55", 0.55, "thresholds.similarity_floor"),
     "distance_ceiling": ("0.15", 0.15, "thresholds.distance_ceiling"),
     "attenuation_ceiling": ("0.45", 0.45, "thresholds.attenuation_ceiling"),
-    "scan_window": ("7", 7, "thresholds.window"),
+    "scan_window": ("7", 7, "thresholds.scan_window"),
     "nodes": ("12", 12, "corpus.nodes"),
     "raw_length": ("700", 700, "corpus.raw_length"),
     "grid_length": ("300", 300, "corpus.grid_length"),
@@ -98,7 +98,6 @@ NON_DEFAULT = {
     "awgn_db": ("15.5", 15.5, "corpus.awgn_db"),
     "attenuation_share": ("0.2", 0.2, "corpus.attenuation_share"),
     "changed_segment": ("80", 80, "corpus.changed_segment"),
-    "paper_faithful": ("yes", True, "corpus.paper_faithful"),
 }
 
 #: Settings of a corpus small enough that gen-data and evaluate finish in
@@ -141,14 +140,13 @@ DRAWS = {
     "awgn_db": st.one_of(st.floats(-40.0, 60.0), st.floats(-1e308, 1e308)),
     "attenuation_share": st.floats(-0.5, 1.5),
     "changed_segment": st.integers(-1, 40),
-    "paper_faithful": st.booleans(),
 }
 KEY = re.compile(r"\b(" + "|".join(DEFAULTS) + r")\b")
 
 COMMON = ["--config", "--help", "--seed", "--verbose", "-h"]
 CORPUS_FLAGS = ["--awgn-db", "--changed-segment", "--distortion-fraction",
                 "--grid-length", "--monitor-fraction", "--n-changed", "--n-noisy",
-                "--nodes", "--paper-faithful", "--raw-length", "--snr-segments",
+                "--nodes", "--raw-length", "--snr-segments",
                 "--spike-magnitude", "--spike-width"]
 EXPERIMENT_FLAGS = CORPUS_FLAGS + ["--detectors", "--repeats", "--sample-sizes",
                                    "--snr-mode"]
@@ -199,6 +197,15 @@ def test_key_types_snapshot():
     assert {f.name: _type_name(f.type) for f in fields(RunConfig)} == TYPES
 
 
+def test_every_key_is_a_field_under_its_own_name():
+    """The keys are the leaf fields of the components and the run-level
+    fields, each with its type: no key is renamed, none is hidden."""
+    components = (ExperimentConfig, DetectorThresholds, CorpusParams)
+    expected = {name: kind for cls in components for name, kind in get_type_hints(cls).items()
+                if kind not in components}
+    assert KINDS == {**expected, **get_type_hints(RunSettings)}
+
+
 def test_defaults_build_the_default_experiment():
     assert RunConfig().build(ExperimentConfig) == ExperimentConfig()
 
@@ -234,8 +241,6 @@ def test_every_setting_works_at_its_non_default_value(tmp_path, caplog, command)
 
 def _config_text(values: dict) -> str:
     def text(value):
-        if isinstance(value, bool):
-            return "yes" if value else "no"
         if isinstance(value, (list, tuple)):
             return ", ".join(str(v) for v in value)
         return str(value)
@@ -323,7 +328,8 @@ def test_tuple_values_parse_from_comma_lists(tmp_path):
 @pytest.mark.parametrize("text, lineno, message", [
     ("window = 6\n", 1, "unknown config key 'window'"),
     ("resolution = hour\n", 1, "unknown config key 'resolution'"),
-    ("n_changed = 4\npaper_faithful = maybe\n", 2, "bad value for paper_faithful"),
+    ("paper_faithful = yes\n", 1, "unknown config key 'paper_faithful'"),
+    ("n_changed = 4\nspike_width = maybe\n", 2, "bad value for spike_width"),
     ("\n# comment\nn_changed = 1.5\n", 3, "bad value for n_changed"),
     ("snr_segments\n", 1, "expected 'key = value'"),
     ("cusum_interval = nan\n", 1, "bad value for cusum_interval: not a finite number"),
@@ -371,7 +377,7 @@ def test_flags_parse_to_the_same_values_as_the_config_file():
             continue
         key = "sensitivity_levels" if flag == "--levels" else flag[2:].replace("-", "_")
         raw, value, _ = NON_DEFAULT[key]
-        argv += [flag] if isinstance(value, bool) else [flag, raw.replace(" ", "")]
+        argv += [flag, raw.replace(" ", "")]
         expected[key] = value
     config = _config_from_args(build_parser().parse_args(argv))
     assert {key: getattr(config, key) for key in expected} == expected

@@ -131,15 +131,16 @@ CORPUS_CASE = dict(
     length=st.sampled_from([96, 120, 360]),
     n_changed=st.integers(0, 12), n_noisy=st.integers(0, 16),
     fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
-    faithful=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    attenuation_share=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(**CORPUS_CASE)
 def test_build_corpus_matches_the_pair_at_a_time_build(count, rows, length, n_changed,
-                                                       n_noisy, fraction, faithful, seed):
+                                                       n_noisy, fraction, attenuation_share,
+                                                       seed):
     bases = _bases(count, rows, length, seed % 1000)
-    params = CorpusParams(changed_segment=length // 4, paper_faithful=faithful)
+    params = CorpusParams(changed_segment=length // 4, attenuation_share=attenuation_share)
     got = build_corpus(n_changed, n_noisy, fraction, seed, signatures=bases, params=params)
     want = _ref_build_corpus(n_changed, n_noisy, fraction, seed, bases, params)
     assert len(got) == len(want) == n_changed + n_noisy

@@ -26,11 +26,11 @@ def test_threshold_validation():
     with pytest.raises(ValueError):
         DetectorThresholds(distance_ceiling=0.6, attenuation_ceiling=0.5)
     with pytest.raises(ValueError):
-        DetectorThresholds(window=0)
+        DetectorThresholds(scan_window=0)
     assert TH.similarity_floor == 0.60
     assert TH.distance_ceiling == 0.20
     assert TH.attenuation_ceiling == 0.50
-    assert TH.window == 6
+    assert TH.scan_window == 6
 
 
 # ------------------------------------------------------------ sliding window
@@ -66,7 +66,7 @@ def test_sw_spike_branch_recovers_window():
     assert d["best_window_pcc"] >= TH.similarity_floor
     start = d["removed_window_start"]
     # deleted window [start, start+6) must cover part of the spike [30, 33)
-    assert start < 33 and start + TH.window > 30
+    assert start < 33 and start + TH.scan_window > 30
 
 
 def test_sw_change_branch_on_mirrored_segment(ex):
@@ -82,7 +82,7 @@ def test_sw_change_branch_on_mirrored_segment(ex):
 def test_sw_scan_window_bound(ex):
     short = unit_signature(wavy_row(8))
     with pytest.raises(ValueError):
-        sliding_window_detect(short, short, DetectorThresholds(window=7))
+        sliding_window_detect(short, short, DetectorThresholds(scan_window=7))
 
 
 def test_sw_scan_matches_bruteforce_deletion(ex):
@@ -313,7 +313,7 @@ def test_nan_diagnostics_serialize_as_null(ex):
     y = np.zeros(8)
     y[3:5] = [-3.0, 3.0]
     out = sliding_window_detect(raw_signature(x), raw_signature(y),
-                                DetectorThresholds(window=6))
+                                DetectorThresholds(scan_window=6))
     payload = out.to_dict()
     row = payload["diagnostics"]["rows"][0]
     assert row["best_window_pcc"] is None

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sigdrift.cli import main
+from sigdrift.config import MAX_ABS_VALUE
 from sigdrift.core import write_signature
 from sigdrift.cpd import write_flags
 from sigdrift.noisegen import (AttenuationNoise, NoiseProfile, SnrValue, SpikeNoise,
@@ -182,3 +183,42 @@ def test_every_mutant_exits_1_with_one_error_line_naming_the_file(valid, fmt, da
     assert "Traceback" not in err
     assert [r.levelno for r in records] == [logging.ERROR]
     assert records[0].getMessage().startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("fmt", ["signature", "cohort"])
+@pytest.mark.parametrize("cell", ["1e200", "-1e308"])
+def test_a_finite_cell_beyond_the_bound_exits_1_naming_the_file_and_row(valid, fmt, cell):
+    """A cell whose square overflows is rejected before any arithmetic,
+    not reported as a constant row after numpy's overflow warning."""
+    name, first_number = FORMATS[fmt]
+    lines = [line.split(",") for line in (valid / name).read_text(encoding="utf-8").splitlines()]
+    lines[1][first_number + 1] = cell
+    path = valid / f"huge-{name}"
+    path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
+    code, out, err, records = _run(_argv(fmt, valid, path))
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert [r.levelno for r in records] == [logging.ERROR]
+    message = records[0].getMessage()
+    assert message.startswith(f"{path}: row ")
+    assert f"{float(cell)!r} exceeds {MAX_ABS_VALUE:g} in magnitude" in message
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("grid", [360, 23040])
+@pytest.mark.parametrize("cell", [MAX_ABS_VALUE, -MAX_ABS_VALUE])
+def test_a_cell_at_the_bound_is_compared_with_no_warning(tmp_path, grid, cell):
+    base = wavy_row(grid, seed=5)
+    bounded = base.copy()
+    bounded[grid // 3] = cell
+    write_signature(unit_signature(base), tmp_path / "plain.csv")
+    write_signature(raw_signature(bounded), tmp_path / "bounded.csv")
+    write_profile(NoiseProfile((SnrValue(100.0),) * 6, grid // 6), tmp_path / "profile.json")
+    for existing, recomputed in (("plain", "bounded"), ("bounded", "plain")):
+        for detector in ("sw", "snr", "cusum"):
+            code, out, _, records = _run([
+                "detect", "--detector", detector, "--profile", str(tmp_path / "profile.json"),
+                "--existing", str(tmp_path / f"{existing}.csv"),
+                "--recomputed", str(tmp_path / f"{recomputed}.csv")])
+            assert code in (0, 2) and records == [], (existing, detector)
+            assert json.loads(out)["verdict"]

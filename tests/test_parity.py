@@ -223,7 +223,7 @@ def test_a_warm_memo_gives_the_outcomes_of_a_fresh_existing(data, k):
     windows = data.draw(st.lists(st.integers(1, min(12, length - 2)),
                                  min_size=2, max_size=2, unique=True))
     factor = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
-    calls = [(sliding_window_detect, DetectorThresholds(window=w)) for w in windows]
+    calls = [(sliding_window_detect, DetectorThresholds(scan_window=w)) for w in windows]
     for segments in SEGMENT_COUNTS:
         own = snr_ratios(existing_m, existing_m - first, segments)
         profile = profile_from_ratios(own * factor, length // segments)

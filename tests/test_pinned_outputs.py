@@ -19,7 +19,7 @@ from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, SpikeNoise, in
 
 from conftest import unit_signature, wavy_row
 
-C10_REPORT_SHA256 = "4d9102d64606567fc80f112d885b8753b7c6c7d237c39012b449769639ab139b"
+C10_REPORT_SHA256 = "72537d00f48ce8e8e6dc88a93d25c5dbc511972de94438f2f23bd6d945aaea42"
 
 SNR_PROFILES = {
     "bravo.json": '{"segment_length": 60, "segment_snrs": [122.16477783724845, '
@@ -38,7 +38,7 @@ SNR_PROFILES = {
 # `evaluate --seed 42 --repeats 1` at the paper defaults (6,000 pairs).
 # At this size 137 of its SNR segment comparisons equal their baseline
 # exactly, so a summation-order change that flips any verdict shows here.
-PAPER_REPORT_SHA256 = "28f549695dbb3c8269302ea8cfd6fd9ca635a3102809fb0d8cc23104c52d4506"
+PAPER_REPORT_SHA256 = "07d446d8050498d2da23778f34a696f473bc7b2ee90b82aa0012a2719e9db0da"
 
 MULTI_ROW_SHA256 = "42cbfcebb73e1216616a9155dadf3cd6dc31ef312d7ca24c52178aeade1314e7"
 

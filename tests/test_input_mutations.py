@@ -216,8 +216,9 @@ def test_a_cell_at_the_bound_is_compared_with_no_warning(tmp_path, grid, cell):
     write_profile(NoiseProfile((SnrValue(100.0),) * 6, grid // 6), tmp_path / "profile.json")
     for existing, recomputed in (("plain", "bounded"), ("bounded", "plain")):
         for detector in ("sw", "snr", "cusum"):
+            profile = ["--profile", str(tmp_path / "profile.json")] if detector == "snr" else []
             code, out, _, records = _run([
-                "detect", "--detector", detector, "--profile", str(tmp_path / "profile.json"),
+                "detect", "--detector", detector, *profile,
                 "--existing", str(tmp_path / f"{existing}.csv"),
                 "--recomputed", str(tmp_path / f"{recomputed}.csv")])
             assert code in (0, 2) and records == [], (existing, detector)

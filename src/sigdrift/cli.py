@@ -37,7 +37,6 @@ def _add_verbose(parser: argparse.ArgumentParser) -> None:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--seed", type=int, help="random seed (overrides SIGDRIFT_SEED)")
     _add_verbose(parser)
 
 
@@ -46,13 +45,13 @@ def _add_jobs(parser: argparse.ArgumentParser) -> None:
 
 
 _OVERRIDE_FLAGS = {
+    "seed": "random seed (overrides SIGDRIFT_SEED)",
     "n_changed": "changed pairs in the corpus",
     "n_noisy": "noisy pairs in the corpus",
     "distortion_fraction": "fraction of noisy pairs carrying AWGN",
     "repeats": "simulation repeats",
     "monitor_fraction": "monitoring corpus size relative to the corpus",
     "snr_segments": "segments in the learned noise profile",
-    "snr_mode": "SNR comparison mode: segments or aggregate",
     "spike_magnitude": "corpus spike height in row-stds",
     "spike_width": "corpus spike width in grid steps",
     "awgn_db": "distortion target SNR in dB",
@@ -118,11 +117,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     profiles = default_profiles()
     log.info("synthesizing trace and provider signatures")
     trace = synthesize_trace(params.nodes, params.raw_length, trace_seed)
-    signatures = build_provider_signatures(
-        profiles, trace, params.grid_length,
-        parameters=(params.parameter,),
-        seed=perf_seed,
-    )
+    signatures = build_provider_signatures(profiles, trace, params.grid_length,
+                                           seed=perf_seed)
     n_monitor = monitoring_size(experiment.monitor_fraction,
                                 experiment.n_changed + experiment.n_noisy)
     monitoring = build_corpus(0, n_monitor, experiment.distortion_fraction, monitor_seed,
@@ -182,6 +178,10 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    if args.detector == "snr" and not args.profile:
+        raise SigdriftError("detector snr needs --profile")
+    if args.detector != "snr" and args.profile is not None:
+        raise SigdriftError(f"--profile is read only by detector snr, not {args.detector}")
     config = _config_from_args(args)
     experiment = config.experiment
     existing = read_signature(args.existing)
@@ -192,10 +192,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         outcome = cusum_detect(existing, recomputed, experiment.cusum_slack,
                                experiment.cusum_interval)
     else:  # "snr": argparse admits only DETECTOR_NAMES
-        if not args.profile:
-            raise SigdriftError("detector snr needs --profile")
-        outcome = snr_detect(existing, recomputed, read_profile(args.profile),
-                             experiment.snr_mode)
+        outcome = snr_detect(existing, recomputed, read_profile(args.profile))
     payload = outcome.to_dict()
     payload["config"] = config.as_dict()
     _emit(payload, args.out)
@@ -206,8 +203,11 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     sig = read_signature(args.signature)
     past = read_experiences(args.cohorts)
-    threshold, event_config = calibrate(past, sig, SimilarityMethod(args.method),
-                                        config.trial_length)
+    try:
+        threshold, event_config = calibrate(past, sig, SimilarityMethod(args.method),
+                                            config.trial_length)
+    except AlignmentError as exc:
+        raise AlignmentError(f"{args.cohorts}: {exc}") from None
     _emit(
         {
             "method": threshold.method.value,
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="synthesize trace, signatures, and corpus")
     _add_common(p)
-    _add_overrides(p, ["n_changed", "n_noisy", "distortion_fraction",
+    _add_overrides(p, ["seed", "n_changed", "n_noisy", "distortion_fraction",
                        "monitor_fraction", "snr_segments", "spike_magnitude",
                        "spike_width", "awgn_db", "changed_segment",
                        "nodes", "raw_length", "grid_length"])
@@ -290,6 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inject", help="apply a noise spec to a signature")
     _add_common(p)
+    _add_overrides(p, ["seed"])
     p.add_argument("--signature", required=True, help="input signature CSV")
     p.add_argument("--spec", required=True,
                    help="noise spec JSON file, or an inline JSON object")
@@ -298,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="compare two signatures")
     _add_common(p)
-    _add_overrides(p, ["snr_mode"])
     p.add_argument("--existing", required=True, help="existing signature CSV")
     p.add_argument("--recomputed", required=True, help="recomputed signature CSV")
     p.add_argument("--detector", default="sw", choices=DETECTOR_NAMES)
@@ -361,7 +361,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.func(args)
-    except (SigdriftError, OSError, ValueError, KeyError) as exc:
+    except (SigdriftError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return 1
 

@@ -72,7 +72,6 @@ class CorpusParams:
     nodes: int = 31
     raw_length: int = 6486
     grid_length: int = 360
-    parameter: str = "throughput"
     spike_width: int = 3
     spike_magnitude: float = 7.0
     attenuation_low: float = 0.93
@@ -85,9 +84,6 @@ class CorpusParams:
         _check(self.nodes >= 1, f"nodes = {self.nodes} must be at least 1")
         _check(self.grid_length <= self.raw_length,
                f"grid_length = {self.grid_length} exceeds raw_length = {self.raw_length}")
-        _check(self.parameter != "" and "," not in self.parameter and "\n" not in self.parameter,
-               f"parameter = {self.parameter!r} must be a non-empty name "
-               "without commas or line breaks")
         _check(0.0 <= self.attenuation_share < 1.0,
                f"attenuation_share = {self.attenuation_share} must be in [0, 1)")
         # A damped unit-std row has the factor as its std, and the signature
@@ -123,7 +119,6 @@ class ExperimentConfig:
     cusum_slack: float = 0.5
     cusum_interval: float = 5.0
     snr_segments: int = 6
-    snr_mode: str = "segments"
     monitor_fraction: float = 0.2
     corpus: CorpusParams = field(default_factory=CorpusParams)
 
@@ -150,8 +145,6 @@ class ExperimentConfig:
                and grid // self.snr_segments >= 2,
                f"grid_length = {grid} does not split into {self.snr_segments} equal segments "
                f"of at least 2 points (snr_segments = {self.snr_segments})")
-        _check(self.snr_mode in ("segments", "aggregate"),
-               f"snr_mode = {self.snr_mode!r} must be segments or aggregate")
         _check(0.0 < self.monitor_fraction <= 1.0,
                f"monitor_fraction = {self.monitor_fraction} must be in (0, 1]")
         _check(self.thresholds.scan_window < grid - 1,
@@ -187,7 +180,6 @@ def _comma_list(item):
 PARSERS = {
     int: int,
     float: finite_float,
-    str: str.strip,
     tuple[int, ...]: _comma_list(int),
     tuple[float, ...]: _comma_list(finite_float),
     tuple[str, ...]: _comma_list(str),

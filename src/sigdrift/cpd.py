@@ -43,6 +43,9 @@ class ChangePoint:
 
 def _experience_similarity(exp: TrialExperience, sig: Signature,
                            method: SimilarityMethod) -> float:
+    if exp.parameter not in sig.parameters:
+        raise AlignmentError(f"user {exp.user_id!r} is for parameter {exp.parameter!r}, "
+                             "which the signature has no row for")
     row = sig.row(exp.parameter)
     start, length = exp.window
     if length >= sig.matrix.shape[1]:

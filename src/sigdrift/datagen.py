@@ -261,6 +261,8 @@ def default_profiles() -> list[QoSProfile]:
 # ---------------------------------------------------------------------------
 # Performance synthesis
 
+PARAMETERS = ("throughput",)  # the one row of every synthesized signature
+
 def _performance_matrix(profile: QoSProfile, levels, level_of,
                         day_of: np.ndarray, grid_length: int, baseline: BaselineMap,
                         rng: np.random.Generator) -> np.ndarray:
@@ -292,7 +294,6 @@ def _performance_matrix(profile: QoSProfile, levels, level_of,
 
 
 def build_provider_signatures(profiles, trace: WorkloadTrace, grid_length: int,
-                              parameters: tuple[str, ...] = ("throughput",),
                               seed: int | np.random.SeedSequence = 0) -> list[Signature]:
     """One signature per profile: every trace node acts as a trial user.
 
@@ -317,12 +318,11 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid_length: int,
     signatures = []
     for profile, stream in zip(profiles, streams):
         rng = np.random.default_rng(stream)
-        means = np.stack([
-            paa(_performance_matrix(profile, levels, trace.cores, day_of, grid_length,
-                                    baseline, rng),
-                grid_length).mean(axis=0)
-            for _ in parameters])
-        signatures.append(Signature(parameters, unit_rows(means, parameters), profile.provider_id))
+        means = paa(_performance_matrix(profile, levels, trace.cores, day_of, grid_length,
+                                        baseline, rng),
+                    grid_length).mean(axis=0, keepdims=True)
+        signatures.append(Signature(PARAMETERS, unit_rows(means, PARAMETERS),
+                                    profile.provider_id))
     return signatures
 
 
@@ -409,13 +409,7 @@ def build_base_signatures(seed: int, params: CorpusParams = CorpusParams(),
     profiles = profiles if profiles is not None else default_profiles()
     trace_seed, perf_seed = base_signature_seeds(seed)
     trace = synthesize_trace(params.nodes, params.raw_length, trace_seed)
-    return build_provider_signatures(
-        profiles,
-        trace,
-        params.grid_length,
-        parameters=(params.parameter,),
-        seed=perf_seed,
-    )
+    return build_provider_signatures(profiles, trace, params.grid_length, seed=perf_seed)
 
 
 def _noise_counts(n_noisy: int, distortion_fraction: float,

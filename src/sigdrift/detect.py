@@ -157,36 +157,24 @@ def sliding_window_detect(existing: Signature, recomputed: Signature,
     return _aggregate(decisions)
 
 
-def snr_detect(existing: Signature, recomputed: Signature, profile: NoiseProfile,
-               mode: str = "segments") -> DetectionOutcome:
-    """Change when any segment's current SNR drops strictly below baseline.
-
-    ``mode="aggregate"`` instead compares one whole-period SNR against
-    the lowest baseline segment.
-    """
+def snr_detect(existing: Signature, recomputed: Signature,
+               profile: NoiseProfile) -> DetectionOutcome:
+    """Change when any segment's current SNR drops strictly below baseline."""
     res = residual(existing, recomputed)
-    seg = profile.segment_length
-    if profile.segments * seg != existing.matrix.shape[1]:
-        raise AlignmentError(f"profile covers {profile.segments * seg} points, "
+    segments, seg = profile.segments, profile.segment_length
+    if segments * seg != existing.matrix.shape[1]:
+        raise AlignmentError(f"profile covers {segments * seg} points, "
                              f"the grid {existing.matrix.shape[1]}")
 
     # Ratios are floats with inf for an unbounded SNR, so `<` orders them
-    # as SnrValue does.  Aggregate mode is the one-segment case.
+    # as SnrValue does.
     floors = [s.ratio for s in profile.segment_snrs]
-    if mode == "aggregate":
-        floors = [min(floors)]
-    elif mode != "segments":
-        raise ValueError(f"unknown snr mode {mode!r}")
-
-    segments = len(floors)
     signal_ms = _memoized(existing, ("snr", segments), segment_mean_squares,
                           existing.matrix, segments)
     currents = mean_square_ratios(signal_ms, segment_mean_squares(res, segments)).tolist()
     violated = next((i for i, (current, floor) in enumerate(zip(currents, floors))
                      if current < floor), -1)
-    diag = {"snr_current": currents, "snr_baseline": floors}
-    if mode == "segments":
-        diag["violated_segment"] = violated
+    diag = {"snr_current": currents, "snr_baseline": floors, "violated_segment": violated}
     verdict = Verdict.CHANGE if violated >= 0 else Verdict.NO_CHANGE
     return DetectionOutcome(verdict, None, diag)
 

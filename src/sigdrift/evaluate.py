@@ -118,7 +118,7 @@ def detect_pair(pair: LabeledPair, detector: str, config: ExperimentConfig,
                             config.cusum_slack, config.cusum_interval)
     if detector == "snr":
         profile = profiles.get(pair.existing.provider_id, profiles[""])
-        return snr_detect(pair.existing, pair.recomputed, profile, config.snr_mode)
+        return snr_detect(pair.existing, pair.recomputed, profile)
     raise ValueError(f"unknown detector {detector!r}")
 
 

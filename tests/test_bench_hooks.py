@@ -85,10 +85,11 @@ def test_cli_calls_its_targets_through_module_globals(tmp_path, monkeypatch):
                      "--n-changed", "2", "--n-noisy", "2", "--out", str(data)]) == 0
     entry = json.loads((data / "manifest.json").read_text())["pairs"][0]
     for det in ("sw", "snr", "cusum"):
+        profile = (["--profile", str(data / "snr_profiles" / "pooled.json")]
+                   if det == "snr" else [])
         assert cli.main(["detect", "--existing", str(data / entry["existing_path"]),
                          "--recomputed", str(data / entry["recomputed_path"]),
-                         "--detector", det,
-                         "--profile", str(data / "snr_profiles" / "pooled.json"),
+                         "--detector", det, *profile,
                          "--out", str(tmp_path / f"{det}.json")]) in (0, 2)
     assert [t for t in targets if t not in called] == []
 

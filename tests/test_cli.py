@@ -94,6 +94,25 @@ def test_detect_snr_requires_profile(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("detector", ["sw", "cusum"])
+def test_detect_rejects_a_profile_for_a_detector_that_reads_none(tmp_path, monkeypatch, caplog,
+                                                                 detector):
+    import sigdrift.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+    monkeypatch.setattr(cli, "read_signature", no_work)
+    monkeypatch.setattr(cli, "read_profile", no_work)
+    out = tmp_path / "o.json"
+    # No file exists: the flag is refused before the config file is read.
+    assert main(["detect", "--detector", detector, "--config", str(tmp_path / "run.cfg"),
+                 "--existing", str(tmp_path / "ex.csv"), "--recomputed", str(tmp_path / "rec.csv"),
+                 "--profile", str(tmp_path / "p.json"), "--out", str(out)]) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"--profile is read only by detector snr, not {detector}"]
+    assert not out.exists()
+
+
 def test_detect_snr_with_an_overflowing_ratio_is_no_change(tmp_path, capsys):
     # unit-std rows that read back unchanged; the residual [0, 1e-154]
     # has a mean square of 5e-309, so the SNR ratio overflows to unbounded
@@ -253,6 +272,30 @@ def _calibrate(tmp_path, window):
     return code, out
 
 
+def test_calibrate_names_the_cohort_file_of_a_parameter_with_no_row(tmp_path, caplog):
+    sig_path = tmp_path / "sig.csv"
+    write_signature(unit_signature(wavy_row(40, seed=1), parameters=["cpu"]), sig_path)
+    cohorts = tmp_path / "hist.csv"
+    cohorts.write_text("user_id,parameter,start,v0,v1,v2,v3\n"
+                       "u1,io,0,1.0,2.0,3.0,4.0\n")
+    out = tmp_path / "calib.json"
+    assert main(["calibrate", "--signature", str(sig_path), "--cohorts", str(cohorts),
+                 "--out", str(out)]) == 1
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{cohorts}: user 'u1' is for parameter 'io', which the signature has no row for"]
+    assert not out.exists()
+
+
+def test_a_key_error_is_a_fault_not_a_user_error(tmp_path, monkeypatch):
+    import sigdrift.cli as cli
+
+    def broken(*args, **kwargs):
+        raise KeyError("index")
+    monkeypatch.setattr(cli, "read_flags", broken)
+    with pytest.raises(KeyError):
+        main(["events", "--flags", str(tmp_path / "flags.csv"), "--f-thresh", "1"])
+
+
 def test_calibrate_reports_the_window_it_used(tmp_path):
     code, out = _calibrate(tmp_path, "6")
     assert code == 0
@@ -397,6 +440,21 @@ def test_jobs_is_only_accepted_where_it_is_read(tmp_path, capsys):
     assert "--jobs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("detect", ["--seed", "1"]), ("calibrate", ["--seed", "1"]), ("events", ["--seed", "1"]),
+    ("detect", ["--snr-mode", "segments"]), ("evaluate", ["--snr-mode", "segments"]),
+    ("sensitivity", ["--snr-mode", "segments"])])
+def test_a_flag_of_no_effect_is_a_usage_error(tmp_path, capsys, command, flag):
+    """``--seed`` where nothing is drawn, and the deleted ``--snr-mode``."""
+    argv = {"detect": ["--existing", "ex.csv", "--recomputed", "rec.csv"],
+            "calibrate": ["--signature", "sig.csv", "--cohorts", "hist.csv"],
+            "events": ["--flags", "flags.csv", "--f-thresh", "1"]}.get(
+        command, ["--jobs", "1", "--out", str(tmp_path / "r.json")])
+    assert main([command, *argv, *flag]) == 1
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
+
+
 def _tiny_eval_args(out, seed="42"):
     return ["evaluate", "--seed", seed, "--jobs", "1",
             "--n-changed", "8", "--n-noisy", "8", "--repeats", "1",
@@ -504,10 +562,6 @@ def test_sensitivity_tiny_run(tmp_path):
                  "monitor_fraction = 0.0 must be in (0, 1]", id="gen-data-monitor-fraction-0"),
     pytest.param("gen-data", "--monitor-fraction", "5",
                  "monitor_fraction = 5.0 must be in (0, 1]", id="gen-data-monitor-fraction-5"),
-    pytest.param("evaluate", "--snr-mode", "foo",
-                 "snr_mode = 'foo' must be segments or aggregate", id="evaluate-snr-mode"),
-    pytest.param("detect", "--snr-mode", "foo",
-                 "snr_mode = 'foo' must be segments or aggregate", id="detect-snr-mode"),
     pytest.param("gen-data", "--config", "cusum_slack = -1\n",
                  "cusum_slack = -1.0 must be non-negative", id="gen-data-cusum-slack"),
     pytest.param("evaluate", "--config", "cusum_slack = -1\n",
@@ -548,9 +602,7 @@ def test_bad_list_or_jobs_setting_exits_1_before_any_work(tmp_path, monkeypatch,
         value = str(tmp_path / "run.cfg")
     # The report, the outcome, or for gen-data the output directory.
     out = tmp_path / "out"
-    run = {"gen-data": ["--n-changed", "8", "--n-noisy", "8"],
-           "detect": ["--detector", "sw", "--existing", str(tmp_path / "existing.csv"),
-                      "--recomputed", str(tmp_path / "recomputed.csv")]}.get(
+    run = {"gen-data": ["--n-changed", "8", "--n-noisy", "8"]}.get(
         command, ["--n-changed", "8", "--n-noisy", "8", "--jobs", "1", "--repeats", "1",
                   "--sample-sizes", "8"])
     values = [value] if isinstance(value, str) else value

@@ -1,5 +1,6 @@
 """The configuration surface: keys, defaults, routing, precedence, flags."""
 import argparse
+import ast
 import json
 import logging
 import os
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+import sigdrift
 from sigdrift.cli import build_parser, main
 from sigdrift.config import (KINDS, CorpusParams, DetectorThresholds, ExperimentConfig,
                              RunConfig, RunSettings, load_config, parse_config_file)
@@ -36,7 +38,6 @@ DEFAULTS = {
     "n_changed": 3000,
     "n_noisy": 3000,
     "nodes": 31,
-    "parameter": "throughput",
     "raw_length": 6486,
     "repeats": 30,
     "sample_sizes": [1000, 2000, 3000, 4000, 5000],
@@ -44,7 +45,6 @@ DEFAULTS = {
     "seed": 0,
     "sensitivity_levels": [0.5, 0.25, 0.0],
     "similarity_floor": 0.6,
-    "snr_mode": "segments",
     "snr_segments": 6,
     "spike_magnitude": 7.0,
     "spike_width": 3,
@@ -58,10 +58,10 @@ TYPES = {
     "detectors": "tuple[str, ...]", "distance_ceiling": "float",
     "distortion_fraction": "float", "grid_length": "int", "jobs": "int",
     "monitor_fraction": "float", "n_changed": "int", "n_noisy": "int",
-    "nodes": "int", "parameter": "str",
+    "nodes": "int",
     "raw_length": "int", "repeats": "int", "sample_sizes": "tuple[int, ...]",
     "scan_window": "int", "seed": "int", "sensitivity_levels": "tuple[float, ...]",
-    "similarity_floor": "float", "snr_mode": "str", "snr_segments": "int",
+    "similarity_floor": "float", "snr_segments": "int",
     "spike_magnitude": "float", "spike_width": "int", "trial_length": "int",
 }
 
@@ -81,7 +81,6 @@ NON_DEFAULT = {
     "cusum_slack": ("0.75", 0.75, "cusum_slack"),
     "cusum_interval": ("4.5", 4.5, "cusum_interval"),
     "snr_segments": ("5", 5, "snr_segments"),
-    "snr_mode": ("aggregate", "aggregate", "snr_mode"),
     "monitor_fraction": ("0.3", 0.3, "monitor_fraction"),
     "similarity_floor": ("0.55", 0.55, "thresholds.similarity_floor"),
     "distance_ceiling": ("0.15", 0.15, "thresholds.distance_ceiling"),
@@ -90,7 +89,6 @@ NON_DEFAULT = {
     "nodes": ("12", 12, "corpus.nodes"),
     "raw_length": ("700", 700, "corpus.raw_length"),
     "grid_length": ("300", 300, "corpus.grid_length"),
-    "parameter": ("latency", "latency", "corpus.parameter"),
     "spike_width": ("4", 4, "corpus.spike_width"),
     "spike_magnitude": ("6.5", 6.5, "corpus.spike_magnitude"),
     "attenuation_low": ("0.9", 0.9, "corpus.attenuation_low"),
@@ -122,7 +120,6 @@ DRAWS = {
     "cusum_slack": st.floats(-1.0, 2.0),
     "cusum_interval": st.floats(-1.0, 10.0),
     "snr_segments": st.integers(-1, 40),
-    "snr_mode": st.sampled_from(["segments", "aggregate", "foo", ""]),
     "monitor_fraction": st.floats(-0.5, 1.5),
     "similarity_floor": st.floats(-1.5, 1.5),
     "distance_ceiling": st.floats(-0.2, 1.0),
@@ -131,7 +128,6 @@ DRAWS = {
     "nodes": st.integers(-1, 4),
     "raw_length": st.integers(-1, 80),
     "grid_length": st.integers(-1, 80),
-    "parameter": st.sampled_from(["throughput", "latency", "", "a,b"]),
     "spike_width": st.integers(-1, 40),
     # Both also draw far into the range where their arithmetic overflows.
     "spike_magnitude": st.one_of(st.floats(-1.0, 20.0), st.floats(20.0, 1e308)),
@@ -143,24 +139,23 @@ DRAWS = {
 }
 KEY = re.compile(r"\b(" + "|".join(DEFAULTS) + r")\b")
 
-COMMON = ["--config", "--help", "--seed", "--verbose", "-h"]
+COMMON = ["--config", "--help", "--verbose", "-h"]
+SEEDED = COMMON + ["--seed"]
 CORPUS_FLAGS = ["--awgn-db", "--changed-segment", "--distortion-fraction",
                 "--grid-length", "--monitor-fraction", "--n-changed", "--n-noisy",
                 "--nodes", "--raw-length", "--snr-segments",
                 "--spike-magnitude", "--spike-width"]
-EXPERIMENT_FLAGS = CORPUS_FLAGS + ["--detectors", "--repeats", "--sample-sizes",
-                                   "--snr-mode"]
+EXPERIMENT_FLAGS = CORPUS_FLAGS + ["--detectors", "--repeats", "--sample-sizes"]
 OPTIONS = {
-    "gen-data": COMMON + CORPUS_FLAGS + ["--out"],
+    "gen-data": SEEDED + CORPUS_FLAGS + ["--out"],
     "gen-signature": ["--cohorts", "--help", "--out", "--verbose", "-h"],
-    "inject": COMMON + ["--out", "--signature", "--spec"],
-    "detect": COMMON + ["--detector", "--existing", "--out", "--profile",
-                        "--recomputed", "--snr-mode"],
+    "inject": SEEDED + ["--out", "--signature", "--spec"],
+    "detect": COMMON + ["--detector", "--existing", "--out", "--profile", "--recomputed"],
     "calibrate": COMMON + ["--cohorts", "--method", "--out", "--signature",
                            "--window-length"],
     "events": COMMON + ["--f-thresh", "--flags", "--out", "--window-length"],
-    "evaluate": COMMON + EXPERIMENT_FLAGS + ["--csv", "--jobs", "--out"],
-    "sensitivity": COMMON + EXPERIMENT_FLAGS + ["--jobs", "--levels", "--out"],
+    "evaluate": SEEDED + EXPERIMENT_FLAGS + ["--csv", "--jobs", "--out"],
+    "sensitivity": SEEDED + EXPERIMENT_FLAGS + ["--jobs", "--levels", "--out"],
 }
 
 
@@ -204,6 +199,39 @@ def test_every_key_is_a_field_under_its_own_name():
     expected = {name: kind for cls in components for name, kind in get_type_hints(cls).items()
                 if kind not in components}
     assert KINDS == {**expected, **get_type_hints(RunSettings)}
+
+
+class _AttributeReads(ast.NodeVisitor):
+    """Names read as ``obj.name``; with ``skip_checks``, none inside a
+    ``__post_init__``, where a setting is only checked."""
+
+    def __init__(self, skip_checks: bool):
+        self.skip_checks = skip_checks
+        self.names = set()
+
+    def visit_FunctionDef(self, node):
+        if not (self.skip_checks and node.name == "__post_init__"):
+            self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_setting_is_read_by_the_program():
+    """A setting no code reads changes nothing but the echoed config.
+    Each leaf field is read as an attribute by a package module other
+    than config.py, or by a config.py function that is not a check."""
+    reads = set()
+    for path in Path(sigdrift.__file__).parent.glob("*.py"):
+        visitor = _AttributeReads(skip_checks=path.name == "config.py")
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        reads |= visitor.names
+    components = (ExperimentConfig, DetectorThresholds, CorpusParams)
+    leaves = {name for cls in (*components, RunSettings)
+              for name, kind in get_type_hints(cls).items() if kind not in components}
+    assert sorted(leaves - reads) == []
 
 
 def test_defaults_build_the_default_experiment():
@@ -329,6 +357,8 @@ def test_tuple_values_parse_from_comma_lists(tmp_path):
     ("window = 6\n", 1, "unknown config key 'window'"),
     ("resolution = hour\n", 1, "unknown config key 'resolution'"),
     ("paper_faithful = yes\n", 1, "unknown config key 'paper_faithful'"),
+    ("snr_mode = segments\n", 1, "unknown config key 'snr_mode'"),
+    ("parameter = throughput\n", 1, "unknown config key 'parameter'"),
     ("n_changed = 4\nspike_width = maybe\n", 2, "bad value for spike_width"),
     ("\n# comment\nn_changed = 1.5\n", 3, "bad value for n_changed"),
     ("snr_segments\n", 1, "expected 'key = value'"),

@@ -238,8 +238,6 @@ def test_snr_rejects_a_profile_that_leaves_grid_points_unchecked():
     assert cusum_detect(ex, rec).verdict is Verdict.CHANGE
     with pytest.raises(AlignmentError, match="covers 360 points, the grid 365"):
         snr_detect(ex, rec, _flat_profile(100.0))
-    with pytest.raises(AlignmentError):
-        snr_detect(ex, rec, _flat_profile(100.0), mode="aggregate")
 
 
 def test_snr_equal_baseline_is_not_a_change(ex):
@@ -266,26 +264,10 @@ def test_snr_overflowing_current_ratio_is_unbounded():
     # is never below a baseline
     ex = raw_signature([99.0, 0.0])
     rec = raw_signature([99.0, -5.18e-153])
-    for mode in ("segments", "aggregate"):
-        out = snr_detect(ex, rec, NoiseProfile((SnrValue(100.0),), 2), mode=mode)
-        assert out.verdict is Verdict.NO_CHANGE
-        assert out.diagnostics["snr_current"] == [np.inf]
-        assert out.to_dict()["diagnostics"]["snr_current"] == [None]
-
-
-def test_snr_aggregate_mode(ex):
-    values = ex.matrix[0].copy()
-    seg = slice(120, 180)
-    amp = np.sqrt(np.mean(values[seg] ** 2) / 50.0)
-    values[seg] += amp * np.tile([1.0, -1.0], 30)
-    rec = raw_signature(values)
-    # whole-period SNR ~292 here: above a floor of 100, below one of 400
-    calm = snr_detect(ex, rec, NoiseProfile((SnrValue(100.0),), 360), mode="aggregate")
-    assert calm.verdict is Verdict.NO_CHANGE
-    loud = snr_detect(ex, rec, NoiseProfile((SnrValue(400.0),), 360), mode="aggregate")
-    assert loud.verdict is Verdict.CHANGE
-    with pytest.raises(ValueError):
-        snr_detect(ex, rec, _flat_profile(100.0), mode="sideways")
+    out = snr_detect(ex, rec, NoiseProfile((SnrValue(100.0),), 2))
+    assert out.verdict is Verdict.NO_CHANGE
+    assert out.diagnostics["snr_current"] == [np.inf]
+    assert out.to_dict()["diagnostics"]["snr_current"] == [None]
 
 
 def test_snr_profile_must_fit_grid(ex):
@@ -324,7 +306,6 @@ def test_nan_diagnostics_serialize_as_null(ex):
 @pytest.mark.parametrize("detect", [
     lambda ex, rec: sliding_window_detect(ex, rec, TH),
     lambda ex, rec: snr_detect(ex, rec, _flat_profile(100.0)),
-    lambda ex, rec: snr_detect(ex, rec, _flat_profile(100.0), mode="aggregate"),
     cusum_detect,
 ])
 def test_every_detector_rejects_a_misaligned_pair_alike(ex, detect):

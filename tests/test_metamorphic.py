@@ -145,10 +145,8 @@ def test_snr_outcome_does_not_change_when_both_sides_double(data, segments):
     factors = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=segments,
                                  max_size=segments))
     profile = profile_from_ratios(own * np.array(factors), existing.shape[1] // segments)
-    for mode in ("segments", "aggregate"):
-        assert (snr_detect(ex, rec, profile, mode).to_dict()
-                == snr_detect(_sig(existing, 2.0), _sig(recomputed, 2.0), profile,
-                              mode).to_dict())
+    assert (snr_detect(ex, rec, profile).to_dict()
+            == snr_detect(_sig(existing, 2.0), _sig(recomputed, 2.0), profile).to_dict())
 
 
 @CASES

@@ -19,7 +19,7 @@ from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, SpikeNoise, in
 
 from conftest import unit_signature, wavy_row
 
-C10_REPORT_SHA256 = "72537d00f48ce8e8e6dc88a93d25c5dbc511972de94438f2f23bd6d945aaea42"
+C10_REPORT_SHA256 = "f070078d0bcc11338d5ae5aa0ac6cb538f09a9cd031d88939b59d178fceec877"
 
 SNR_PROFILES = {
     "bravo.json": '{"segment_length": 60, "segment_snrs": [122.16477783724845, '
@@ -38,7 +38,7 @@ SNR_PROFILES = {
 # `evaluate --seed 42 --repeats 1` at the paper defaults (6,000 pairs).
 # At this size 137 of its SNR segment comparisons equal their baseline
 # exactly, so a summation-order change that flips any verdict shows here.
-PAPER_REPORT_SHA256 = "07d446d8050498d2da23778f34a696f473bc7b2ee90b82aa0012a2719e9db0da"
+PAPER_REPORT_SHA256 = "d29c0d66c92dad241828bd615b9953dd55f415329d2a5122987b6738485ddc2e"
 
 MULTI_ROW_SHA256 = "42cbfcebb73e1216616a9155dadf3cd6dc31ef312d7ca24c52178aeade1314e7"
 

@@ -263,6 +263,7 @@ def default_profiles() -> list[QoSProfile]:
 
 PARAMETERS = ("throughput",)  # the one row of every synthesized signature
 
+
 def _performance_matrix(profile: QoSProfile, levels, level_of,
                         day_of: np.ndarray, grid_length: int, baseline: BaselineMap,
                         rng: np.random.Generator) -> np.ndarray:

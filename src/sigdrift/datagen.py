@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -352,26 +352,23 @@ class _Splice(NamedTuple):
     stop: int
 
 
-def _build_pairs(bases: list[Signature], base_of: list[int],
+def _pair_blocks(bases: list[Signature], matrices: np.ndarray, base_of: list[int],
                  edits: list[_Splice | NoiseSpec],
-                 provenances: list[dict]) -> list[LabeledPair]:
-    """Pair i is ``bases[base_of[i]]`` against a copy of it with
-    ``edits[i]`` applied: a splice (a changed pair) or noise seeded with
+                 provenances: list[dict]) -> Iterator[list[LabeledPair]]:
+    """The pairs one block at a time: pair i is ``bases[base_of[i]]``
+    against a copy of it with ``edits[i]`` applied, a splice from
+    ``matrices`` (a changed pair) or noise seeded with
     ``provenances[i]["seed"]`` (a noisy pair).
 
-    The copies fill ``(pairs, rows, L)`` block arrays of about
-    ``BLOCK_BYTES`` each.  Each block is checked once and then made
-    read-only, and each recomputed signature is a view of its slice.
-    Blocks, not one array for the whole corpus, so that a corpus reuses
-    freed memory of the size its pairs take, as pair-at-a-time copies do.
+    Each block's copies fill one ``(pairs, rows, L)`` array of about
+    ``BLOCK_BYTES``, which is checked once and then made read-only; each
+    recomputed signature is a view of its slice.  Blocks, not one array
+    for the whole corpus, so that a corpus reuses freed memory of the
+    size its pairs take, as pair-at-a-time copies do, and a caller that
+    drops each block holds one block at a time.
     """
     first = bases[0]
-    for base in bases[1:]:
-        if base.matrix.shape != first.matrix.shape or base.parameters != first.parameters:
-            raise AlignmentError("base signatures must share grid and parameters")
-    matrices = np.stack([base.matrix for base in bases])
     indices = np.array(base_of, dtype=np.intp)
-    pairs = []
     for block in block_slices(len(base_of), first.matrix.nbytes):
         base_ids, block_edits, block_provenances = base_of[block], edits[block], provenances[block]
         stack = np.empty((len(base_ids),) + first.matrix.shape)
@@ -386,6 +383,7 @@ def _build_pairs(bases: list[Signature], base_of: list[int],
         row_stds = check_stack(stack, first.parameters)
         stack.setflags(write=False)
 
+        pairs = []
         for values, stds, base, edit, provenance in zip(stack, row_stds, base_ids, block_edits,
                                                         block_provenances):
             existing = bases[base]
@@ -395,7 +393,7 @@ def _build_pairs(bases: list[Signature], base_of: list[int],
                 pairs.append(LabeledPair(existing, recomputed, Label.CHANGED, None, provenance))
             else:
                 pairs.append(LabeledPair(existing, recomputed, Label.NOISY, edit, provenance))
-    return pairs
+        yield pairs
 
 
 def base_signature_seeds(seed: int) -> tuple[int, np.random.SeedSequence]:
@@ -422,15 +420,17 @@ def _noise_counts(n_noisy: int, distortion_fraction: float,
     return n_spike, n_distortion, n_attenuation
 
 
-def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
-                 seed: int, signatures: list[Signature],
-                 params: CorpusParams = CorpusParams()) -> list[LabeledPair]:
-    """Deterministic labeled corpus over base `signatures`: changed pairs
-    first, then noisy pairs.
+def corpus_blocks(n_changed: int, n_noisy: int, distortion_fraction: float,
+                  seed: int, signatures: list[Signature],
+                  params: CorpusParams = CorpusParams()) -> Iterator[list[LabeledPair]]:
+    """Deterministic labeled corpus over base `signatures`, one block of
+    pairs at a time: changed pairs first, then noisy pairs.
 
     Changed and noisy pairs consume independent random streams, so
     changing only the noise composition leaves the changed pairs
-    untouched for the same seed.
+    untouched for the same seed.  Every setting is checked and every
+    pair's parameters are drawn here; the returned iterator fills the
+    pairs' matrices a block at a time as it is advanced.
     """
     if n_changed < 0 or n_noisy < 0:
         raise ValueError("pair counts must be non-negative")
@@ -492,7 +492,21 @@ def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
         edits.append(spec)
         provenances.append({"seed": pair_seeds[idx], "index": idx})
 
-    return _build_pairs(signatures, base_of, edits, provenances)
+    for sig in signatures[1:]:
+        if (sig.matrix.shape != signatures[0].matrix.shape
+                or sig.parameters != signatures[0].parameters):
+            raise AlignmentError("base signatures must share grid and parameters")
+    matrices = np.stack([sig.matrix for sig in signatures])
+    return _pair_blocks(signatures, matrices, base_of, edits, provenances)
+
+
+def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,
+                 seed: int, signatures: list[Signature],
+                 params: CorpusParams = CorpusParams()) -> list[LabeledPair]:
+    """The pairs of :func:`corpus_blocks`, all at once, in its order."""
+    return [pair for block in corpus_blocks(n_changed, n_noisy, distortion_fraction, seed,
+                                            signatures, params)
+            for pair in block]
 
 
 # ---------------------------------------------------------------------------

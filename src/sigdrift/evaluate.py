@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig, _check_distinct
 from .core import block_slices
-from .datagen import Label, LabeledPair, build_base_signatures, build_corpus
+from .datagen import Label, LabeledPair, build_base_signatures, build_corpus, corpus_blocks
 from .detect import DetectionOutcome, Verdict, cusum_detect, sliding_window_detect, snr_detect
 from .errors import AlignmentError
 from .noisegen import NoiseProfile, check_aligned, profile_from_ratios, snr_ratios
@@ -148,43 +148,50 @@ def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
     signatures = build_base_signatures(sig_seed, config.corpus)
 
     # Profiles first: a setting they reject fails before the corpus is built.
+    # The monitoring corpus is dropped as soon as they are learned.
     profiles: dict[str, NoiseProfile] = {}
     if "snr" in config.detectors:
         n_monitor = monitoring_size(config.monitor_fraction, config.n_changed + config.n_noisy)
-        monitoring = build_corpus(0, n_monitor, config.distortion_fraction, monitor_seed,
-                                  signatures=signatures, params=config.corpus)
-        profiles = learn_monitoring_profiles(monitoring, config.snr_segments)
-    corpus = build_corpus(config.n_changed, config.n_noisy,
-                          config.distortion_fraction, corpus_seed,
-                          signatures=signatures, params=config.corpus)
+        profiles = learn_monitoring_profiles(
+            build_corpus(0, n_monitor, config.distortion_fraction, monitor_seed,
+                         signatures=signatures, params=config.corpus),
+            config.snr_segments)
 
-    # Keep verdicts and sw's noise kinds, not outcomes, so memory does not
-    # grow with the outcomes' diagnostics.
-    labels = [pair.label for pair in corpus]
+    # Keep labels, noise kinds and verdicts, not pairs or outcomes, so memory
+    # grows with neither the corpus's matrices nor the outcomes' diagnostics:
+    # each block of pairs is dropped once every detector has judged it.
+    labels: list[Label] = []
+    noise_kinds: list[str | None] = []
     verdicts: dict[str, list[Verdict]] = {det: [] for det in config.detectors}
     sw_kinds: list[str | None] = []
-    for det in config.detectors:
-        for pair in corpus:
-            outcome = detect_pair(pair, det, config, profiles)
-            verdicts[det].append(outcome.verdict)
-            if det == "sw":
-                sw_kinds.append(outcome.noise_kind)
+    for block in corpus_blocks(config.n_changed, config.n_noisy,
+                               config.distortion_fraction, corpus_seed,
+                               signatures=signatures, params=config.corpus):
+        for pair in block:
+            labels.append(pair.label)
+            noise_kinds.append(None if pair.noise is None else pair.noise.kind)
+        for det in config.detectors:
+            for pair in block:
+                outcome = detect_pair(pair, det, config, profiles)
+                verdicts[det].append(outcome.verdict)
+                if det == "sw":
+                    sw_kinds.append(outcome.noise_kind)
 
     rng = np.random.default_rng(sample_ss)
     cells: dict[str, dict[int, dict[str, float | None]]] = {
         det: {} for det in config.detectors
     }
     for size in config.sample_sizes:
-        chosen = rng.choice(len(corpus), size=size, replace=False)
+        chosen = rng.choice(len(labels), size=size, replace=False)
         for det in config.detectors:
             counts = score((labels[i], verdicts[det][i]) for i in chosen)
             cells[det][size] = {name: fn(counts) for name, fn in METRICS.items()}
 
     out = {"cells": cells}
     if "sw" in config.detectors:
-        noisy = [(pair.noise.kind, verdict, kind)
-                 for pair, verdict, kind in zip(corpus, verdicts["sw"], sw_kinds)
-                 if pair.label is Label.NOISY]
+        noisy = [(truth, verdict, kind)
+                 for truth, verdict, kind in zip(noise_kinds, verdicts["sw"], sw_kinds)
+                 if truth is not None]
         if noisy:
             hits = sum(1 for truth, verdict, kind in noisy
                        if verdict is Verdict.NOISE and kind == truth)

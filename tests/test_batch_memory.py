@@ -1,12 +1,14 @@
 """The corpus build and profile learning work one bounded block of pairs
 at a time: the memory they use beyond what they return must stay below
-the size of the corpus."""
+the size of the corpus.  An evaluate repeat streams its corpus, so it
+never holds the corpus at all."""
 import tracemalloc
 
 import numpy as np
 
+from sigdrift.config import CorpusParams, ExperimentConfig
 from sigdrift.datagen import build_corpus
-from sigdrift.evaluate import learn_monitoring_profiles
+from sigdrift.evaluate import learn_monitoring_profiles, run_experiment
 from sigdrift.noisegen import learn_noise_profile
 
 from conftest import unit_signature, wavy_row
@@ -45,3 +47,15 @@ def test_corpus_build_and_profile_learning_stay_within_blocks():
                         .segment_snrs] for p in monitoring])
     pooled = np.array([s.ratio for s in profiles[""].segment_snrs])
     assert pooled.tobytes() == ratios.min(axis=0).tobytes()
+
+
+def test_an_evaluate_repeat_holds_its_corpus_one_block_at_a_time():
+    # Two nodes on a short trace: synthesis is small next to the corpus,
+    # so the peak is what the repeat keeps of its pairs.
+    config = ExperimentConfig(n_changed=1000, n_noisy=1000, sample_sizes=(500,), repeats=1,
+                              corpus=CorpusParams(nodes=2, raw_length=720))
+    corpus_bytes = 2000 * config.corpus.grid_length * 8
+    run_experiment(config, 3)  # first-call caches out of the traced peak
+    report, extra = _peak_above_result(lambda: run_experiment(config, 3))
+    assert report["detectors"]["sw"]["500"]["f1"]["values"][0] is not None
+    assert extra < corpus_bytes / 2, f"one repeat: {extra} B above its report"

@@ -188,8 +188,7 @@ def test_inject_rejects_a_spike_beyond_the_grid_naming_where(tmp_path, caplog):
     assert main(["inject", "--signature", str(ex), "--out", str(out), "--spec",
                  '{"kind": "spike", "position": 400}']) == 1
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    assert len(errors) == 1
-    assert "position = 400 with width = 3 exceeds the grid of 360 points" in errors[0]
+    assert errors == ["spike at position = 400 with width = 3 exceeds the grid of 360 points"]
     assert not out.exists()
 
 
@@ -423,10 +422,13 @@ def test_evaluate_fails_before_building_the_evaluation_corpus(tmp_path, caplog,
 
     asked = []
 
-    def recording(n_changed, n_noisy, *args, **kwargs):
-        asked.append((n_changed, n_noisy))
-        return build_corpus(n_changed, n_noisy, *args, **kwargs)
-    monkeypatch.setattr(evaluate, "build_corpus", recording)
+    def recording(build):
+        def recorded(n_changed, n_noisy, *args, **kwargs):
+            asked.append((n_changed, n_noisy))
+            return build(n_changed, n_noisy, *args, **kwargs)
+        return recorded
+    monkeypatch.setattr(evaluate, "build_corpus", recording(evaluate.build_corpus))
+    monkeypatch.setattr(evaluate, "corpus_blocks", recording(evaluate.corpus_blocks))
     assert main(["evaluate", "--seed", "1", "--jobs", "1", "--snr-segments", "7",
                  "--out", str(tmp_path / "r.json")]) == 1
     assert "does not split into 7 equal segments" in caplog.text

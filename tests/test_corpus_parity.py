@@ -8,14 +8,17 @@ may batch that work, but the bytes of every matrix, the labels, specs,
 provenance and the learned ratios must come out the same.
 """
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sigdrift import core
 from sigdrift.core import Signature, check_stack
-from sigdrift.datagen import CorpusParams, Label, LabeledPair, _noise_counts, build_corpus
+from sigdrift.datagen import (CorpusParams, Label, LabeledPair, _noise_counts, build_corpus,
+                              corpus_blocks)
 from sigdrift.evaluate import learn_monitoring_profiles
 from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
                                SpikeNoise, inject, learn_noise_profile)
@@ -155,6 +158,50 @@ def test_build_corpus_matches_the_pair_at_a_time_build(count, rows, length, n_ch
         assert g.recomputed.matrix.shape == w.recomputed.matrix.shape
         assert g.recomputed.matrix.tobytes() == w.recomputed.matrix.tobytes()
         assert not g.recomputed.matrix.flags.writeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(**CORPUS_CASE, block_bytes=st.sampled_from([1, 5000, core.BLOCK_BYTES]))
+@example(count=2, rows=1, length=96, n_changed=0, n_noisy=0, fraction=0.5,
+         attenuation_share=0.1, seed=1, block_bytes=1)
+@example(count=3, rows=3, length=120, n_changed=0, n_noisy=16, fraction=0.5,
+         attenuation_share=0.1, seed=2, block_bytes=5000)
+@example(count=3, rows=1, length=360, n_changed=12, n_noisy=0, fraction=0.5,
+         attenuation_share=0.1, seed=3, block_bytes=5000)
+def test_corpus_blocks_concatenate_to_build_corpus(count, rows, length, n_changed, n_noisy,
+                                                   fraction, attenuation_share, seed,
+                                                   block_bytes):
+    """Streaming the corpus gives the pairs ``build_corpus`` lists, in its
+    order, and each block's recomputed matrices are views of one array."""
+    bases = _bases(count, rows, length, seed % 1000)
+    params = CorpusParams(changed_segment=length // 4, attenuation_share=attenuation_share)
+    args = (n_changed, n_noisy, fraction, seed, bases, params)
+    with mock.patch.object(core, "BLOCK_BYTES", block_bytes):
+        blocks = list(corpus_blocks(*args))
+        whole = build_corpus(*args)
+        sizes = [len(range(n_changed + n_noisy)[block])
+                 for block in core.block_slices(n_changed + n_noisy, bases[0].matrix.nbytes)]
+    assert [len(block) for block in blocks] == sizes
+    streamed = [pair for block in blocks for pair in block]
+    assert len(streamed) == len(whole) == n_changed + n_noisy
+    for s, w in zip(streamed, whole):
+        assert s.existing is w.existing
+        assert s.label is w.label
+        assert s.noise == w.noise
+        assert s.provenance == w.provenance
+        assert list(s.provenance) == list(w.provenance)
+        assert (s.recomputed.parameters, s.recomputed.provider_id) == \
+            (w.recomputed.parameters, w.recomputed.provider_id)
+        assert s.recomputed.matrix.shape == w.recomputed.matrix.shape
+        assert s.recomputed.matrix.tobytes() == w.recomputed.matrix.tobytes()
+        assert s.recomputed.row_stds.tobytes() == w.recomputed.row_stds.tobytes()
+        assert not s.recomputed.matrix.flags.writeable
+        assert not s.recomputed.row_stds.flags.writeable
+    owners = [block[0].recomputed.matrix.base for block in blocks]
+    for block, owner in zip(blocks, owners):
+        assert owner is not None and not owner.flags.writeable
+        assert all(pair.recomputed.matrix.base is owner for pair in block)
+    assert len({id(owner) for owner in owners}) == len(blocks)
 
 
 @settings(max_examples=40, deadline=None)

@@ -124,8 +124,12 @@ def test_spike_touches_exactly_width_points(sig):
 
 
 def test_spike_must_fit_grid(sig):
-    with pytest.raises(ValueError):
+    """A user error the CLI reports, so a ``SigdriftError`` that is still a ``ValueError``."""
+    with pytest.raises(AlignmentError) as caught:
         inject(sig, SpikeNoise(position=358, width=3, magnitude=5.0), seed=0)
+    assert isinstance(caught.value, ValueError)
+    assert str(caught.value) == \
+        "spike at position = 358 with width = 3 exceeds the grid of 360 points"
 
 
 def test_attenuation_scales_exactly(sig):

@@ -169,22 +169,17 @@ def test_json_files_are_read_and_written_only_through_core():
     assert importers == {"core"}
 
 
-def _loaded_by_cli_import(modules: tuple[str, ...]) -> str:
-    """Which of `modules` a fresh ``import sigdrift.cli`` loads, as printed."""
-    code = f"import sys, sigdrift.cli; print(sorted(m for m in {modules!r} if m in sys.modules))"
-    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
-
-
 def test_cli_import_leaves_out_the_process_pool():
-    """``run_experiment`` imports the pool only when ``--jobs`` asks for it."""
-    assert _loaded_by_cli_import(("concurrent.futures", "multiprocessing")) == "[]\n"
-
-
-def test_cli_import_leaves_out_tracemalloc():
-    """Memory tracing is for tests and the benchmark, not for every command's start."""
-    assert _loaded_by_cli_import(("tracemalloc",)) == "[]\n"
+    """``run_experiment`` imports the pool only when ``--jobs`` asks for it,
+    and memory tracing is for tests and the benchmark: neither may slow
+    every command's start."""
+    code = ("import sys, sigdrift.cli; "
+            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing', 'tracemalloc') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"
 
 
 def test_config_imports_no_package_module_but_errors():

@@ -153,6 +153,11 @@ def cusum_scan(z: np.ndarray, slack: float, threshold: float):
     The recursion max(0, prev + a_t) equals S_t - min(S_0..S_t) with
     S the running sum of a, which is what lets numpy do this without a
     Python-level loop.
+
+    Past a deviation of about 1e15 the maxima lose precision, since each
+    later value is a difference of sums that large (three points raised
+    by 1e15 make ``max_neg`` read 0.5 for 0.380; see the README).  The
+    alarm index does not: the point itself alarms, on exact earlier sums.
     """
     z = np.ascontiguousarray(z, dtype=np.float64)
     if z.size == 0:

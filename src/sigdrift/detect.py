@@ -26,11 +26,11 @@ from enum import Enum
 import numpy as np
 
 from ._kernels import cusum_scan, deletion_scan_base, deletion_scan_finish
-from .config import DetectorThresholds
+from .config import DetectorThresholds, ExperimentConfig
 from .core import Signature
 from .errors import AlignmentError
-from .noisegen import (NoiseProfile, check_aligned, mean_square_ratios, residual,
-                       segment_mean_squares)
+from .noisegen import (AttenuationNoise, NoiseProfile, SpikeNoise, check_aligned,
+                       mean_square_ratios, residual, segment_mean_squares)
 from .similarity import pcc, rmse
 
 
@@ -144,14 +144,14 @@ def sliding_window_detect(existing: Signature, recomputed: Signature,
             decisions.append(RowDecision(parameter, Verdict.NO_CHANGE, None, diag))
             continue
         if p >= thresholds.similarity_floor and r <= thresholds.attenuation_ceiling:
-            decisions.append(RowDecision(parameter, Verdict.NOISE, "attenuation", diag))
+            decisions.append(RowDecision(parameter, Verdict.NOISE, AttenuationNoise.kind, diag))
             continue
         base = _memoized(existing, ("scan", row, window), deletion_scan_base, x, window)
         best_start, best = _first_max(deletion_scan_finish(base, y))
         diag["best_window_pcc"] = best
         diag["removed_window_start"] = best_start
         if not math.isnan(best) and best >= thresholds.similarity_floor:
-            decisions.append(RowDecision(parameter, Verdict.NOISE, "spike", diag))
+            decisions.append(RowDecision(parameter, Verdict.NOISE, SpikeNoise.kind, diag))
         else:
             decisions.append(RowDecision(parameter, Verdict.CHANGE, None, diag))
     return _aggregate(decisions)
@@ -180,7 +180,8 @@ def snr_detect(existing: Signature, recomputed: Signature,
 
 
 def cusum_detect(existing: Signature, recomputed: Signature,
-                 slack: float = 0.5, decision_interval: float = 5.0
+                 slack: float = ExperimentConfig.cusum_slack,
+                 decision_interval: float = ExperimentConfig.cusum_interval
                  ) -> DetectionOutcome:
     """Two-sided CUSUM on standardized deviations; change on a strict crossing."""
     check_aligned(existing, recomputed)

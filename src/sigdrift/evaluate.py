@@ -13,10 +13,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import ExperimentConfig, _check_distinct
+from .config import ExperimentConfig, RunSettings, _check_distinct
 from .core import block_slices
 from .datagen import Label, LabeledPair, build_base_signatures, build_corpus, corpus_blocks
-from .detect import DetectionOutcome, Verdict, cusum_detect, sliding_window_detect, snr_detect
+from .detect import Verdict, cusum_detect, sliding_window_detect, snr_detect
 from .errors import AlignmentError
 from .noisegen import NoiseProfile, check_aligned, profile_from_ratios, snr_ratios
 
@@ -109,19 +109,6 @@ def learn_monitoring_profiles(pairs: list[LabeledPair], segments: int
     return merged
 
 
-def detect_pair(pair: LabeledPair, detector: str, config: ExperimentConfig,
-                profiles: dict[str, NoiseProfile]) -> DetectionOutcome:
-    if detector == "sw":
-        return sliding_window_detect(pair.existing, pair.recomputed, config.thresholds)
-    if detector == "cusum":
-        return cusum_detect(pair.existing, pair.recomputed,
-                            config.cusum_slack, config.cusum_interval)
-    if detector == "snr":
-        profile = profiles.get(pair.existing.provider_id, profiles[""])
-        return snr_detect(pair.existing, pair.recomputed, profile)
-    raise ValueError(f"unknown detector {detector!r}")
-
-
 def repeat_streams(seed: int, repeats: int) -> list[np.random.SeedSequence]:
     """One random stream per repeat; stream r does not depend on `repeats`."""
     return np.random.SeedSequence(seed).spawn(repeats)
@@ -157,13 +144,23 @@ def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
                          signatures=signatures, params=config.corpus),
             config.snr_segments)
 
-    # Keep labels, noise kinds and verdicts, not pairs or outcomes, so memory
-    # grows with neither the corpus's matrices nor the outcomes' diagnostics:
-    # each block of pairs is dropped once every detector has judged it.
+    # Keep each pair's label and noise kind, and each detector's verdict and
+    # the noise kind it names, not pairs or outcomes, so memory grows with
+    # neither the corpus's matrices nor the outcomes' diagnostics: each block
+    # of pairs is dropped once every detector has judged it.  Each call looks
+    # its detector up when it runs and passes existing and recomputed first,
+    # so a swapped module global sees both.
+    calls = {
+        "sw": lambda p: sliding_window_detect(p.existing, p.recomputed, config.thresholds),
+        "snr": lambda p: snr_detect(p.existing, p.recomputed,
+                                    profiles.get(p.existing.provider_id, profiles[""])),
+        "cusum": lambda p: cusum_detect(p.existing, p.recomputed,
+                                        config.cusum_slack, config.cusum_interval),
+    }
     labels: list[Label] = []
     noise_kinds: list[str | None] = []
     verdicts: dict[str, list[Verdict]] = {det: [] for det in config.detectors}
-    sw_kinds: list[str | None] = []
+    kinds: dict[str, list[str | None]] = {det: [] for det in config.detectors}
     for block in corpus_blocks(config.n_changed, config.n_noisy,
                                config.distortion_fraction, corpus_seed,
                                signatures=signatures, params=config.corpus):
@@ -171,16 +168,14 @@ def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
             labels.append(pair.label)
             noise_kinds.append(None if pair.noise is None else pair.noise.kind)
         for det in config.detectors:
+            call = calls[det]
             for pair in block:
-                outcome = detect_pair(pair, det, config, profiles)
+                outcome = call(pair)
                 verdicts[det].append(outcome.verdict)
-                if det == "sw":
-                    sw_kinds.append(outcome.noise_kind)
+                kinds[det].append(outcome.noise_kind)
 
     rng = np.random.default_rng(sample_ss)
-    cells: dict[str, dict[int, dict[str, float | None]]] = {
-        det: {} for det in config.detectors
-    }
+    cells: dict[str, dict[int, dict[str, float | None]]] = {det: {} for det in config.detectors}
     for size in config.sample_sizes:
         chosen = rng.choice(len(labels), size=size, replace=False)
         for det in config.detectors:
@@ -189,13 +184,11 @@ def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
 
     out = {"cells": cells}
     if "sw" in config.detectors:
-        noisy = [(truth, verdict, kind)
-                 for truth, verdict, kind in zip(noise_kinds, verdicts["sw"], sw_kinds)
+        named = [verdict is Verdict.NOISE and kind == truth
+                 for truth, verdict, kind in zip(noise_kinds, verdicts["sw"], kinds["sw"])
                  if truth is not None]
-        if noisy:
-            hits = sum(1 for truth, verdict, kind in noisy
-                       if verdict is Verdict.NOISE and kind == truth)
-            out["sw_noise_kind_accuracy"] = hits / len(noisy)
+        if named:
+            out["sw_noise_kind_accuracy"] = sum(named) / len(named)
     return out
 
 
@@ -234,11 +227,7 @@ def run_experiment(config: ExperimentConfig, seed: int, jobs: int = 1) -> dict:
                 per_metric[metric] = _summary(values)
             detectors[det][str(size)] = per_metric
 
-    report = {
-        "config": config.to_dict(),
-        "seed": seed,
-        "detectors": detectors,
-    }
+    report = {"config": config.to_dict(), "seed": seed, "detectors": detectors}
     if all("sw_noise_kind_accuracy" in r for r in results) and "sw" in config.detectors:
         report["diagnostics"] = {
             "sw_noise_kind_accuracy": _summary(
@@ -249,7 +238,7 @@ def run_experiment(config: ExperimentConfig, seed: int, jobs: int = 1) -> dict:
 
 
 def sensitivity_analysis(config: ExperimentConfig, seed: int,
-                         levels: tuple[float, ...] = (0.5, 0.25, 0.0),
+                         levels: tuple[float, ...] = RunSettings.sensitivity_levels,
                          jobs: int = 1) -> dict:
     """Re-run the experiment at several distortion fractions, same seed.
     Every level's settings are checked before the first run."""

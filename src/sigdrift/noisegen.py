@@ -177,7 +177,10 @@ def check_aligned(existing: Signature, recomputed: Signature) -> None:
     """Raise unless the two signatures share grid and parameters."""
     if (existing.matrix.shape != recomputed.matrix.shape
             or existing.parameters != recomputed.parameters):
-        raise AlignmentError("signatures must share grid and parameters")
+        raise AlignmentError(
+            f"signatures must share grid and parameters: existing {existing.parameters} on "
+            f"{existing.matrix.shape[1]} points, recomputed {recomputed.parameters} on "
+            f"{recomputed.matrix.shape[1]} points")
 
 
 def residual(existing: Signature, recomputed: Signature) -> np.ndarray:

@@ -7,7 +7,6 @@ carries the criterion number.
 """
 import json
 import math
-import os
 import time
 
 import numpy as np
@@ -18,25 +17,15 @@ from sigdrift.core import TrialExperience
 from sigdrift.cpd import ChangePoint, EventConfig, calibrate, detect_events
 from sigdrift.datagen import build_base_signatures, build_corpus
 from sigdrift.detect import DetectorThresholds, Verdict, sliding_window_detect
-from sigdrift.evaluate import (ConfusionCounts, ExperimentConfig, accuracy, f1,
-                               fp_rate, run_experiment, sensitivity_analysis,
-                               tp_rate)
+from sigdrift.evaluate import (ConfusionCounts, accuracy, f1, fp_rate, run_experiment,
+                               sensitivity_analysis, tp_rate)
 from sigdrift.noisegen import DistortionNoise, SpikeNoise, inject, residual, snr
 from sigdrift.similarity import SimilarityMethod, cosine, euclidean, pcc, rmse
 
-from conftest import unit_signature
+from conftest import (C10_ARGV, DESK, JOBS, check_c05, check_c06, check_c07, check_c08,
+                      unit_signature)
 
-DESK = ExperimentConfig(
-    n_changed=300,
-    n_noisy=300,
-    distortion_fraction=0.5,
-    sample_sizes=(100, 200, 300, 400, 500, 600),
-    repeats=10,
-    monitor_fraction=0.15,
-)
 SEED = 42
-JOBS = min(4, os.cpu_count() or 1)
-FULL = "600"  # the whole-corpus sample cell
 
 
 @pytest.fixture(scope="module")
@@ -48,20 +37,6 @@ def desk_report():
 def desk_sensitivity():
     return sensitivity_analysis(DESK, seed=SEED, levels=(0.5, 0.25, 0.0),
                                 jobs=JOBS)
-
-
-def _mean(report, detector, metric, size=FULL):
-    return report["detectors"][detector][size][metric]["mean"]
-
-
-def _std(report, detector, metric, size=FULL):
-    return report["detectors"][detector][size][metric]["std"]
-
-
-def _pooled_std(report, metric, det_a, det_b):
-    sa = _std(report, det_a, metric)
-    sb = _std(report, det_b, metric)
-    return math.sqrt((sa ** 2 + sb ** 2) / 2.0)
 
 
 # --------------------------------------------------------------- criterion 1
@@ -180,72 +155,26 @@ def test_c04_spike_pairs_classified_with_window_overlap():
 # --------------------------------------------------------------- criterion 5
 
 def test_c05_false_positive_ordering(desk_report):
-    fp_sw = _mean(desk_report, "sw", "fp_rate")
-    fp_snr = _mean(desk_report, "snr", "fp_rate")
-    fp_cusum = _mean(desk_report, "cusum", "fp_rate")
-    gap_a = fp_snr - fp_sw
-    gap_b = fp_cusum - fp_snr
-    pooled_a = _pooled_std(desk_report, "fp_rate", "sw", "snr")
-    pooled_b = _pooled_std(desk_report, "fp_rate", "snr", "cusum")
-    assert fp_sw < fp_snr < fp_cusum
-    assert gap_a > pooled_a
-    assert gap_b > pooled_b
-    print(f"C5 PASS: mean FP sw={fp_sw:.4f} < snr={fp_snr:.4f} < "
-          f"cusum={fp_cusum:.4f}; gaps {gap_a:.3f}/{gap_b:.3f} exceed pooled "
-          f"stds {pooled_a:.3f}/{pooled_b:.3f}")
+    print(f"C5 PASS: {check_c05(desk_report)}")
 
 
 # --------------------------------------------------------------- criterion 6
 
 def test_c06_true_positive_ordering(desk_report):
-    tp_sw = _mean(desk_report, "sw", "tp_rate")
-    tp_snr = _mean(desk_report, "snr", "tp_rate")
-    tp_cusum = _mean(desk_report, "cusum", "tp_rate")
-    gap_a = tp_cusum - tp_snr
-    gap_b = tp_snr - tp_sw
-    pooled_a = _pooled_std(desk_report, "tp_rate", "cusum", "snr")
-    pooled_b = _pooled_std(desk_report, "tp_rate", "snr", "sw")
-    assert tp_cusum > tp_snr > tp_sw
-    assert gap_a > pooled_a
-    assert gap_b > pooled_b
-    print(f"C6 PASS: mean TP cusum={tp_cusum:.4f} > snr={tp_snr:.4f} > "
-          f"sw={tp_sw:.4f}; gaps {gap_a:.3f}/{gap_b:.3f} exceed pooled stds "
-          f"{pooled_a:.3f}/{pooled_b:.3f}")
+    print(f"C6 PASS: {check_c06(desk_report)}")
 
 
 # --------------------------------------------------------------- criterion 7
 
 def test_c07_f1_and_accuracy_rankings(desk_report):
-    f1_snr = _mean(desk_report, "snr", "f1")
-    f1_sw = _mean(desk_report, "sw", "f1")
-    f1_cusum = _mean(desk_report, "cusum", "f1")
-    assert f1_snr > f1_sw > f1_cusum
-
-    sw_first = 0
-    cells = desk_report["detectors"]["sw"].keys()
-    for size in cells:
-        acc = {d: _mean(desk_report, d, "accuracy", size)
-               for d in ("sw", "snr", "cusum")}
-        if acc["sw"] > acc["snr"] and acc["sw"] > acc["cusum"]:
-            sw_first += 1
-    assert sw_first > len(cells) / 2
-    print(f"C7 PASS: mean F1 snr={f1_snr:.4f} > sw={f1_sw:.4f} > "
-          f"cusum={f1_cusum:.4f}; accuracy ranks sw first in "
-          f"{sw_first}/{len(cells)} sample-size cells")
+    print(f"C7 PASS: {check_c07(desk_report)}")
 
 
 # --------------------------------------------------------------- criterion 8
 
 def test_c08_distortion_sensitivity(desk_sensitivity):
-    lines = []
-    for key in ("0.5", "0.25", "0.0"):
-        run = desk_sensitivity["runs"][key]
-        f1_snr = run["detectors"]["snr"][FULL]["f1"]["mean"]
-        f1_sw = run["detectors"]["sw"][FULL]["f1"]["mean"]
-        assert f1_snr > f1_sw, f"level {key}: snr {f1_snr} vs sw {f1_sw}"
-        lines.append(f"{key}: snr={f1_snr:.4f} > sw={f1_sw:.4f}")
-    print("C8 PASS: SNR F1 beats SW F1 at every distortion level "
-          f"({'; '.join(lines)})")
+    print(f"C8 PASS: SNR F1 beats SW F1 at every distortion level "
+          f"({check_c08(desk_sensitivity)})")
 
 
 # --------------------------------------------------------------- criterion 9
@@ -291,12 +220,7 @@ def test_c09_eca_oracle_and_initialization_example():
 
 def test_c10_cli_evaluate_is_byte_identical(tmp_path):
     def run(path):
-        code = cli_main([
-            "evaluate", "--seed", "42", "--jobs", "1",
-            "--n-changed", "20", "--n-noisy", "20", "--repeats", "2",
-            "--sample-sizes", "20,40", "--monitor-fraction", "0.15",
-            "--out", str(path),
-        ])
+        code = cli_main([*C10_ARGV, "--out", str(path)])
         assert code == 0
 
     a = tmp_path / "a.json"

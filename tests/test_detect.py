@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -310,7 +312,10 @@ def test_nan_diagnostics_serialize_as_null(ex):
 ])
 def test_every_detector_rejects_a_misaligned_pair_alike(ex, detect):
     # a 100-point pair also misfits the profile: the pair check comes first
-    for other in (unit_signature(wavy_row(100)),
-                  unit_signature(wavy_row(360, seed=3), parameters=["different"])):
-        with pytest.raises(AlignmentError, match="^signatures must share grid and parameters$"):
+    for other, got in ((unit_signature(wavy_row(100)), "('q0',) on 100"),
+                       (unit_signature(wavy_row(360, seed=3), parameters=["different"]),
+                        "('different',) on 360")):
+        message = ("signatures must share grid and parameters: existing ('q0',) on 360 "
+                   f"points, recomputed {got} points")
+        with pytest.raises(AlignmentError, match=f"^{re.escape(message)}$"):
             detect(ex, other)

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from sigdrift._kernels import backend, cusum_scan, deletion_pcc_scan
+from sigdrift.core import Signature
+from sigdrift.datagen import build_base_signatures
+from sigdrift.detect import Verdict, cusum_detect
 from sigdrift.similarity import pcc
 
 
@@ -91,6 +94,21 @@ def test_cusum_scan_threshold_is_strict():
     max_pos, _, alarm = cusum_scan(np.full(6, 1.5), 0.5, 5.0)
     assert max_pos == 6.0
     assert alarm == 5
+
+
+@pytest.mark.parametrize("height", [1e8, 1e16, 1e20, 1e100])
+def test_cusum_alarms_at_a_huge_spike_as_the_recursion_does(height):
+    """Past about 1e15 the maxima lose precision (see ``cusum_scan``),
+    but the verdict and the alarm index stay the recursion's."""
+    existing = build_base_signatures(seed=42)[0]
+    x = existing.matrix[0]
+    y = x + 0.3 * np.random.default_rng(1).standard_normal(x.size)
+    y[100:103] += height
+    outcome = cusum_detect(existing, Signature(existing.parameters, y[None, :],
+                                               existing.provider_id))
+    want = _naive_cusum(((y - x) / existing.row_stds[0]).tolist(), 0.5, 5.0)
+    assert outcome.verdict is Verdict.CHANGE
+    assert outcome.diagnostics["alarm_index"] == want[2] == 100
 
 
 # sha256 of deletion_pcc_scan(x, y, 6).tobytes() and repr of

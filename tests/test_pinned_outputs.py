@@ -17,7 +17,7 @@ from sigdrift.detect import cusum_detect, sliding_window_detect, snr_detect
 from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, SpikeNoise, inject,
                                learn_noise_profile)
 
-from conftest import unit_signature, wavy_row
+from conftest import C10_ARGV, unit_signature, wavy_row
 
 C10_REPORT_SHA256 = "f070078d0bcc11338d5ae5aa0ac6cb538f09a9cd031d88939b59d178fceec877"
 
@@ -98,10 +98,7 @@ def test_trace_csv_is_pinned(tmp_path):
 
 def test_c10_sized_evaluate_report_is_pinned(tmp_path):
     out = tmp_path / "report.json"
-    assert main(["evaluate", "--seed", "42", "--jobs", "1",
-                 "--n-changed", "20", "--n-noisy", "20", "--repeats", "2",
-                 "--sample-sizes", "20,40", "--monitor-fraction", "0.15",
-                 "--out", str(out)]) == 0
+    assert main([*C10_ARGV, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == C10_REPORT_SHA256
 
 

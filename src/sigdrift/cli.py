@@ -354,16 +354,21 @@ def main(argv=None) -> int:
         # "change detected", so remap.
         return 0 if exc.code in (0, None) else 1
 
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if getattr(args, "verbose", False) else logging.WARNING,
-        format="%(levelname)s %(message)s",
-    )
+    # A handler of this call's own, on this call's stderr: a second call in
+    # one process logs where it runs, at its own level.
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    level = log.level
+    log.setLevel(logging.INFO if getattr(args, "verbose", False) else logging.WARNING)
+    log.addHandler(handler)
     try:
         return args.func(args)
     except (SigdriftError, OSError, ValueError) as exc:
         log.error("%s", exc)
         return 1
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(level)
 
 
 if __name__ == "__main__":

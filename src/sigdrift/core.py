@@ -304,14 +304,16 @@ def read_signature(path) -> Signature:
         matrix = np.array([[float(p) for p in cells] for _, *cells in rows])
         for name, values in zip(names, matrix):
             _check_magnitude(values, f"row {name!r}: ")
-        stds = check_stack(matrix[None], names)[0]
+        sig = Signature(names, matrix, path.stem)
+        off = np.abs(sig.row_stds - 1.0) > STD_TOLERANCE
+        if off.any():
+            matrix[off] /= sig.row_stds[off, None]
+            sig = Signature(names, matrix, path.stem)
     except ConstantSeriesError as exc:
         raise ConstantSeriesError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    off = np.abs(stds - 1.0) > STD_TOLERANCE
-    matrix[off] /= stds[off, None]
-    return Signature(names, matrix, path.stem)
+    return sig
 
 
 # ---------------------------------------------------------------------------

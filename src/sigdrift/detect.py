@@ -130,9 +130,10 @@ def sliding_window_detect(existing: Signature, recomputed: Signature,
                           thresholds: DetectorThresholds = DetectorThresholds()
                           ) -> DetectionOutcome:
     check_aligned(existing, recomputed)
-    window = thresholds.scan_window
-    if window >= existing.matrix.shape[1] - 1:
-        raise ValueError("scan window must be shorter than the grid")
+    window, length = thresholds.scan_window, existing.matrix.shape[1]
+    if window >= length - 1:
+        raise AlignmentError(f"scan_window = {window} must be less than "
+                             f"the grid length {length} minus 1")
 
     decisions = []
     for row, (parameter, x, y) in enumerate(zip(existing.parameters, existing.matrix,

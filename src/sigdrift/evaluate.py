@@ -33,21 +33,13 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-def score(labeled_verdicts) -> ConfusionCounts:
-    """Fold (Label, Verdict) pairs into confusion counts."""
-    tp = fp = tn = fn = 0
-    for label, verdict in labeled_verdicts:
-        changed = label is Label.CHANGED
-        called_change = verdict is Verdict.CHANGE
-        if changed and called_change:
-            tp += 1
-        elif changed:
-            fn += 1
-        elif called_change:
-            fp += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp, fp, tn, fn)
+def score(changed: np.ndarray, called: np.ndarray) -> ConfusionCounts:
+    """Confusion counts of two boolean arrays over the same pairs: the
+    pair is changed, and the detector called a change."""
+    tp = int(np.count_nonzero(changed & called))
+    fp = int(np.count_nonzero(called)) - tp
+    fn = int(np.count_nonzero(changed)) - tp
+    return ConfusionCounts(tp, fp, changed.size - tp - fp - fn, fn)
 
 
 def fp_rate(c: ConfusionCounts) -> float | None:
@@ -144,12 +136,13 @@ def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
                          signatures=signatures, params=config.corpus),
             config.snr_segments)
 
-    # Keep each pair's label and noise kind, and each detector's verdict and
-    # the noise kind it names, not pairs or outcomes, so memory grows with
-    # neither the corpus's matrices nor the outcomes' diagnostics: each block
-    # of pairs is dropped once every detector has judged it.  Each call looks
-    # its detector up when it runs and passes existing and recomputed first,
-    # so a swapped module global sees both.
+    # Keep, per pair, whether it is changed and, per detector, whether the
+    # detector called a change and whether it called noise of the pair's own
+    # kind, not pairs or outcomes, so memory grows with neither the corpus's
+    # matrices nor the outcomes' diagnostics: each block of pairs is dropped
+    # once every detector has judged it.  Each call looks its detector up
+    # when it runs and passes existing and recomputed first, so a swapped
+    # module global sees both.
     calls = {
         "sw": lambda p: sliding_window_detect(p.existing, p.recomputed, config.thresholds),
         "snr": lambda p: snr_detect(p.existing, p.recomputed,
@@ -157,38 +150,35 @@ def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
         "cusum": lambda p: cusum_detect(p.existing, p.recomputed,
                                         config.cusum_slack, config.cusum_interval),
     }
-    labels: list[Label] = []
-    noise_kinds: list[str | None] = []
-    verdicts: dict[str, list[Verdict]] = {det: [] for det in config.detectors}
-    kinds: dict[str, list[str | None]] = {det: [] for det in config.detectors}
+    n_pairs = config.n_changed + config.n_noisy
+    changed = np.zeros(n_pairs, dtype=bool)
+    called = {det: np.zeros(n_pairs, dtype=bool) for det in config.detectors}
+    named = {det: np.zeros(n_pairs, dtype=bool) for det in config.detectors}
+    start = 0
     for block in corpus_blocks(config.n_changed, config.n_noisy,
                                config.distortion_fraction, corpus_seed,
                                signatures=signatures, params=config.corpus):
-        for pair in block:
-            labels.append(pair.label)
-            noise_kinds.append(None if pair.noise is None else pair.noise.kind)
+        changed[start:start + len(block)] = [pair.label is Label.CHANGED for pair in block]
         for det in config.detectors:
             call = calls[det]
-            for pair in block:
+            for i, pair in enumerate(block, start):
                 outcome = call(pair)
-                verdicts[det].append(outcome.verdict)
-                kinds[det].append(outcome.noise_kind)
+                called[det][i] = outcome.verdict is Verdict.CHANGE
+                named[det][i] = (outcome.verdict is Verdict.NOISE and pair.noise is not None
+                                 and outcome.noise_kind == pair.noise.kind)
+        start += len(block)
 
     rng = np.random.default_rng(sample_ss)
     cells: dict[str, dict[int, dict[str, float | None]]] = {det: {} for det in config.detectors}
     for size in config.sample_sizes:
-        chosen = rng.choice(len(labels), size=size, replace=False)
+        chosen = rng.choice(n_pairs, size=size, replace=False)
         for det in config.detectors:
-            counts = score((labels[i], verdicts[det][i]) for i in chosen)
+            counts = score(changed[chosen], called[det][chosen])
             cells[det][size] = {name: fn(counts) for name, fn in METRICS.items()}
 
     out = {"cells": cells}
-    if "sw" in config.detectors:
-        named = [verdict is Verdict.NOISE and kind == truth
-                 for truth, verdict, kind in zip(noise_kinds, verdicts["sw"], kinds["sw"])
-                 if truth is not None]
-        if named:
-            out["sw_noise_kind_accuracy"] = sum(named) / len(named)
+    if "sw" in config.detectors and config.n_noisy:
+        out["sw_noise_kind_accuracy"] = int(np.count_nonzero(named["sw"])) / config.n_noisy
     return out
 
 

@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import logging
 import warnings
 
 import numpy as np
@@ -283,6 +286,60 @@ def test_calibrate_names_the_cohort_file_of_a_parameter_with_no_row(tmp_path, ca
     assert [r.getMessage() for r in caplog.records] == [
         f"{cohorts}: user 'u1' is for parameter 'io', which the signature has no row for"]
     assert not out.exists()
+
+
+def test_detect_on_a_grid_too_short_for_the_scan_window_names_both(tmp_path, capsys):
+    ex, rec = tmp_path / "ex.csv", tmp_path / "rec.csv"
+    write_signature(unit_signature(wavy_row(7, seed=3)), ex)
+    write_signature(unit_signature(wavy_row(7, seed=4)), rec)
+    assert main(["detect", "--existing", str(ex), "--recomputed", str(rec)]) == 1
+    assert capsys.readouterr() == (
+        "", "ERROR scan_window = 6 must be less than the grid length 7 minus 1\n")
+
+
+def test_detect_on_a_header_only_signature_file_is_exit_one(tmp_path, capsys):
+    ex, rec = _write_pair(tmp_path)
+    header_only = tmp_path / "header.csv"
+    header_only.write_text(ex.read_text().splitlines()[0] + "\n")
+    assert main(["detect", "--existing", str(header_only), "--recomputed", str(rec)]) == 1
+    assert capsys.readouterr() == ("", f"ERROR {header_only}: no data rows\n")
+
+
+def test_detect_on_a_profile_whose_snr_overflows_a_float_is_exit_one(tmp_path, capsys):
+    ex, rec = _write_pair(tmp_path)
+    prof = tmp_path / "profile.json"
+    prof.write_text('{"segment_length": 60, "segment_snrs": [%s, 5.0]}\n' % ("9" * 400))
+    assert main(["detect", "--existing", str(ex), "--recomputed", str(rec),
+                 "--detector", "snr", "--profile", str(prof)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"ERROR {prof}: bad noise profile: segment_snrs[0]: 999")
+
+
+def test_gen_signature_names_the_cohort_file_of_a_user_off_the_start(tmp_path, capsys):
+    cohorts = tmp_path / "cohorts.csv"
+    cohorts.write_text("user_id,parameter,start,v0,v1,v2,v3\n"
+                       "u1,cpu,0,1.0,2.0,3.0,4.0\n"
+                       "u2,cpu,1,2.0,4.5,6.0,8.0\n")
+    out = tmp_path / "sig.csv"
+    assert main(["gen-signature", "--cohorts", str(cohorts), "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"ERROR {cohorts}: user 'u2' covers (1, 4) for 'cpu', "
+                                       "signature generation needs (0, 4)\n")
+    assert not out.exists()
+
+
+def test_each_call_of_main_logs_to_its_own_stderr(tmp_path):
+    argv = ["events", "--flags", str(tmp_path / "none.csv"), "--f-thresh", "1"]
+    first, second = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(first):
+        assert main(argv) == 1
+    with contextlib.redirect_stderr(second):
+        assert main([*argv, "--verbose"]) == 1
+    line = first.getvalue()
+    assert line.startswith("ERROR ") and line.count("\n") == 1
+    assert second.getvalue() == line
+    logger = logging.getLogger("sigdrift")
+    assert (logger.handlers, logger.level) == ([], logging.NOTSET)
 
 
 def test_a_key_error_is_a_fault_not_a_user_error(tmp_path, monkeypatch):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sigdrift.datagen import Label, LabeledPair, build_base_signatures, build_corpus
-from sigdrift.detect import Verdict
 from sigdrift.errors import AlignmentError
 from sigdrift.evaluate import (ConfusionCounts, ExperimentConfig, accuracy, f1,
                                fp_rate, learn_monitoring_profiles,
@@ -19,23 +18,22 @@ TINY = ExperimentConfig(n_changed=8, n_noisy=8, distortion_fraction=0.5,
 # ------------------------------------------------------------------- score
 
 def test_score_all_hits():
-    counts = score([(Label.CHANGED, Verdict.CHANGE)] * 7)
+    counts = score(np.ones(7, dtype=bool), np.ones(7, dtype=bool))
     assert counts == ConfusionCounts(tp=7, fp=0, tn=0, fn=0)
 
 
 def test_score_hand_count():
-    pairs = ([(Label.CHANGED, Verdict.CHANGE)] * 3 +
-             [(Label.NOISY, Verdict.CHANGE)] * 1 +
-             [(Label.NOISY, Verdict.NO_CHANGE)] * 3 +
-             [(Label.NOISY, Verdict.NOISE)] * 2 +
-             [(Label.CHANGED, Verdict.NOISE)] * 1)
-    counts = score(pairs)
+    # changed & change, noisy & change, noisy & no change, noisy & noise,
+    # changed & noise: only a "change" verdict is a called change
+    changed = np.array([True] * 3 + [False] * 1 + [False] * 3 + [False] * 2 + [True] * 1)
+    called = np.array([True] * 3 + [True] * 1 + [False] * 3 + [False] * 2 + [False] * 1)
+    counts = score(changed, called)
     # noise verdicts on noisy pairs are correct rejections
     assert counts == ConfusionCounts(tp=3, fp=1, tn=5, fn=1)
 
 
 def test_score_empty():
-    assert score([]) == ConfusionCounts(0, 0, 0, 0)
+    assert score(np.zeros(0, dtype=bool), np.zeros(0, dtype=bool)) == ConfusionCounts(0, 0, 0, 0)
 
 
 # ------------------------------------------------------------------ metrics

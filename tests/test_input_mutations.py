@@ -204,6 +204,23 @@ def test_a_finite_cell_beyond_the_bound_exits_1_naming_the_file_and_row(valid, f
     assert f"{float(cell)!r} exceeds {MAX_ABS_VALUE:g} in magnitude" in message
 
 
+@pytest.mark.parametrize("names, error", [
+    (["cpu", "cpu"], "duplicate QoS parameter in signature"),
+    (["cpu", ""], "parameter name must be non-empty"),
+])
+def test_a_bad_parameter_name_exits_1_naming_the_file(valid, names, error):
+    lines = [line.split(",") for line in
+             (valid / "existing.csv").read_text(encoding="utf-8").splitlines()]
+    for line, name in zip(lines[1:], names):
+        line[0] = name
+    path = valid / f"names-{'-'.join(names)}.csv"
+    path.write_text("".join(",".join(line) + "\n" for line in lines), encoding="utf-8")
+    code, out, err, records = _run(_argv("signature", valid, path))
+    assert (code, out) == (1, "")
+    assert "Traceback" not in err
+    assert [r.getMessage() for r in records] == [f"{path}: {error}"]
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("grid", [360, 23040])
 @pytest.mark.parametrize("cell", [MAX_ABS_VALUE, -MAX_ABS_VALUE])

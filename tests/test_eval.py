@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from sigdrift.datagen import Label, LabeledPair, build_base_signatures, build_corpus
+from sigdrift.detect import sliding_window_detect
 from sigdrift.errors import AlignmentError
 from sigdrift.evaluate import (ConfusionCounts, ExperimentConfig, accuracy, f1,
                                fp_rate, learn_monitoring_profiles,
-                               report_to_csv, run_experiment,
-                               sensitivity_analysis, score, tp_rate)
+                               repeat_seeds, repeat_streams, report_to_csv,
+                               run_experiment, sensitivity_analysis, score, tp_rate)
 from sigdrift.noisegen import learn_noise_profile
 
 from conftest import raw_signature, unit_signature, wavy_row
@@ -23,13 +26,12 @@ def test_score_all_hits():
 
 
 def test_score_hand_count():
-    # changed & change, noisy & change, noisy & no change, noisy & noise,
-    # changed & noise: only a "change" verdict is a called change
-    changed = np.array([True] * 3 + [False] * 1 + [False] * 3 + [False] * 2 + [True] * 1)
-    called = np.array([True] * 3 + [True] * 1 + [False] * 3 + [False] * 2 + [False] * 1)
-    counts = score(changed, called)
-    # noise verdicts on noisy pairs are correct rejections
-    assert counts == ConfusionCounts(tp=3, fp=1, tn=5, fn=1)
+    # 3 changed pairs called change, 1 noisy pair called change, 5 noisy
+    # pairs called noise or no change (correct rejections), 1 changed pair
+    # called noise
+    changed = np.array([True] * 3 + [False] * 6 + [True])
+    called = np.array([True] * 4 + [False] * 6)
+    assert score(changed, called) == ConfusionCounts(tp=3, fp=1, tn=5, fn=1)
 
 
 def test_score_empty():
@@ -209,6 +211,24 @@ def test_run_experiment_metrics_are_rates():
             for metric in cell.values():
                 for v in metric["values"]:
                     assert v is None or 0.0 <= v <= 1.0
+
+
+def test_sw_noise_kind_accuracy_is_the_share_of_noisy_pairs_sw_names_right():
+    config = replace(TINY, repeats=1, n_noisy=40, sample_sizes=(8,))
+    sig_seed, corpus_seed, _, _ = repeat_seeds(repeat_streams(5, 1)[0])
+    corpus = build_corpus(config.n_changed, config.n_noisy, config.distortion_fraction,
+                          corpus_seed, signatures=build_base_signatures(sig_seed, config.corpus),
+                          params=config.corpus)
+    named = [sliding_window_detect(p.existing, p.recomputed).noise_kind == p.noise.kind
+             for p in corpus if p.noise is not None]
+    report = run_experiment(config, seed=5)
+    assert 0 < sum(named) < len(named) == config.n_noisy
+    assert report["diagnostics"]["sw_noise_kind_accuracy"]["values"] == [
+        sum(named) / len(named)]
+    # present exactly when sw runs and the corpus has noisy pairs
+    assert "diagnostics" not in run_experiment(replace(config, n_noisy=0), seed=5)
+    assert "diagnostics" not in run_experiment(replace(config, detectors=("snr", "cusum")),
+                                               seed=5)
 
 
 def test_sensitivity_levels_are_keyed_by_fraction():

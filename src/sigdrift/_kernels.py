@@ -25,6 +25,9 @@ checks each against the plain numpy form):
   it back into the 0.0 that ``minimum.accumulate`` yields.
 - ``np.maximum``/``np.minimum`` clamp exactly as ``ndarray.clip`` does,
   NaN included, without its Python wrapper.
+- Likewise ``np.add.accumulate``, ``np.maximum.reduce`` and ``np.empty``
+  plus ``fill`` are the calls ``np.cumsum``, ``ndarray.max`` and
+  ``np.full`` make, without their wrappers, so the bits are the same.
 - ``deletion_pcc_scan`` is split in two: :func:`deletion_scan_base`
   takes what depends on x alone (x0, and sx and the clamped varx after
   each deletion), :func:`deletion_scan_finish` the rest for one y.  The
@@ -53,7 +56,7 @@ def _deleted_sums(terms: np.ndarray, window: int):
     each series' sum over the points left after deleting [w, w+window),
     for every w.  One complex cumsum runs both prefix sums, in place."""
     cs = terms.view(np.complex128)[:, 0]
-    np.cumsum(cs[1:], out=cs[1:])
+    np.add.accumulate(cs[1:], out=cs[1:])
     rest = np.subtract(cs[window:], cs[:-window])
     np.subtract(cs[-1:], rest, out=rest)
     return rest.real, rest.imag
@@ -108,7 +111,7 @@ def deletion_scan_finish(base, y: np.ndarray) -> np.ndarray:
     xy = np.zeros(n + 1)
     np.multiply(x0, y0, out=xy[1:])
     sy, syy = _deleted_sums(terms, window)
-    np.cumsum(xy[1:], out=xy[1:])
+    np.add.accumulate(xy[1:], out=xy[1:])
     sxy = np.subtract(xy[window:], xy[:-window])
     np.subtract(xy[-1:], sxy, out=sxy)
 
@@ -117,7 +120,8 @@ def deletion_scan_finish(base, y: np.ndarray) -> np.ndarray:
     vary = m * syy - sy * sy
     np.maximum(vary, 0.0, out=vary)
     denom = np.sqrt(varx * vary)
-    out = np.full(n - window + 1, np.nan)
+    out = np.empty(n - window + 1)
+    out.fill(np.nan)
     np.divide(num, denom, out=out, where=denom > 0.0)
     np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
     return out
@@ -170,7 +174,7 @@ def cusum_scan(z: np.ndarray, slack: float, threshold: float):
     np.subtract(z, slack, out=s[1:, 0])
     np.subtract(-slack, z, out=s[1:, 1])
     pairs = s.view(np.complex128)[1:, 0]
-    np.cumsum(pairs, out=pairs)
+    np.add.accumulate(pairs, out=pairs)
     low = np.fmin.accumulate(s, axis=0)
     sides = np.subtract(s, low, out=low)[1:]
     # One uint16 per row of bools: non-zero when either side crossed.
@@ -180,4 +184,5 @@ def cusum_scan(z: np.ndarray, slack: float, threshold: float):
         alarm = -1
     # Column by column: a max over axis 0 of an (n, 2) array runs one
     # pair at a time.  `+ 0.0` turns a -0.0 that fmin left into 0.0.
-    return float(sides[:, 0].max()) + 0.0, float(sides[:, 1].max()) + 0.0, alarm
+    return (float(np.maximum.reduce(sides[:, 0])) + 0.0,
+            float(np.maximum.reduce(sides[:, 1])) + 0.0, alarm)

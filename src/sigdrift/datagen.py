@@ -68,28 +68,38 @@ class WorkloadTrace:
 
 
 def synthesize_trace(nodes: int, length: int, seed: int) -> WorkloadTrace:
-    """Bounded random-walk demand per node, quantized to whole cores."""
+    """Bounded random-walk demand per node, quantized to whole cores.
+
+    Every node's start is drawn first; then each block of nodes (see
+    ``BLOCK_BYTES``) draws, walks, folds and quantizes its steps, so the
+    float temporaries are one block in size.  Consecutive draws from one
+    generator give the variates of a single draw, so the trace does not
+    depend on the block size.
+    """
     if nodes < 1 or length < 2:
         raise ValueError("need at least one node and two timestamps")
     rng = np.random.default_rng(seed)
     start = rng.uniform(0.25, 0.75, size=(nodes, 1))
-    steps = rng.normal(0.0, 0.015, size=(nodes, length - 1))
-    walk = np.empty((nodes, length))
-    walk[:, :1] = start
-    np.cumsum(steps, axis=1, out=walk[:, 1:])
-    walk[:, 1:] += start
-    # Reflect into [0, 1]: fold the walk back at both edges, in place.
-    # walk - 2*floor(walk/2) is np.mod(walk, 2.0) to the bit (halving and
-    # doubling are exact, and each side rounds the same exact value once),
-    # without np.mod's slower divmod.
-    twice_floor = walk * 0.5
-    np.floor(twice_floor, out=twice_floor)
-    twice_floor *= 2.0
-    walk -= twice_floor
-    np.subtract(2.0, walk, out=walk, where=walk > 1.0)
-    walk *= CORES_TOTAL
-    return WorkloadTrace(tuple(f"node-{i:02d}" for i in range(nodes)),
-                         np.rint(walk, out=walk).astype(np.intp))
+    cores = np.empty((nodes, length), dtype=np.uint8)  # 0..CORES_TOTAL
+    for block in block_slices(nodes, 8 * length):
+        first = start[block]
+        steps = rng.normal(0.0, 0.015, size=(first.shape[0], length - 1))
+        walk = np.empty((first.shape[0], length))
+        walk[:, :1] = first
+        np.cumsum(steps, axis=1, out=walk[:, 1:])
+        walk[:, 1:] += first
+        # Reflect into [0, 1]: fold the walk back at both edges, in place.
+        # walk - 2*floor(walk/2) is np.mod(walk, 2.0) to the bit (halving and
+        # doubling are exact, and each side rounds the same exact value once),
+        # without np.mod's slower divmod.
+        twice_floor = walk * 0.5
+        np.floor(twice_floor, out=twice_floor)
+        twice_floor *= 2.0
+        walk -= twice_floor
+        np.subtract(2.0, walk, out=walk, where=walk > 1.0)
+        walk *= CORES_TOTAL
+        np.rint(walk, out=cores[block], casting="unsafe")
+    return WorkloadTrace(tuple(f"node-{i:02d}" for i in range(nodes)), cores)
 
 
 def write_trace(trace: WorkloadTrace, path) -> None:
@@ -264,11 +274,10 @@ def default_profiles() -> list[QoSProfile]:
 PARAMETERS = ("throughput",)  # the one row of every synthesized signature
 
 
-def _performance_matrix(profile: QoSProfile, levels, level_of,
-                        day_of: np.ndarray, grid_length: int, baseline: BaselineMap,
-                        rng: np.random.Generator) -> np.ndarray:
-    """Raw performance of every node at every raw timestamp, where
-    ``levels[level_of[i, t]]`` is node i's demand at timestamp t and
+def _multipliers(profile: QoSProfile, levels, day_of: np.ndarray, grid_length: int,
+                 baseline: BaselineMap) -> tuple[np.ndarray, np.ndarray]:
+    """The baseline times the workload response at each demand level of
+    ``levels``, and the seasonal multiplier at each raw timestamp, where
     ``day_of[t]`` is the index of timestamp t on a grid of
     ``grid_length`` points.
 
@@ -280,15 +289,23 @@ def _performance_matrix(profile: QoSProfile, levels, level_of,
     elementwise, each gathered value is the double a lookup at that
     point would give.
     """
-    table = baseline_performance(baseline, levels) * _rule_values(profile.workload_map, levels)
-    smul = _rule_values(profile.seasonal_map, day_of,
-                        grid_length / profile.seasonal_map[-1].hi)
-    # table * smul * (1 + amplitude * U), left to right as written, in
-    # place: on long traces each temporary is a (nodes, raw) array.
+    return (baseline_performance(baseline, levels) * _rule_values(profile.workload_map, levels),
+            _rule_values(profile.seasonal_map, day_of,
+                         grid_length / profile.seasonal_map[-1].hi))
+
+
+def _performance_matrix(table: np.ndarray, seasonal: np.ndarray, jitter_amplitude: float,
+                        level_of, rng: np.random.Generator) -> np.ndarray:
+    """Raw performance of the nodes whose rows ``level_of`` holds, at
+    every raw timestamp: ``table[level_of[i, t]] * seasonal[t]`` with
+    jitter drawn from ``rng``, for the ``(table, seasonal)`` of
+    :func:`_multipliers`."""
+    # table * seasonal * (1 + amplitude * U), left to right as written,
+    # in place: each temporary is as large as ``level_of``.
     perf = table[level_of]
-    perf *= smul[None, :]
+    perf *= seasonal[None, :]
     jitter = rng.random(perf.shape)
-    jitter *= profile.jitter_amplitude
+    jitter *= jitter_amplitude
     jitter += 1.0
     perf *= jitter
     return perf
@@ -299,7 +316,11 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid_length: int,
     """One signature per profile: every trace node acts as a trial user.
 
     Each node's raw performance series is PAA-reduced to the grid and
-    the node cohort is averaged and normalized into the signature.
+    the node cohort is averaged and normalized into the signature.  The
+    raw series are made and reduced one block of nodes (see
+    ``BLOCK_BYTES``) at a time into one ``(nodes, grid)`` buffer that
+    every profile reuses; a profile's jitter comes from consecutive
+    draws of its generator, which give the variates of a single draw.
     """
     profiles = list(profiles)
     if not profiles:
@@ -316,12 +337,18 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid_length: int,
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = ss.spawn(len(profiles))
     baseline = default_baseline()
+    nodes = trace.cores.shape[0]
+    blocks = block_slices(nodes, 8 * trace.length)
+    reduced = np.empty((nodes, grid_length))
     signatures = []
     for profile, stream in zip(profiles, streams):
         rng = np.random.default_rng(stream)
-        means = paa(_performance_matrix(profile, levels, trace.cores, day_of, grid_length,
-                                        baseline, rng),
-                    grid_length).mean(axis=0, keepdims=True)
+        table, seasonal = _multipliers(profile, levels, day_of, grid_length, baseline)
+        for block in blocks:
+            reduced[block] = paa(_performance_matrix(table, seasonal, profile.jitter_amplitude,
+                                                     trace.cores[block], rng),
+                                 grid_length)
+        means = reduced.mean(axis=0, keepdims=True)
         signatures.append(Signature(PARAMETERS, unit_rows(means, PARAMETERS),
                                     profile.provider_id))
     return signatures

@@ -1,13 +1,14 @@
-"""The corpus build and profile learning work one bounded block of pairs
-at a time: the memory they use beyond what they return must stay below
-the size of the corpus.  An evaluate repeat streams its corpus, so it
-never holds the corpus at all."""
+"""Synthesis, the corpus build and profile learning work one bounded
+block at a time: the memory they use beyond what they return must stay
+below the size of the data they reduce.  Synthesis never holds a
+``(nodes, raw)`` float matrix, and an evaluate repeat streams its corpus,
+so it never holds the corpus at all."""
 import tracemalloc
 
 import numpy as np
 
 from sigdrift.config import CorpusParams, ExperimentConfig
-from sigdrift.datagen import build_corpus
+from sigdrift.datagen import build_base_signatures, build_corpus
 from sigdrift.evaluate import learn_monitoring_profiles, run_experiment
 from sigdrift.noisegen import learn_noise_profile
 
@@ -49,11 +50,19 @@ def test_corpus_build_and_profile_learning_stay_within_blocks():
     assert pooled.tobytes() == ratios.min(axis=0).tobytes()
 
 
+def test_synthesis_holds_one_block_of_nodes_at_a_time():
+    build_base_signatures(42)  # first-call caches out of the traced peak
+    _, extra = _peak_above_result(lambda: build_base_signatures(42))
+    assert extra < 1_000_000, f"paper defaults: {extra} B above the signatures"
+
+    params = CorpusParams(raw_length=LENGTH * 2, grid_length=LENGTH)
+    _, extra = _peak_above_result(lambda: build_base_signatures(42, params))
+    raw_matrix_bytes = params.nodes * params.raw_length * 8
+    assert extra < raw_matrix_bytes, f"long grid: {extra} B above the signatures"
+
+
 def test_an_evaluate_repeat_holds_its_corpus_one_block_at_a_time():
-    # Two nodes on a short trace: synthesis is small next to the corpus,
-    # so the peak is what the repeat keeps of its pairs.
-    config = ExperimentConfig(n_changed=1000, n_noisy=1000, sample_sizes=(500,), repeats=1,
-                              corpus=CorpusParams(nodes=2, raw_length=720))
+    config = ExperimentConfig(n_changed=1000, n_noisy=1000, sample_sizes=(500,), repeats=1)
     corpus_bytes = 2000 * config.corpus.grid_length * 8
     run_experiment(config, 3)  # first-call caches out of the traced peak
     report, extra = _peak_above_result(lambda: run_experiment(config, 3))

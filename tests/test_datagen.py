@@ -5,7 +5,7 @@ import pytest
 
 from sigdrift.core import Signature
 from sigdrift.datagen import (CORES_TOTAL, BaselineMap, CorpusParams, IntervalRule, Label,
-                              QoSProfile, WorkloadTrace, _performance_matrix,
+                              QoSProfile, WorkloadTrace, _multipliers, _performance_matrix,
                               baseline_performance, build_base_signatures, build_corpus,
                               build_provider_signatures, default_baseline,
                               default_profiles, manifest_entry, profile_from_dict,
@@ -107,8 +107,9 @@ def _example_profile(jitter=0.0):
 
 def _performance(profile, demand, t, bmap, seed, grid_length=360):
     """One observation: one node at `demand`, one raw timestamp on grid day `t`."""
-    return float(_performance_matrix(profile, [demand], [[0]], np.array([t]), grid_length,
-                                     bmap, np.random.default_rng(seed))[0, 0])
+    table, seasonal = _multipliers(profile, [demand], np.array([t]), grid_length, bmap)
+    return float(_performance_matrix(table, seasonal, profile.jitter_amplitude, [[0]],
+                                     np.random.default_rng(seed))[0, 0])
 
 
 def test_performance_matrix_worked_example():

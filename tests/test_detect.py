@@ -101,6 +101,43 @@ def test_sw_scan_matches_bruteforce_deletion(ex):
         assert scan[start] == pytest.approx(pcc(x[keep], y[keep]), abs=1e-9)
 
 
+def _direct_deletion_pcc(x, y, start, window):
+    """Two-pass PCC of what is left of x and y once [start, start+window)
+    is deleted: centre each remainder by its own mean, then sum."""
+    a = np.delete(x, np.s_[start:start + window])
+    b = np.delete(y, np.s_[start:start + window])
+    a -= a.mean()
+    b -= b.mean()
+    return float((a * b).sum() / np.sqrt((a * a).sum() * (b * b).sum()))
+
+
+@pytest.mark.parametrize("height", [
+    1e8,
+    # The scan forms each remainder as total - window, so a window that
+    # holds nearly all of a row's energy loses its remainder: it reads
+    # 0.93 at 2e8 and NaN from 1e9 on, where the remainder's PCC is 1.0,
+    # and from 1e9 on sw calls the spike a change.  The fix must flip these.
+    *(pytest.param(h, marks=pytest.mark.xfail(strict=True, reason="the deletion scan "
+                                              "cancels at a huge spike"))
+      for h in (2e8, 1e9, 1e10, 1e100)),
+])
+def test_sw_scan_matches_the_direct_deletion_at_a_huge_spike(height):
+    from sigdrift._kernels import deletion_pcc_scan
+    from sigdrift.core import Signature
+    from sigdrift.datagen import build_base_signatures
+
+    existing = build_base_signatures(seed=42)[0]
+    x = existing.matrix[0]
+    y = x.copy()
+    y[100:103] += height
+    window = TH.scan_window
+    direct = [_direct_deletion_pcc(x, y, start, window) for start in range(x.size - window + 1)]
+    np.testing.assert_allclose(deletion_pcc_scan(x, y, window), direct, rtol=0, atol=1e-9)
+    outcome = sliding_window_detect(existing, Signature(existing.parameters, y[None, :],
+                                                        existing.provider_id))
+    assert (outcome.verdict, outcome.noise_kind) == (Verdict.NOISE, SpikeNoise.kind)
+
+
 def test_sw_multi_row_aggregation(ex):
     quiet = wavy_row(360, seed=3)
     mixed = quiet.copy()

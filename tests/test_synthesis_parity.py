@@ -8,11 +8,11 @@ cohort mean.  The program may share work between points of equal demand
 and between nodes, but every signature must come out with the same bytes.
 """
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sigdrift.core import TrialExperience
+from sigdrift.core import TrialExperience, block_slices
 from sigdrift.datagen import (CORES_TOTAL, IntervalRule, QoSProfile,
                               build_provider_signatures, default_baseline,
                               default_profiles, synthesize_trace)
@@ -110,3 +110,22 @@ def test_provider_signatures_match_the_point_at_a_time_build(length, prestretche
     for a, b in zip(got, want):
         assert a.parameters == b.parameters
         assert a.matrix.tobytes() == b.matrix.tobytes()
+
+
+@settings(max_examples=8, deadline=None)
+@given(nodes=st.integers(2, 5), raw=st.integers(5_000, 40_000),
+       grid=st.sampled_from([360, 720, 1000]),
+       trace_seed=st.integers(0, 2**32 - 1), perf_seed=st.integers(0, 2**32 - 1))
+@example(nodes=5, raw=5_000, grid=1000, trace_seed=1, perf_seed=2)  # three nodes a block
+@example(nodes=3, raw=40_000, grid=720, trace_seed=3, perf_seed=4)  # one node a block
+def test_synthesis_across_blocks_of_nodes_matches_the_references(nodes, raw, grid,
+                                                                 trace_seed, perf_seed):
+    """On these traces a block holds one to three nodes, so the trace and
+    every signature are made over several blocks."""
+    assume(len(block_slices(nodes, 8 * raw)) > 1)
+    trace = synthesize_trace(nodes, raw, trace_seed)
+    want_cores = _ref_trace_cores(nodes, raw, trace_seed).astype(trace.cores.dtype)
+    assert trace.cores.tobytes() == want_cores.tobytes()
+    got = build_provider_signatures(default_profiles(), trace, grid, seed=perf_seed)
+    want = _ref_build(_stretched(grid / 360), trace, grid, perf_seed)
+    assert [a.matrix.tobytes() for a in got] == [b.matrix.tobytes() for b in want]

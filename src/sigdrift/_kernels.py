@@ -32,18 +32,27 @@ checks each against the plain numpy form):
   takes what depends on x alone (x0, and sx and the clamped varx after
   each deletion), :func:`deletion_scan_finish` the rest for one y.  The
   detectors keep the first half per existing row, so a row checked
-  against many recomputed ones is centered and summed once.  The scan
-  is still one arithmetic path: ``deletion_pcc_scan`` is the two halves
-  composed.  Its lanes are the ones the packed three-row form had
-  (x0|y0, x0*x0|y0*y0, x0*y0|0), regrouped as x0|x0*x0, y0|y0*y0 and a
-  real x0*y0.  By the rule above a lane's prefix sums are the same bits
-  whichever lane shares its complex row, and every step after the sums
-  is elementwise, so the output is bit-identical to the packed form.
+  against many recomputed ones is centered and summed once;
+  ``deletion_pcc_scan`` is the two halves composed.  Its lanes are the
+  ones the packed three-row form had (x0|y0, x0*x0|y0*y0, x0*y0|0),
+  regrouped as x0|x0*x0, y0|y0*y0 and a real x0*y0.  By the rule above
+  a lane's prefix sums are the same bits whichever lane shares its
+  complex row, and every step after the sums is elementwise, so the
+  output is bit-identical to the packed form.
+- The scan has two arithmetic paths.  Every window takes the prefix
+  path above, except where a remainder's variance term cancels (see
+  :func:`_cancelled`): such a window, as at a spike of 1e9 on O(1)
+  values, is taken again directly from the raw rows, deleted and then
+  centred by the remainder's own mean.  No window of the paper's data
+  comes near that bound (its smallest ratio is about 0.6 against
+  1e-6), so their bits and verdicts are the prefix path's.
 - Not allowed until rounding-decided verdicts are handled explicitly:
   ``einsum``, and dot products reordered or moved off BLAS ``@``, which
   round differently.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -54,22 +63,59 @@ backend = "python"
 def _deleted_sums(terms: np.ndarray, window: int):
     """For an ``(n + 1, 2)`` array of a leading zero row and two series,
     each series' sum over the points left after deleting [w, w+window),
-    for every w.  One complex cumsum runs both prefix sums, in place."""
+    for every w, and the second series' whole sum.  One complex cumsum
+    runs both prefix sums, in place."""
     cs = terms.view(np.complex128)[:, 0]
     np.add.accumulate(cs[1:], out=cs[1:])
     rest = np.subtract(cs[window:], cs[:-window])
     np.subtract(cs[-1:], rest, out=rest)
-    return rest.real, rest.imag
+    return rest.real, rest.imag, cs[-1].imag
+
+
+def _cancelled(var: np.ndarray, m: int, total_sq: float) -> np.ndarray:
+    """Where a remainder's variance term ``m * sum(r0**2) - sum(r0)**2``
+    (r0 the m points left, centred by the whole row's mean) is below
+    1e-6 of ``m`` times the whole row's ``total_sq = sum(x0**2)``.
+
+    Each remainder sum is a whole-row sum less a window's, and the term
+    is a difference of two such, so both lose about ``total_sq`` times
+    the rounding unit.  Past this bound that loss can be the whole term:
+    at a window that holds nearly all of a row's deviation from its
+    mean, such as a spike of 1e9 on O(1) values, the term reads 0 or
+    noise where the remainder still varies.
+    """
+    return var < 1e-6 * m * total_sq
+
+
+def _direct_pcc(x: np.ndarray, y: np.ndarray, start: int, window: int) -> float:
+    """PCC of what is left of the raw rows x and y once [start,
+    start+window) is deleted, each centred by its own mean (two passes),
+    or NaN when either remainder is constant."""
+    cut = np.s_[start:start + window]
+    a = np.delete(x, cut)
+    b = np.delete(y, cut)
+    # Checked as written: a rounded mean leaves a constant run a little off zero.
+    if (a == a[0]).all() or (b == b[0]).all():
+        return math.nan
+    a -= np.add.reduce(a) / a.size
+    b -= np.add.reduce(b) / b.size
+    # Two roots, not the root of a product, which overflows for cells near 1e100.
+    norm = math.sqrt(np.add.reduce(a * a)) * math.sqrt(np.add.reduce(b * b))
+    if not norm > 0.0:
+        return math.nan
+    return min(1.0, max(-1.0, float(np.add.reduce(a * b)) / norm))
 
 
 def deletion_scan_base(x: np.ndarray, window: int):
     """The half of :func:`deletion_pcc_scan` that depends on x alone.
 
-    Returns ``(x0, sx, varx)``, each read-only: x centered by its mean,
-    and for every deleted block [w, w+window) the sum of x0 over the
-    remainder and m * sum(x0**2) - sx**2 (clamped at 0), with m the
-    remainder's length.  A caller that scans one x against many y keeps
-    this and passes it to :func:`deletion_scan_finish` for each y.
+    Returns ``(x, x0, sx, varx, redo)``: x as a float64 array, and, each
+    read-only, x centered by its mean, for every deleted block
+    [w, w+window) the sum of x0 over the remainder and
+    m * sum(x0**2) - sx**2 (clamped at 0), with m the remainder's
+    length, and whether that term cancelled (see :func:`_cancelled`).
+    A caller that scans one x against many y keeps this and passes it to
+    :func:`deletion_scan_finish` for each y.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     n = x.size
@@ -78,24 +124,25 @@ def deletion_scan_base(x: np.ndarray, window: int):
 
     # x0|x0*x0 as one complex row after a leading zero.  Centering by
     # the global mean keeps the running sums small and the variance
-    # subtraction below well conditioned.
+    # subtraction below well conditioned, except where it cancels.
     x0 = np.subtract(x, np.add.reduce(x) / n)
     terms = np.zeros((n + 1, 2))
     terms[1:, 0] = x0
     np.square(x0, out=terms[1:, 1])
-    sx, sxx = _deleted_sums(terms, window)
+    sx, sxx, total_sq = _deleted_sums(terms, window)
     varx = (n - window) * sxx - sx * sx
+    redo = _cancelled(varx, n - window, total_sq)
     np.maximum(varx, 0.0, out=varx)
     sx = sx.copy()  # a view would keep the complex sums, twice its size, alive
-    for a in (x0, sx, varx):
+    for a in (x0, sx, varx, redo):
         a.setflags(write=False)
-    return x0, sx, varx
+    return x, x0, sx, varx, redo
 
 
 def deletion_scan_finish(base, y: np.ndarray) -> np.ndarray:
     """:func:`deletion_pcc_scan` of the x and window that
     :func:`deletion_scan_base` turned into ``base``, against y."""
-    x0, sx, varx = base
+    x, x0, sx, varx, redo_x = base
     y = np.ascontiguousarray(y, dtype=np.float64)
     n = y.size
     if x0.size != n:
@@ -110,7 +157,7 @@ def deletion_scan_finish(base, y: np.ndarray) -> np.ndarray:
     np.square(y0, out=terms[1:, 1])
     xy = np.zeros(n + 1)
     np.multiply(x0, y0, out=xy[1:])
-    sy, syy = _deleted_sums(terms, window)
+    sy, syy, total_sq = _deleted_sums(terms, window)
     np.add.accumulate(xy[1:], out=xy[1:])
     sxy = np.subtract(xy[window:], xy[:-window])
     np.subtract(xy[-1:], sxy, out=sxy)
@@ -118,12 +165,16 @@ def deletion_scan_finish(base, y: np.ndarray) -> np.ndarray:
     m = n - window
     num = m * sxy - sx * sy
     vary = m * syy - sy * sy
+    redo = _cancelled(vary, m, total_sq)
+    redo |= redo_x
     np.maximum(vary, 0.0, out=vary)
     denom = np.sqrt(varx * vary)
     out = np.empty(n - window + 1)
     out.fill(np.nan)
     np.divide(num, denom, out=out, where=denom > 0.0)
     np.minimum(np.maximum(out, -1.0, out=out), 1.0, out=out)
+    for start in redo.nonzero()[0].tolist():
+        out[start] = _direct_pcc(x, y, start, window)
     return out
 
 

@@ -116,8 +116,8 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     # partial tree behind.
     profiles = default_profiles()
     log.info("synthesizing trace and provider signatures")
-    trace = synthesize_trace(params.nodes, params.raw_length, trace_seed)
-    signatures = build_provider_signatures(profiles, trace, params.grid_length,
+    cores = synthesize_trace(params.nodes, params.raw_length, trace_seed)
+    signatures = build_provider_signatures(profiles, cores, params.grid_length,
                                            seed=perf_seed)
     n_monitor = monitoring_size(experiment.monitor_fraction,
                                 experiment.n_changed + experiment.n_noisy)
@@ -131,7 +131,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
     for sub in ("profiles", "signatures", "snr_profiles", "pairs"):
         (out / sub).mkdir(parents=True, exist_ok=True)
-    write_trace(trace, out / "trace.csv")
+    write_trace(cores, out / "trace.csv")
     for profile in profiles:
         write_provider_profile(profile, out / "profiles" / f"{profile.provider_id}.json")
     for sig in signatures:
@@ -227,7 +227,10 @@ def cmd_events(args: argparse.Namespace) -> int:
         raise SigdriftError(f"--f-thresh = {args.f_thresh} must be at least 1")
     flags = [(idx, flag) for idx, flag, _ in read_flags(args.flags)]
     event_config = EventConfig(config.trial_length, args.f_thresh)
-    events = detect_events(flags, event_config)
+    try:
+        events = detect_events(flags, event_config)
+    except AlignmentError as exc:
+        raise AlignmentError(f"{args.flags}: {exc}") from None
     _emit(
         {
             "window_length": event_config.window_length,
@@ -363,7 +366,7 @@ def main(argv=None) -> int:
     log.addHandler(handler)
     try:
         return args.func(args)
-    except (SigdriftError, OSError, ValueError) as exc:
+    except (SigdriftError, OSError) as exc:
         log.error("%s", exc)
         return 1
     finally:

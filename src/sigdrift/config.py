@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, is_dataclass, make_dat
 from pathlib import Path
 from typing import get_type_hints
 
-from .errors import ParseError
+from .errors import ParseError, SettingError
 
 DETECTOR_NAMES = ("sw", "snr", "cusum")
 
@@ -39,7 +39,7 @@ MAX_ABS_VALUE = 1e100
 
 def _check(ok: bool, message: str) -> None:
     if not ok:
-        raise ValueError(message)
+        raise SettingError(message)
 
 
 def _check_distinct(name: str, values) -> None:

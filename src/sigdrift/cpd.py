@@ -95,9 +95,9 @@ def detect_events(anomaly_flags, config: EventConfig) -> list[ChangePoint]:
     last = None
     for idx, _ in flags:
         if idx < 0:
-            raise ValueError("grid indices must be non-negative")
+            raise AlignmentError("grid indices must be non-negative")
         if last is not None and idx < last:
-            raise ValueError("anomaly flags must be sorted by grid index")
+            raise AlignmentError("anomaly flags must be sorted by grid index")
         last = idx
 
     width = config.window_length

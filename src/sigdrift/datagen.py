@@ -39,36 +39,11 @@ from .signature import paa, paa_boundaries
 CORES_TOTAL = 32  # cores per trace node
 
 
-@dataclass(frozen=True)
-class WorkloadTrace:
-    """Per-node requested cores over a raw (pre-PAA) grid."""
-
-    node_ids: tuple[str, ...]
-    cores: np.ndarray  # shape (nodes, timestamps), integers in [0, CORES_TOTAL]
-
-    def __post_init__(self):
-        object.__setattr__(self, "node_ids", tuple(self.node_ids))
-        cores = np.array(self.cores)
-        if not np.issubdtype(cores.dtype, np.integer):
-            raise ValueError("cores must be an integer array")
-        cores.setflags(write=False)
-        object.__setattr__(self, "cores", cores)
-        if cores.ndim != 2 or cores.shape[0] != len(self.node_ids):
-            raise ValueError("cores must be (nodes, timestamps)")
-        if not self.node_ids:
-            raise ValueError("trace needs at least one node")
-        if cores.shape[1] < 2:
-            raise ValueError("trace needs at least two timestamps")
-        if cores.min() < 0 or cores.max() > CORES_TOTAL:
-            raise ValueError(f"requested cores must lie in [0, {CORES_TOTAL}]")
-
-    @property
-    def length(self) -> int:
-        return int(self.cores.shape[1])
-
-
-def synthesize_trace(nodes: int, length: int, seed: int) -> WorkloadTrace:
+def synthesize_trace(nodes: int, length: int, seed: int) -> np.ndarray:
     """Bounded random-walk demand per node, quantized to whole cores.
+
+    Returns the read-only ``uint8`` ``(nodes, length)`` matrix of
+    requested cores, each in ``0..CORES_TOTAL``; row i is node i.
 
     Every node's start is drawn first; then each block of nodes (see
     ``BLOCK_BYTES``) draws, walks, folds and quantizes its steps, so the
@@ -99,15 +74,18 @@ def synthesize_trace(nodes: int, length: int, seed: int) -> WorkloadTrace:
         np.subtract(2.0, walk, out=walk, where=walk > 1.0)
         walk *= CORES_TOTAL
         np.rint(walk, out=cores[block], casting="unsafe")
-    return WorkloadTrace(tuple(f"node-{i:02d}" for i in range(nodes)), cores)
+    cores.setflags(write=False)
+    return cores
 
 
-def write_trace(trace: WorkloadTrace, path) -> None:
-    """Trace CSV: node_id,timestamp,cores_requested,cores_total."""
+def write_trace(cores: np.ndarray, path) -> None:
+    """Trace CSV: node_id,timestamp,cores_requested,cores_total, where
+    row i of the ``(nodes, timestamps)`` cores matrix is node ``node-{i:02d}``."""
+    nodes = [f"node-{i:02d}" for i in range(len(cores))]
     write_csv(path, ["node_id", "timestamp", "cores_requested", "cores_total"],
-              [f"{node},{t},{cores},{CORES_TOTAL}"
-               for node, row in zip(trace.node_ids, trace.cores.tolist())
-               for t, cores in enumerate(row)])
+              [f"{node},{t},{requested},{CORES_TOTAL}"
+               for node, row in zip(nodes, cores.tolist())
+               for t, requested in enumerate(row)])
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +289,10 @@ def _performance_matrix(table: np.ndarray, seasonal: np.ndarray, jitter_amplitud
     return perf
 
 
-def build_provider_signatures(profiles, trace: WorkloadTrace, grid_length: int,
+def build_provider_signatures(profiles, cores: np.ndarray, grid_length: int,
                               seed: int | np.random.SeedSequence = 0) -> list[Signature]:
-    """One signature per profile: every trace node acts as a trial user.
+    """One signature per profile: every node (row) of the ``(nodes,
+    timestamps)`` trace ``cores`` acts as a trial user.
 
     Each node's raw performance series is PAA-reduced to the grid and
     the node cohort is averaged and normalized into the signature.  The
@@ -322,23 +301,34 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid_length: int,
     every profile reuses; a profile's jitter comes from consecutive
     draws of its generator, which give the variates of a single draw.
     """
+    cores = np.asarray(cores)
+    if not np.issubdtype(cores.dtype, np.integer):
+        raise ValueError("cores must be an integer array")
+    if cores.ndim != 2:
+        raise ValueError("cores must be (nodes, timestamps)")
+    nodes, length = cores.shape
+    if nodes < 1:
+        raise ValueError("trace needs at least one node")
+    if length < 2:
+        raise ValueError("trace needs at least two timestamps")
+    if cores.min() < 0 or cores.max() > CORES_TOTAL:
+        raise ValueError(f"requested cores must lie in [0, {CORES_TOTAL}]")
     profiles = list(profiles)
     if not profiles:
         raise ValueError("need at least one profile")
-    if grid_length > trace.length:
+    if grid_length > length:
         raise AlignmentError("grid cannot be finer than the trace")
 
-    bounds = paa_boundaries(trace.length, grid_length)
+    bounds = paa_boundaries(length, grid_length)
     # Grid index of each raw timestamp: the PAA frame it lands in.
-    day_of = np.searchsorted(bounds, np.arange(trace.length), side="right") - 1
+    day_of = np.searchsorted(bounds, np.arange(length), side="right") - 1
     # Demand level k is k whole cores; the trace holds each point's level.
     levels = np.arange(CORES_TOTAL + 1) / CORES_TOTAL
 
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     streams = ss.spawn(len(profiles))
     baseline = default_baseline()
-    nodes = trace.cores.shape[0]
-    blocks = block_slices(nodes, 8 * trace.length)
+    blocks = block_slices(nodes, 8 * length)
     reduced = np.empty((nodes, grid_length))
     signatures = []
     for profile, stream in zip(profiles, streams):
@@ -346,7 +336,7 @@ def build_provider_signatures(profiles, trace: WorkloadTrace, grid_length: int,
         table, seasonal = _multipliers(profile, levels, day_of, grid_length, baseline)
         for block in blocks:
             reduced[block] = paa(_performance_matrix(table, seasonal, profile.jitter_amplitude,
-                                                     trace.cores[block], rng),
+                                                     cores[block], rng),
                                  grid_length)
         means = reduced.mean(axis=0, keepdims=True)
         signatures.append(Signature(PARAMETERS, unit_rows(means, PARAMETERS),
@@ -434,8 +424,8 @@ def build_base_signatures(seed: int, params: CorpusParams = CorpusParams(),
     """Synthesize a trace and derive one signature per packaged profile."""
     profiles = profiles if profiles is not None else default_profiles()
     trace_seed, perf_seed = base_signature_seeds(seed)
-    trace = synthesize_trace(params.nodes, params.raw_length, trace_seed)
-    return build_provider_signatures(profiles, trace, params.grid_length, seed=perf_seed)
+    cores = synthesize_trace(params.nodes, params.raw_length, trace_seed)
+    return build_provider_signatures(profiles, cores, params.grid_length, seed=perf_seed)
 
 
 def _noise_counts(n_noisy: int, distortion_fraction: float,

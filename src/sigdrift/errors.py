@@ -5,6 +5,11 @@ class SigdriftError(Exception):
     """Base class for errors raised by this package."""
 
 
+class SettingError(SigdriftError, ValueError):
+    """A setting, from a config file, a flag or a library call, is out of
+    its domain or cannot run with the others."""
+
+
 class ParseError(SigdriftError, ValueError):
     """A file or serialized payload does not match its format."""
 

@@ -17,7 +17,7 @@ from .config import ExperimentConfig, RunSettings, _check_distinct
 from .core import block_slices
 from .datagen import Label, LabeledPair, build_base_signatures, build_corpus, corpus_blocks
 from .detect import Verdict, cusum_detect, sliding_window_detect, snr_detect
-from .errors import AlignmentError
+from .errors import AlignmentError, SettingError
 from .noisegen import NoiseProfile, check_aligned, profile_from_ratios, snr_ratios
 
 
@@ -195,7 +195,7 @@ def run_experiment(config: ExperimentConfig, seed: int, jobs: int = 1) -> dict:
     # Not an ExperimentConfig check: gen-data writes corpora of any size.
     total = config.n_changed + config.n_noisy
     if max(config.sample_sizes) > total:
-        raise ValueError(f"sample_sizes = {list(config.sample_sizes)} must each be at most "
+        raise SettingError(f"sample_sizes = {list(config.sample_sizes)} must each be at most "
                          f"n_changed + n_noisy = {total}")
     configs = [config] * config.repeats
     streams = repeat_streams(seed, config.repeats)

@@ -202,7 +202,7 @@ def segment_mean_squares(a: np.ndarray, segments: int) -> np.ndarray:
         raise AlignmentError(f"a {length}-point grid does not split "
                              f"into {segments} equal segments")
     if seg_len < 2:
-        raise ValueError("segments too short for the grid")
+        raise AlignmentError("segments too short for the grid")
     # Row i of the last two axes holds a[..., :, i*seg_len:(i+1)*seg_len]
     # in C order, so each sum along the contiguous last axis is the one
     # np.mean of that column block takes.

@@ -5,7 +5,7 @@ import pytest
 
 from sigdrift.core import Signature
 from sigdrift.datagen import (CORES_TOTAL, BaselineMap, CorpusParams, IntervalRule, Label,
-                              QoSProfile, WorkloadTrace, _multipliers, _performance_matrix,
+                              QoSProfile, _multipliers, _performance_matrix,
                               baseline_performance, build_base_signatures, build_corpus,
                               build_provider_signatures, default_baseline,
                               default_profiles, manifest_entry, profile_from_dict,
@@ -17,25 +17,20 @@ from sigdrift.similarity import pcc
 # ------------------------------------------------------------------- traces
 
 def test_synthesize_trace_matches_frame():
-    trace = synthesize_trace(31, 6486, seed=0)
-    demands = trace.cores / CORES_TOTAL
+    cores = synthesize_trace(31, 6486, seed=0)
+    demands = cores / CORES_TOTAL
     assert demands.shape == (31, 6486)
     assert demands.min() >= 0.0
     assert demands.max() <= 1.0
-    again = synthesize_trace(31, 6486, seed=0)
-    np.testing.assert_array_equal(trace.cores, again.cores)
-    assert not np.array_equal(trace.cores, synthesize_trace(31, 6486, seed=1).cores)
+    np.testing.assert_array_equal(cores, synthesize_trace(31, 6486, seed=0))
+    assert not np.array_equal(cores, synthesize_trace(31, 6486, seed=1))
 
 
 def test_trace_holds_whole_cores():
-    trace = synthesize_trace(3, 40, seed=2)
-    assert np.issubdtype(trace.cores.dtype, np.integer)
-    assert 0 <= trace.cores.min() and trace.cores.max() <= CORES_TOTAL
-    assert not trace.cores.flags.writeable
-    cores = np.array([[0, CORES_TOTAL]])
-    trace = WorkloadTrace(("n",), cores)
-    cores[0, 0] = 5
-    assert trace.cores.tolist() == [[0, CORES_TOTAL]]  # the trace keeps its own copy
+    cores = synthesize_trace(3, 40, seed=2)
+    assert cores.dtype == np.uint8
+    assert 0 <= cores.min() and cores.max() <= CORES_TOTAL
+    assert not cores.flags.writeable
 
 
 @pytest.mark.parametrize("cores, message", [
@@ -45,24 +40,24 @@ def test_trace_holds_whole_cores():
     (np.array([[-1, 3]]), "must lie in"),
     (np.array([0, 3]), r"\(nodes, timestamps\)"),
     (np.array([[3]]), "two timestamps"),
+    (np.zeros((0, 3), dtype=np.uint8), "at least one node"),
 ])
 def test_trace_rejects_anything_but_whole_cores_in_range(cores, message):
     with pytest.raises(ValueError, match=message):
-        WorkloadTrace(("n",), cores)
+        build_provider_signatures(default_profiles(), cores, 1)
 
 
 def test_trace_round_trip(tmp_path):
-    trace = synthesize_trace(4, 50, seed=3)
+    cores = synthesize_trace(4, 50, seed=3)
     path = tmp_path / "trace.csv"
-    write_trace(trace, path)
+    write_trace(cores, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "node_id,timestamp,cores_requested,cores_total"
     rows = [line.split(",") for line in lines[1:]]
     assert [(r[0], int(r[1])) for r in rows] == [
-        (node, t) for node in trace.node_ids for t in range(trace.length)]
+        (f"node-{i:02d}", t) for i in range(4) for t in range(50)]
     demands = np.array([int(r[2]) / int(r[3]) for r in rows])
-    np.testing.assert_allclose(demands.reshape(trace.cores.shape), trace.cores / CORES_TOTAL,
-                               atol=1e-12)
+    np.testing.assert_allclose(demands.reshape(cores.shape), cores / CORES_TOTAL, atol=1e-12)
 
 
 # ------------------------------------------------------------ baseline map

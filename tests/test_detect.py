@@ -2,6 +2,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sigdrift.detect import (DetectorThresholds, Verdict, cusum_detect,
                              sliding_window_detect, snr_detect)
@@ -103,25 +106,22 @@ def test_sw_scan_matches_bruteforce_deletion(ex):
 
 def _direct_deletion_pcc(x, y, start, window):
     """Two-pass PCC of what is left of x and y once [start, start+window)
-    is deleted: centre each remainder by its own mean, then sum."""
+    is deleted: centre each remainder by its own mean, then sum.  NaN
+    when either remainder is constant."""
     a = np.delete(x, np.s_[start:start + window])
     b = np.delete(y, np.s_[start:start + window])
+    if np.all(a == a[0]) or np.all(b == b[0]):
+        return np.nan
     a -= a.mean()
     b -= b.mean()
-    return float((a * b).sum() / np.sqrt((a * a).sum() * (b * b).sum()))
+    return float((a * b).sum() / (np.sqrt((a * a).sum()) * np.sqrt((b * b).sum())))
 
 
-@pytest.mark.parametrize("height", [
-    1e8,
-    # The scan forms each remainder as total - window, so a window that
-    # holds nearly all of a row's energy loses its remainder: it reads
-    # 0.93 at 2e8 and NaN from 1e9 on, where the remainder's PCC is 1.0,
-    # and from 1e9 on sw calls the spike a change.  The fix must flip these.
-    *(pytest.param(h, marks=pytest.mark.xfail(strict=True, reason="the deletion scan "
-                                              "cancels at a huge spike"))
-      for h in (2e8, 1e9, 1e10, 1e100)),
-])
+@pytest.mark.parametrize("height", [1e8, 2e8, 1e9, 1e10, 1e100])
 def test_sw_scan_matches_the_direct_deletion_at_a_huge_spike(height):
+    """The spike windows hold nearly all of the row's deviation from its
+    mean.  Formed as total - window, their remainders read 0.93 at 2e8
+    and NaN from 1e9 on, where the remainder's PCC is 1.0."""
     from sigdrift._kernels import deletion_pcc_scan
     from sigdrift.core import Signature
     from sigdrift.datagen import build_base_signatures
@@ -133,9 +133,36 @@ def test_sw_scan_matches_the_direct_deletion_at_a_huge_spike(height):
     window = TH.scan_window
     direct = [_direct_deletion_pcc(x, y, start, window) for start in range(x.size - window + 1)]
     np.testing.assert_allclose(deletion_pcc_scan(x, y, window), direct, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(deletion_pcc_scan(y, x, window), direct, rtol=0, atol=1e-9)
     outcome = sliding_window_detect(existing, Signature(existing.parameters, y[None, :],
                                                         existing.provider_id))
     assert (outcome.verdict, outcome.noise_kind) == (Verdict.NOISE, SpikeNoise.kind)
+
+
+@st.composite
+def _mixed_scale_rows(draw):
+    """Two O(1) rows, one of them with up to four cells set to
+    ±10**k for k up to 100, in either order, and a scan window they admit."""
+    n = draw(st.integers(8, 400))
+    thousandths = st.integers(-10_000, 10_000).map(lambda i: i / 1000)
+    small = hnp.arrays(np.float64, n, elements=thousandths)
+    plain, spiked = draw(small), draw(small)
+    for cell in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4)):
+        spiked[cell] = draw(st.sampled_from([-1.0, 1.0])) * 10.0 ** draw(st.floats(0, 100))
+    window = draw(st.integers(1, min(12, n - 2)))
+    return (plain, spiked, window) if draw(st.booleans()) else (spiked, plain, window)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_mixed_scale_rows())
+def test_deletion_scan_matches_the_direct_deletion_on_mixed_scale_rows(rows):
+    """Away from the windows it takes directly, the scan keeps each
+    variance term's rounding below about 1e6 rounding units of it."""
+    from sigdrift._kernels import deletion_pcc_scan
+
+    x, y, window = rows
+    direct = [_direct_deletion_pcc(x, y, start, window) for start in range(x.size - window + 1)]
+    np.testing.assert_allclose(deletion_pcc_scan(x, y, window), direct, rtol=0, atol=1e-6)
 
 
 def test_sw_multi_row_aggregation(ex):

@@ -225,6 +225,9 @@ def test_a_bad_parameter_name_exits_1_naming_the_file(valid, names, error):
 @pytest.mark.parametrize("grid", [360, 23040])
 @pytest.mark.parametrize("cell", [MAX_ABS_VALUE, -MAX_ABS_VALUE])
 def test_a_cell_at_the_bound_is_compared_with_no_warning(tmp_path, grid, cell):
+    """Every detector compares such a pair with no numpy warning, and
+    ``sw`` names the cell a spike: the deletion scan takes the windows
+    that hold it directly, where their remainder sums cancel."""
     base = wavy_row(grid, seed=5)
     bounded = base.copy()
     bounded[grid // 3] = cell
@@ -239,4 +242,7 @@ def test_a_cell_at_the_bound_is_compared_with_no_warning(tmp_path, grid, cell):
                 "--existing", str(tmp_path / f"{existing}.csv"),
                 "--recomputed", str(tmp_path / f"{recomputed}.csv")])
             assert code in (0, 2) and records == [], (existing, detector)
-            assert json.loads(out)["verdict"]
+            outcome = json.loads(out)
+            assert outcome["verdict"]
+            if detector == "sw":  # one bounded cell is a spike, whichever side holds it
+                assert (outcome["verdict"], outcome["noise_kind"]) == ("noise", "spike")

@@ -69,7 +69,24 @@ def _ref_snr(signal, noise):
     return SnrValue(math.inf) if math.isinf(ratio) else SnrValue(ratio)
 
 
+def _ref_direct_pcc(x, y, start, window):
+    a = np.delete(x, np.s_[start:start + window])
+    b = np.delete(y, np.s_[start:start + window])
+    if np.all(a == a[0]) or np.all(b == b[0]):
+        return math.nan
+    a = a - a.mean()
+    b = b - b.mean()
+    norm = math.sqrt((a * a).sum()) * math.sqrt((b * b).sum())
+    if not norm > 0.0:
+        return math.nan
+    return min(1.0, max(-1.0, float((a * b).sum()) / norm))
+
+
 def _ref_deletion_pcc_scan(x, y, window):
+    """Remainder sums as whole-row sum less window sum, except at windows
+    where a remainder's variance term falls below 1e-6 of m times its
+    row's whole sum of squares: there that subtraction cancels, so the
+    window is taken directly from the raw rows."""
     n = x.size
     x0 = x - x.mean()
     y0 = y - y.mean()
@@ -81,11 +98,14 @@ def _ref_deletion_pcc_scan(x, y, window):
     num = m * sxy - sx * sy
     varx = m * sxx - sx * sx
     vary = m * syy - sy * sy
+    cancelled = (varx < 1e-6 * m * cs[2][-1]) | (vary < 1e-6 * m * cs[3][-1])
     denom = np.sqrt(np.clip(varx, 0.0, None) * np.clip(vary, 0.0, None))
     out = np.full(n - window + 1, np.nan)
     ok = denom > 0.0
     out[ok] = num[ok] / denom[ok]
     np.clip(out, -1.0, 1.0, out=out)
+    for start in np.flatnonzero(cancelled):
+        out[start] = _ref_direct_pcc(x, y, start, window)
     return out
 
 

@@ -38,10 +38,10 @@ def _ref_paa(series, target):
     return np.add.reduceat(series, bounds[:-1]) / np.diff(bounds)
 
 
-def _ref_build(profiles, trace, grid_length, seed):
-    demands = trace.cores / CORES_TOTAL
-    bounds = _ref_paa_bounds(trace.length, grid_length)
-    day_of = np.searchsorted(bounds, np.arange(trace.length), side="right") - 1
+def _ref_build(profiles, cores, grid_length, seed):
+    demands = cores / CORES_TOTAL
+    bounds = _ref_paa_bounds(cores.shape[1], grid_length)
+    day_of = np.searchsorted(bounds, np.arange(cores.shape[1]), side="right") - 1
     baseline = default_baseline()
     xs = np.array([d for d, _ in baseline.breakpoints])
     ys = np.array([p for _, p in baseline.breakpoints])
@@ -51,8 +51,9 @@ def _ref_build(profiles, trace, grid_length, seed):
         perf = np.interp(demands, xs, ys) * _ref_lookup(profile.workload_map, demands)
         perf = perf * _ref_lookup(profile.seasonal_map, day_of)[None, :]
         perf = perf * (1.0 + profile.jitter_amplitude * rng.random(demands.shape))
-        experiences = [TrialExperience(node, "throughput", _ref_paa(perf[i], grid_length), 0)
-                       for i, node in enumerate(trace.node_ids)]
+        experiences = [TrialExperience(f"node-{i:02d}", "throughput",
+                                       _ref_paa(perf[i], grid_length), 0)
+                       for i in range(cores.shape[0])]
         signatures.append(generate_signature(experiences, profile.provider_id))
     return signatures
 
@@ -81,7 +82,7 @@ def _ref_trace_cores(nodes, length, seed):
 @settings(max_examples=100, deadline=None)
 @given(nodes=st.integers(1, 6), length=st.integers(2, 3000), seed=st.integers(0, 2**32 - 1))
 def test_trace_cores_match_the_float_fold(nodes, length, seed):
-    cores = synthesize_trace(nodes, length, seed).cores
+    cores = synthesize_trace(nodes, length, seed)
     assert cores.tobytes() == _ref_trace_cores(nodes, length, seed).astype(cores.dtype).tobytes()
 
 
@@ -102,10 +103,10 @@ def test_provider_signatures_match_the_point_at_a_time_build(length, prestretche
     """The program stretches the packaged seasonal maps over the grid itself,
     and leaves maps that already span the grid as they are."""
     stretched = _stretched(length / 360)
-    trace = synthesize_trace(nodes, int(length * scale), trace_seed)
+    cores = synthesize_trace(nodes, int(length * scale), trace_seed)
     got = build_provider_signatures(stretched if prestretched else default_profiles(),
-                                    trace, length, seed=perf_seed)
-    want = _ref_build(stretched, trace, length, perf_seed)
+                                    cores, length, seed=perf_seed)
+    want = _ref_build(stretched, cores, length, perf_seed)
     assert [s.provider_id for s in got] == [s.provider_id for s in want]
     for a, b in zip(got, want):
         assert a.parameters == b.parameters
@@ -123,9 +124,9 @@ def test_synthesis_across_blocks_of_nodes_matches_the_references(nodes, raw, gri
     """On these traces a block holds one to three nodes, so the trace and
     every signature are made over several blocks."""
     assume(len(block_slices(nodes, 8 * raw)) > 1)
-    trace = synthesize_trace(nodes, raw, trace_seed)
-    want_cores = _ref_trace_cores(nodes, raw, trace_seed).astype(trace.cores.dtype)
-    assert trace.cores.tobytes() == want_cores.tobytes()
-    got = build_provider_signatures(default_profiles(), trace, grid, seed=perf_seed)
-    want = _ref_build(_stretched(grid / 360), trace, grid, perf_seed)
+    cores = synthesize_trace(nodes, raw, trace_seed)
+    want_cores = _ref_trace_cores(nodes, raw, trace_seed).astype(cores.dtype)
+    assert cores.tobytes() == want_cores.tobytes()
+    got = build_provider_signatures(default_profiles(), cores, grid, seed=perf_seed)
+    want = _ref_build(_stretched(grid / 360), cores, grid, perf_seed)
     assert [a.matrix.tobytes() for a in got] == [b.matrix.tobytes() for b in want]

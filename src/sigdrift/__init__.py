@@ -17,7 +17,7 @@ from .errors import (AlignmentError, ConstantSeriesError, ParseError,
 from .evaluate import run_experiment, sensitivity_analysis
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
                        SnrValue, SpikeNoise, inject, learn_noise_profile, snr)
-from .signature import generate_signature, paa
+from .signature import generate_signature
 from .similarity import SimilarityMethod, similarity
 
 __version__ = "0.1.0"
@@ -56,7 +56,6 @@ __all__ = [
     "inject",
     "is_anomalous",
     "learn_noise_profile",
-    "paa",
     "read_signature",
     "run_experiment",
     "sensitivity_analysis",

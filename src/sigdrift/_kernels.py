@@ -45,7 +45,11 @@ checks each against the plain numpy form):
   values, is taken again directly from the raw rows, deleted and then
   centred by the remainder's own mean.  No window of the paper's data
   comes near that bound (its smallest ratio is about 0.6 against
-  1e-6), so their bits and verdicts are the prefix path's.
+  1e-6), so their bits and verdicts are the prefix path's.  Where two
+  rows' variance terms multiply past the largest double, as for two rows
+  with cells near 1e100, the denominator takes two roots in place of the
+  root of their product (:func:`_root_of_product`); rows whose bounds
+  cannot overflow never check.
 - Not allowed until rounding-decided verdicts are handled explicitly:
   ``einsum``, and dot products reordered or moved off BLAS ``@``, which
   round differently.
@@ -69,7 +73,7 @@ def _deleted_sums(terms: np.ndarray, window: int):
     np.add.accumulate(cs[1:], out=cs[1:])
     rest = np.subtract(cs[window:], cs[:-window])
     np.subtract(cs[-1:], rest, out=rest)
-    return rest.real, rest.imag, cs[-1].imag
+    return rest.real, rest.imag, float(cs[-1].imag)
 
 
 def _cancelled(var: np.ndarray, m: int, total_sq: float) -> np.ndarray:
@@ -106,14 +110,27 @@ def _direct_pcc(x: np.ndarray, y: np.ndarray, start: int, window: int) -> float:
     return min(1.0, max(-1.0, float(np.add.reduce(a * b)) / norm))
 
 
+def _root_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.sqrt(a * b)``, but ``sqrt(a) * sqrt(b)`` where the product
+    overflows, as it does for two rows with cells near 1e100.  Two roots
+    round differently from one, so they are taken only there."""
+    with np.errstate(over="ignore"):
+        product = a * b
+    over = np.isinf(product)
+    np.sqrt(product, out=product)
+    product[over] = np.sqrt(a[over]) * np.sqrt(b[over])
+    return product
+
+
 def deletion_scan_base(x: np.ndarray, window: int):
     """The half of :func:`deletion_pcc_scan` that depends on x alone.
 
-    Returns ``(x, x0, sx, varx, redo)``: x as a float64 array, and, each
-    read-only, x centered by its mean, for every deleted block
-    [w, w+window) the sum of x0 over the remainder and
+    Returns ``(x, x0, sx, varx, redo, varx_bound)``: x as a float64
+    array, and, each read-only, x centered by its mean, for every
+    deleted block [w, w+window) the sum of x0 over the remainder and
     m * sum(x0**2) - sx**2 (clamped at 0), with m the remainder's
-    length, and whether that term cancelled (see :func:`_cancelled`).
+    length, and whether that term cancelled (see :func:`_cancelled`);
+    then m times the whole row's sum(x0**2), a bound on every varx.
     A caller that scans one x against many y keeps this and passes it to
     :func:`deletion_scan_finish` for each y.
     """
@@ -136,13 +153,13 @@ def deletion_scan_base(x: np.ndarray, window: int):
     sx = sx.copy()  # a view would keep the complex sums, twice its size, alive
     for a in (x0, sx, varx, redo):
         a.setflags(write=False)
-    return x, x0, sx, varx, redo
+    return x, x0, sx, varx, redo, (n - window) * total_sq
 
 
 def deletion_scan_finish(base, y: np.ndarray) -> np.ndarray:
     """:func:`deletion_pcc_scan` of the x and window that
     :func:`deletion_scan_base` turned into ``base``, against y."""
-    x, x0, sx, varx, redo_x = base
+    x, x0, sx, varx, redo_x, varx_bound = base
     y = np.ascontiguousarray(y, dtype=np.float64)
     n = y.size
     if x0.size != n:
@@ -168,7 +185,13 @@ def deletion_scan_finish(base, y: np.ndarray) -> np.ndarray:
     redo = _cancelled(vary, m, total_sq)
     redo |= redo_x
     np.maximum(vary, 0.0, out=vary)
-    denom = np.sqrt(varx * vary)
+    # Each variance term is at most m times its row's sum of squares, so
+    # rows whose bounds multiply well below the largest double (every row
+    # the paper's data holds) take the root of the product with no check.
+    if varx_bound * (m * total_sq) < 1e300:
+        denom = np.sqrt(varx * vary)
+    else:
+        denom = _root_of_product(varx, vary)
     out = np.empty(n - window + 1)
     out.fill(np.nan)
     np.divide(num, denom, out=out, where=denom > 0.0)

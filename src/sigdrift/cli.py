@@ -20,7 +20,7 @@ from .datagen import (base_signature_seeds, build_corpus, build_provider_signatu
                       write_trace)
 from .datagen import write_profile as write_provider_profile
 from .detect import Verdict, cusum_detect, sliding_window_detect, snr_detect
-from .errors import AlignmentError, SigdriftError
+from .errors import AlignmentError, SettingError, SigdriftError
 from .evaluate import (learn_monitoring_profiles, monitoring_size, repeat_seeds,
                        repeat_streams, report_to_csv, run_experiment, sensitivity_analysis)
 from .noisegen import (inject, read_profile, read_spec, spec_from_dict,
@@ -179,9 +179,9 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 def cmd_detect(args: argparse.Namespace) -> int:
     if args.detector == "snr" and not args.profile:
-        raise SigdriftError("detector snr needs --profile")
+        raise SettingError("detector snr needs --profile")
     if args.detector != "snr" and args.profile is not None:
-        raise SigdriftError(f"--profile is read only by detector snr, not {args.detector}")
+        raise SettingError(f"--profile is read only by detector snr, not {args.detector}")
     config = _config_from_args(args)
     experiment = config.experiment
     existing = read_signature(args.existing)
@@ -224,7 +224,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_events(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if args.f_thresh < 1:
-        raise SigdriftError(f"--f-thresh = {args.f_thresh} must be at least 1")
+        raise SettingError(f"--f-thresh = {args.f_thresh} must be at least 1")
     flags = [(idx, flag) for idx, flag, _ in read_flags(args.flags)]
     event_config = EventConfig(config.trial_length, args.f_thresh)
     try:

@@ -30,7 +30,6 @@ from .core import (Signature, block_slices, check_stack, json_list, json_number,
                    parse_json, unit_rows, write_csv, write_text)
 from .errors import AlignmentError, ParseError
 from .noisegen import AttenuationNoise, DistortionNoise, NoiseSpec, SpikeNoise, spec_to_dict
-from .signature import paa, paa_boundaries
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +251,20 @@ def default_profiles() -> list[QoSProfile]:
 PARAMETERS = ("throughput",)  # the one row of every synthesized signature
 
 
+def paa_boundaries(length: int, target_length: int) -> np.ndarray:
+    """Frame boundaries of piecewise aggregate approximation (PAA) from
+    ``length`` raw points to ``target_length``: frame j is raw points
+    [bounds[j], bounds[j+1]), with each bound the round-half-up of
+    j*length/target_length."""
+    if target_length < 1:
+        raise ValueError("target length must be at least 1")
+    if target_length > length:
+        raise ValueError("target length exceeds series length")
+    j = np.arange(target_length + 1, dtype=np.int64)
+    # floor(j*L/m + 1/2) done in exact integer arithmetic
+    return (2 * j * length + target_length) // (2 * target_length)
+
+
 def _multipliers(profile: QoSProfile, levels, day_of: np.ndarray, grid_length: int,
                  baseline: BaselineMap) -> tuple[np.ndarray, np.ndarray]:
     """The baseline times the workload response at each demand level of
@@ -294,12 +307,14 @@ def build_provider_signatures(profiles, cores: np.ndarray, grid_length: int,
     """One signature per profile: every node (row) of the ``(nodes,
     timestamps)`` trace ``cores`` acts as a trial user.
 
-    Each node's raw performance series is PAA-reduced to the grid and
-    the node cohort is averaged and normalized into the signature.  The
-    raw series are made and reduced one block of nodes (see
-    ``BLOCK_BYTES``) at a time into one ``(nodes, grid)`` buffer that
-    every profile reuses; a profile's jitter comes from consecutive
-    draws of its generator, which give the variates of a single draw.
+    Each node's raw performance series is PAA-reduced to the grid (the
+    mean of each frame of :func:`paa_boundaries`) and the node cohort is
+    averaged and normalized into the signature.  The raw series are made
+    one block of nodes (see ``BLOCK_BYTES``) at a time, and each block's
+    frame sums go straight into one ``(nodes, grid)`` buffer that every
+    profile reuses, divided by the frame widths once the profile's
+    blocks are summed; a profile's jitter comes from consecutive draws
+    of its generator, which give the variates of a single draw.
     """
     cores = np.asarray(cores)
     if not np.issubdtype(cores.dtype, np.integer):
@@ -320,8 +335,9 @@ def build_provider_signatures(profiles, cores: np.ndarray, grid_length: int,
         raise AlignmentError("grid cannot be finer than the trace")
 
     bounds = paa_boundaries(length, grid_length)
+    widths = np.diff(bounds)
     # Grid index of each raw timestamp: the PAA frame it lands in.
-    day_of = np.searchsorted(bounds, np.arange(length), side="right") - 1
+    day_of = np.repeat(np.arange(grid_length), widths)
     # Demand level k is k whole cores; the trace holds each point's level.
     levels = np.arange(CORES_TOTAL + 1) / CORES_TOTAL
 
@@ -335,9 +351,10 @@ def build_provider_signatures(profiles, cores: np.ndarray, grid_length: int,
         rng = np.random.default_rng(stream)
         table, seasonal = _multipliers(profile, levels, day_of, grid_length, baseline)
         for block in blocks:
-            reduced[block] = paa(_performance_matrix(table, seasonal, profile.jitter_amplitude,
-                                                     cores[block], rng),
-                                 grid_length)
+            np.add.reduceat(_performance_matrix(table, seasonal, profile.jitter_amplitude,
+                                                cores[block], rng),
+                            bounds[:-1], axis=-1, out=reduced[block])
+        reduced /= widths
         means = reduced.mean(axis=0, keepdims=True)
         signatures.append(Signature(PARAMETERS, unit_rows(means, PARAMETERS),
                                     profile.provider_id))

@@ -231,8 +231,9 @@ class NoiseProfile:
         object.__setattr__(self, "segment_snrs", tuple(self.segment_snrs))
         if not self.segment_snrs:
             raise ValueError("profile needs at least one segment")
-        if self.segment_length < 1:
-            raise ValueError("segment_length must be at least 1")
+        if self.segment_length < 2:
+            # Detectors judge segments of at least two points (segment_mean_squares).
+            raise ValueError(f"segment_length = {self.segment_length} must be at least 2")
 
     @property
     def segments(self) -> int:

@@ -1,4 +1,4 @@
-"""Build performance signatures from trial experiences; PAA downsampling.
+"""Build performance signatures from trial experiences.
 
 Generation follows the measurement pipeline: average the trial users'
 per-timestamp observations for each parameter, then scale the mean
@@ -35,28 +35,6 @@ def generate_signature(experiences, provider_id: str = "") -> Signature:
     names = tuple(by_param)
     means = np.stack([np.stack(values).mean(axis=0) for values in by_param.values()])
     return Signature(names, unit_rows(means, names), provider_id)
-
-
-def paa_boundaries(length: int, target_length: int) -> np.ndarray:
-    """Frame boundaries for PAA: round-half-up of j*length/target."""
-    if target_length < 1:
-        raise ValueError("target length must be at least 1")
-    if target_length > length:
-        raise ValueError("target length exceeds series length")
-    j = np.arange(target_length + 1, dtype=np.int64)
-    # floor(j*L/m + 1/2) done in exact integer arithmetic
-    return (2 * j * length + target_length) // (2 * target_length)
-
-
-def paa(values, target_length: int) -> np.ndarray:
-    """Piecewise aggregate approximation: per-frame means along the last
-    axis, so a ``(..., L)`` array reduces every series in one call."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim < 1:
-        raise ValueError("expected a series or an array of series")
-    bounds = paa_boundaries(arr.shape[-1], target_length)
-    sums = np.add.reduceat(arr, bounds[:-1], axis=-1)
-    return sums / np.diff(bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -61,7 +61,12 @@ def pcc(a, b) -> float:
     x, y = _pair(a, b, 2)
     dx = x - np.add.reduce(x) / x.size
     dy = y - np.add.reduce(y) / y.size
-    denom = math.sqrt(float(dx @ dx) * float(dy @ dy))
+    sxx, syy = float(dx @ dx), float(dy @ dy)
+    denom = math.sqrt(sxx * syy)
+    if denom == math.inf:
+        # The product overflowed (cells near 1e100); two roots do not.
+        # Only here, since they round differently from the root of a product.
+        denom = math.sqrt(sxx) * math.sqrt(syy)
     if denom <= 0.0:
         raise ConstantSeriesError("correlation undefined for constant input")
     return float(min(1.0, max(-1.0, float(dx @ dy) / denom)))

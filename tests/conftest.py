@@ -39,6 +39,19 @@ def wavy_row(length, seed=0, mean=0.0):
     return base / base.std() + mean
 
 
+def direct_deletion_pcc(x, y, start, window):
+    """Two-pass PCC of what is left of x and y once [start, start+window)
+    is deleted: centre each remainder by its own mean, then sum.  NaN
+    when either remainder is constant."""
+    a = np.delete(x, np.s_[start:start + window])
+    b = np.delete(y, np.s_[start:start + window])
+    if np.all(a == a[0]) or np.all(b == b[0]):
+        return np.nan
+    a -= a.mean()
+    b -= b.mean()
+    return float((a * b).sum() / (np.sqrt((a * a).sum()) * np.sqrt((b * b).sum())))
+
+
 @pytest.fixture
 def sig360():
     return unit_signature(wavy_row(360, seed=3), provider_id="alpha")

@@ -166,10 +166,11 @@ def test_detect_snr_profile_must_cover_the_grid(tmp_path, capsys):
 def test_detect_snr_profile_of_one_point_segments_is_exit_one(tmp_path, caplog, capsys):
     ex, rec = _write_pair(tmp_path)
     prof = tmp_path / "profile.json"
-    write_profile(NoiseProfile((SnrValue(1.0),) * 360, 1), prof)
+    prof.write_text('{"segment_length": 1, "segment_snrs": [%s]}\n' % ", ".join(["1.0"] * 360))
     assert main(["detect", "--existing", str(ex), "--recomputed", str(rec),
                  "--detector", "snr", "--profile", str(prof)]) == 1
-    assert [r.getMessage() for r in caplog.records] == ["segments too short for the grid"]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{prof}: bad noise profile: segment_length = 1 must be at least 2"]
     assert capsys.readouterr().out == ""
 
 

@@ -8,8 +8,9 @@ from sigdrift.datagen import (CORES_TOTAL, BaselineMap, CorpusParams, IntervalRu
                               QoSProfile, _multipliers, _performance_matrix,
                               baseline_performance, build_base_signatures, build_corpus,
                               build_provider_signatures, default_baseline,
-                              default_profiles, manifest_entry, profile_from_dict,
-                              profile_to_dict, synthesize_trace, write_manifest, write_trace)
+                              default_profiles, manifest_entry, paa_boundaries,
+                              profile_from_dict, profile_to_dict, synthesize_trace,
+                              write_manifest, write_trace)
 from sigdrift.errors import AlignmentError, ParseError
 from sigdrift.similarity import pcc
 
@@ -183,6 +184,22 @@ def test_default_profiles_are_five_distinct_providers():
 
 
 # --------------------------------------------------------------- signatures
+
+def test_paa_boundaries_round_half_up():
+    # frame j of m over length L starts at round(j*L/m) with .5 rounding up
+    L, m = 10, 4
+    bounds = paa_boundaries(L, m)
+    expected = [(2 * j * L + m) // (2 * m) for j in range(m)] + [L]
+    np.testing.assert_array_equal(bounds, expected)
+
+
+def test_paa_boundaries_on_trace_scale():
+    bounds = paa_boundaries(6486, 360)
+    assert bounds[0] == 0 and bounds[-1] == 6486
+    assert np.all(np.diff(bounds) >= 1)
+    # ~18 raw points per day at this trace length
+    assert 17 <= np.diff(bounds).max() <= 19
+
 
 def test_build_provider_signatures_shape_and_determinism():
     trace = synthesize_trace(8, 720, seed=5)

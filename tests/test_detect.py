@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -12,8 +13,9 @@ from sigdrift.errors import AlignmentError
 from sigdrift.noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
                                SnrValue, SpikeNoise, inject,
                                learn_noise_profile)
+from sigdrift.similarity import pcc
 
-from conftest import raw_signature, unit_signature, wavy_row
+from conftest import direct_deletion_pcc, raw_signature, unit_signature, wavy_row
 
 TH = DetectorThresholds()
 
@@ -92,7 +94,6 @@ def test_sw_scan_window_bound(ex):
 
 def test_sw_scan_matches_bruteforce_deletion(ex):
     from sigdrift._kernels import deletion_pcc_scan
-    from sigdrift.similarity import pcc
 
     rng = np.random.default_rng(12)
     x = rng.normal(size=80)
@@ -100,21 +101,7 @@ def test_sw_scan_matches_bruteforce_deletion(ex):
     scan = deletion_pcc_scan(x, y, 6)
     assert scan.shape == (75,)
     for start in range(0, 75, 7):
-        keep = np.r_[0:start, start + 6:80]
-        assert scan[start] == pytest.approx(pcc(x[keep], y[keep]), abs=1e-9)
-
-
-def _direct_deletion_pcc(x, y, start, window):
-    """Two-pass PCC of what is left of x and y once [start, start+window)
-    is deleted: centre each remainder by its own mean, then sum.  NaN
-    when either remainder is constant."""
-    a = np.delete(x, np.s_[start:start + window])
-    b = np.delete(y, np.s_[start:start + window])
-    if np.all(a == a[0]) or np.all(b == b[0]):
-        return np.nan
-    a -= a.mean()
-    b -= b.mean()
-    return float((a * b).sum() / (np.sqrt((a * a).sum()) * np.sqrt((b * b).sum())))
+        assert scan[start] == pytest.approx(direct_deletion_pcc(x, y, start, 6), abs=1e-9)
 
 
 @pytest.mark.parametrize("height", [1e8, 2e8, 1e9, 1e10, 1e100])
@@ -131,7 +118,7 @@ def test_sw_scan_matches_the_direct_deletion_at_a_huge_spike(height):
     y = x.copy()
     y[100:103] += height
     window = TH.scan_window
-    direct = [_direct_deletion_pcc(x, y, start, window) for start in range(x.size - window + 1)]
+    direct = [direct_deletion_pcc(x, y, start, window) for start in range(x.size - window + 1)]
     np.testing.assert_allclose(deletion_pcc_scan(x, y, window), direct, rtol=0, atol=1e-9)
     np.testing.assert_allclose(deletion_pcc_scan(y, x, window), direct, rtol=0, atol=1e-9)
     outcome = sliding_window_detect(existing, Signature(existing.parameters, y[None, :],
@@ -161,8 +148,44 @@ def test_deletion_scan_matches_the_direct_deletion_on_mixed_scale_rows(rows):
     from sigdrift._kernels import deletion_pcc_scan
 
     x, y, window = rows
-    direct = [_direct_deletion_pcc(x, y, start, window) for start in range(x.size - window + 1)]
+    direct = [direct_deletion_pcc(x, y, start, window) for start in range(x.size - window + 1)]
     np.testing.assert_allclose(deletion_pcc_scan(x, y, window), direct, rtol=0, atol=1e-6)
+
+
+def _sine_and_ripple():
+    """A 360-point sine row and a copy of it with a 0.01 ripple."""
+    t = np.arange(360)
+    x = np.sin(2 * np.pi * t / 60)
+    return x, x + 0.01 * np.cos(2 * np.pi * t / 17)
+
+
+def _fsum_pcc(x, y):
+    """PCC with exact sums and two roots."""
+    mx, my = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx, dy = [v - mx for v in x], [v - my for v in y]
+    return (math.fsum(a * b for a, b in zip(dx, dy))
+            / (math.sqrt(math.fsum(a * a for a in dx)) * math.sqrt(math.fsum(b * b for b in dy))))
+
+
+def test_pcc_of_two_rows_with_a_cell_near_1e100():
+    """The product of the two sums of squares overflows: its root read
+    inf, so pcc read 0.0 and sw scanned the windows of a near copy."""
+    x, y = _sine_and_ripple()
+    x[100] = y[100] = 1e100
+    assert pcc(x, y) == pytest.approx(_fsum_pcc(x, y), abs=1e-9)
+    assert sliding_window_detect(raw_signature(x), raw_signature(y)).verdict is Verdict.NO_CHANGE
+
+
+def test_deletion_scan_of_two_rows_with_cells_near_1e100():
+    """Every window that keeps both spikes multiplies two variance terms
+    of about 3.5e202, whose product passes the largest double."""
+    from sigdrift._kernels import deletion_pcc_scan
+
+    x, y = _sine_and_ripple()
+    x[100] = y[200] = 1e100
+    window = TH.scan_window
+    direct = [direct_deletion_pcc(x, y, start, window) for start in range(x.size - window + 1)]
+    np.testing.assert_allclose(deletion_pcc_scan(x, y, window), direct, rtol=0, atol=1e-9)
 
 
 def test_sw_multi_row_aggregation(ex):

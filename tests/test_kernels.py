@@ -9,20 +9,8 @@ from sigdrift._kernels import backend, cusum_scan, deletion_pcc_scan
 from sigdrift.core import Signature
 from sigdrift.datagen import build_base_signatures
 from sigdrift.detect import Verdict, cusum_detect
-from sigdrift.similarity import pcc
 
-
-def _naive_deletion_scan(x, y, window):
-    n = x.size
-    out = np.empty(n - window + 1)
-    for start in range(n - window + 1):
-        keep = np.r_[0:start, start + window:n]
-        xr, yr = x[keep], y[keep]
-        if np.all(xr == xr[0]) or np.all(yr == yr[0]):
-            out[start] = np.nan
-        else:
-            out[start] = pcc(xr, yr)
-    return out
+from conftest import direct_deletion_pcc
 
 
 def _naive_cusum(z, slack, threshold):
@@ -51,7 +39,7 @@ def test_deletion_scan_matches_naive():
         x = rng.normal(size=n)
         y = x + rng.normal(scale=rng.uniform(0.1, 2.0), size=n)
         got = deletion_pcc_scan(x, y, w)
-        want = _naive_deletion_scan(x, y, w)
+        want = [direct_deletion_pcc(x, y, start, w) for start in range(n - w + 1)]
         np.testing.assert_allclose(got, want, atol=1e-9, equal_nan=True)
 
 

@@ -5,73 +5,12 @@ from hypothesis import strategies as st
 
 from sigdrift.core import TrialExperience
 from sigdrift.errors import AlignmentError, ConstantSeriesError
-from sigdrift.signature import (generate_signature, paa, paa_boundaries, read_experiences,
-                                write_experiences)
+from sigdrift.signature import generate_signature, read_experiences, write_experiences
 
 
 def _experiences(parameter, users, start=0):
     return [TrialExperience(f"u{i}", parameter, np.asarray(vals, dtype=float), start)
             for i, vals in enumerate(users)]
-
-
-# ---------------------------------------------------------------- PAA
-
-def test_paa_fixture():
-    np.testing.assert_array_equal(paa([1.0, 2.0, 3.0, 4.0], 2), [1.5, 3.5])
-
-
-def test_paa_identity():
-    v = np.array([3.0, 1.0, 4.0, 1.0, 5.0])
-    np.testing.assert_array_equal(paa(v, 5), v)
-
-
-def test_paa_boundaries_round_half_up():
-    # frame j of m over length L starts at round(j*L/m) with .5 rounding up
-    L, m = 10, 4
-    bounds = paa_boundaries(L, m)
-    expected = [(2 * j * L + m) // (2 * m) for j in range(m)] + [L]
-    np.testing.assert_array_equal(bounds, expected)
-
-
-def test_paa_matches_bruteforce_on_trace_scale():
-    rng = np.random.default_rng(8)
-    raw = rng.normal(size=6486)
-    out = paa(raw, 360)
-    assert out.shape == (360,)
-    bounds = paa_boundaries(6486, 360)
-    assert bounds[0] == 0 and bounds[-1] == 6486
-    assert np.all(np.diff(bounds) >= 1)
-    for j in (0, 1, 100, 359):
-        np.testing.assert_allclose(out[j], raw[bounds[j]:bounds[j + 1]].mean(),
-                                   atol=1e-12)
-    # ~18 raw points per day at this trace length
-    assert 17 <= np.diff(bounds).max() <= 19
-
-
-def test_paa_constant_stays_constant():
-    np.testing.assert_array_equal(paa(np.full(30, 2.5), 7), np.full(7, 2.5))
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), shape=st.sampled_from([(1,), (3,), (2, 3)]),
-       length=st.integers(1, 1500), fortran=st.booleans())
-def test_paa_of_stacked_series_is_paa_of_each_series(data, shape, length, fortran):
-    """Frames of 8 or more points take numpy's pairwise sum, so this
-    reaches it; every series must get the bytes a 1-D call gives it."""
-    target = data.draw(st.integers(1, length))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    values = np.random.default_rng(seed).normal(size=shape + (length,)) * 1e3
-    if fortran:
-        values = np.asfortranarray(values)
-    out = paa(values, target)
-    assert out.shape == shape + (target,)
-    for index in np.ndindex(*shape):
-        assert out[index].tobytes() == paa(values[index], target).tobytes()
-
-
-def test_paa_needs_a_series():
-    with pytest.raises(ValueError):
-        paa(3.0, 1)
 
 
 # ---------------------------------------------------- signature generation

@@ -42,12 +42,12 @@ checks each against the plain numpy form):
 - The scan has two arithmetic paths.  Every window takes the prefix
   path above, except where a remainder's variance term cancels (see
   :func:`_cancelled`): such a window, as at a spike of 1e9 on O(1)
-  values, is taken again directly from the raw rows, deleted and then
-  centred by the remainder's own mean.  No window of the paper's data
-  comes near that bound (its smallest ratio is about 0.6 against
-  1e-6), so their bits and verdicts are the prefix path's.  Where two
-  rows' variance terms multiply past the largest double, as for two rows
-  with cells near 1e100, the denominator takes two roots in place of the
+  values, is taken again directly from the raw rows: its value is
+  :func:`similarity.pcc` of the two remainders.  No window of the
+  paper's data comes near that bound (its smallest ratio is about 0.6
+  against 1e-6), so their bits and verdicts are the prefix path's.
+  Where two rows' variance terms multiply past the largest double, as
+  for cells near 1e100, the denominator takes two roots in place of the
   root of their product (:func:`_root_of_product`); rows whose bounds
   cannot overflow never check.
 - Not allowed until rounding-decided verdicts are handled explicitly:
@@ -59,6 +59,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import ConstantSeriesError
+from .similarity import pcc
 
 # Kept for reports and benchmarks that record which kernels ran.
 backend = "python"
@@ -92,22 +95,19 @@ def _cancelled(var: np.ndarray, m: int, total_sq: float) -> np.ndarray:
 
 
 def _direct_pcc(x: np.ndarray, y: np.ndarray, start: int, window: int) -> float:
-    """PCC of what is left of the raw rows x and y once [start,
-    start+window) is deleted, each centred by its own mean (two passes),
-    or NaN when either remainder is constant."""
+    """:func:`similarity.pcc` of what is left of the raw rows x and y once
+    [start, start+window) is deleted, or NaN when either remainder is
+    constant."""
     cut = np.s_[start:start + window]
     a = np.delete(x, cut)
     b = np.delete(y, cut)
     # Checked as written: a rounded mean leaves a constant run a little off zero.
     if (a == a[0]).all() or (b == b[0]).all():
         return math.nan
-    a -= np.add.reduce(a) / a.size
-    b -= np.add.reduce(b) / b.size
-    # Two roots, not the root of a product, which overflows for cells near 1e100.
-    norm = math.sqrt(np.add.reduce(a * a)) * math.sqrt(np.add.reduce(b * b))
-    if not norm > 0.0:
+    try:
+        return pcc(a, b)
+    except ConstantSeriesError:  # squares that underflow to 0.0, as of a 1e-200 ripple
         return math.nan
-    return min(1.0, max(-1.0, float(np.add.reduce(a * b)) / norm))
 
 
 def _root_of_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -225,7 +225,7 @@ def cmd_events(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     if args.f_thresh < 1:
         raise SettingError(f"--f-thresh = {args.f_thresh} must be at least 1")
-    flags = [(idx, flag) for idx, flag, _ in read_flags(args.flags)]
+    flags = ((idx, flag) for idx, flag, _ in read_flags(args.flags))
     event_config = EventConfig(config.trial_length, args.f_thresh)
     try:
         events = detect_events(flags, event_config)

@@ -91,29 +91,20 @@ def detect_events(anomaly_flags, config: EventConfig) -> list[ChangePoint]:
     [k*T, (k+1)*T) for the configured window length T, and a change
     point is reported at the last index of each qualifying window.
     """
-    flags = list(anomaly_flags)
-    last = None
-    for idx, _ in flags:
+    width = config.window_length
+    counts = Counter()
+    last = 0
+    for idx, flagged in anomaly_flags:
         if idx < 0:
             raise AlignmentError("grid indices must be non-negative")
-        if last is not None and idx < last:
+        if idx < last:
             raise AlignmentError("anomaly flags must be sorted by grid index")
         last = idx
-
-    width = config.window_length
-    counts: dict[int, int] = {}
-    for idx, flagged in flags:
         if flagged:
-            bucket = idx // width
-            counts[bucket] = counts.get(bucket, 0) + 1
-
-    events = []
-    for bucket in sorted(counts):
-        count = counts[bucket]
-        if count > config.frequency_threshold:
-            start = bucket * width
-            events.append(ChangePoint(start + width - 1, count, (start, width)))
-    return events
+            counts[idx // width] += 1
+    return [ChangePoint(bucket * width + width - 1, count, (bucket * width, width))
+            for bucket, count in sorted(counts.items())
+            if count > config.frequency_threshold]
 
 
 # ---------------------------------------------------------------------------

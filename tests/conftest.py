@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from sigdrift.core import Signature
+from sigdrift.cpd import ChangePoint
 from sigdrift.evaluate import ExperimentConfig
 
 
@@ -50,6 +51,21 @@ def direct_deletion_pcc(x, y, start, window):
     a -= a.mean()
     b -= b.mean()
     return float((a * b).sum() / (np.sqrt((a * a).sum()) * np.sqrt((b * b).sum())))
+
+
+def brute_events(flags, width, threshold):
+    """The ECA change points of sorted (index, flag) pairs, recounted
+    window by window."""
+    counts = {}
+    for idx, flagged in flags:
+        if flagged:
+            counts[idx // width] = counts.get(idx // width, 0) + 1
+    out = []
+    for bucket in sorted(counts):
+        if counts[bucket] > threshold:
+            out.append(ChangePoint(bucket * width + width - 1, counts[bucket],
+                                   (bucket * width, width)))
+    return out
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ repeats, fixed seed) so the whole module stays well under five minutes.
 Each test prints a single summary line when it passes; the test name
 carries the criterion number.
 """
+import hashlib
 import json
 import math
 import time
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 
 from sigdrift.cli import main as cli_main
-from sigdrift.core import TrialExperience
-from sigdrift.cpd import ChangePoint, EventConfig, calibrate, detect_events
+from sigdrift.core import TrialExperience, json_text
+from sigdrift.cpd import EventConfig, calibrate, detect_events
 from sigdrift.datagen import build_base_signatures, build_corpus
 from sigdrift.detect import DetectorThresholds, Verdict, sliding_window_detect
 from sigdrift.evaluate import (ConfusionCounts, accuracy, f1, fp_rate, run_experiment,
@@ -22,10 +23,15 @@ from sigdrift.evaluate import (ConfusionCounts, accuracy, f1, fp_rate, run_exper
 from sigdrift.noisegen import DistortionNoise, SpikeNoise, inject, residual, snr
 from sigdrift.similarity import SimilarityMethod, cosine, euclidean, pcc, rmse
 
-from conftest import (C10_ARGV, DESK, JOBS, check_c05, check_c06, check_c07, check_c08,
-                      unit_signature)
+import oracle
+from conftest import (C10_ARGV, DESK, JOBS, brute_events, check_c05, check_c06, check_c07,
+                      check_c08, unit_signature)
 
 SEED = 42
+
+# `json_text(..., indent=2)` of the `desk_sensitivity` report, the bytes
+# `sensitivity` would write for it.
+DESK_SENSITIVITY_SHA256 = "462478165659f21e73e09f00b9ff38acdbb100bed0345abf04f10d98c65d01be"
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +45,12 @@ def desk_sensitivity():
                                 jobs=JOBS)
 
 
+def test_the_oracle_passes_its_own_fixtures():
+    """Tests take tolerance references from the benchmark's oracle, so a
+    broken oracle must fail here, not pass a broken program."""
+    oracle.self_check()
+
+
 # --------------------------------------------------------------- criterion 1
 
 def test_c01_metric_oracle_against_bruteforce():
@@ -46,12 +58,8 @@ def test_c01_metric_oracle_against_bruteforce():
     for _ in range(50):
         tp, fp, tn, fn = (int(v) for v in rng.integers(0, 1000, size=4))
         c = ConfusionCounts(tp, fp, tn, fn)
-        expect = [
-            fp / (fp + tn) if fp + tn else None,
-            tp / (tp + fn) if tp + fn else None,
-            (tp + tn) / (tp + fp + tn + fn) if tp + fp + tn + fn else None,
-            2 * tp / (2 * tp + fp + fn) if 2 * tp + fp + fn else None,
-        ]
+        want = oracle.rates(tp, fp, tn, fn)
+        expect = [want["fp_rate"], want["tp_rate"], want["accuracy"], want["f1"]]
         got = [fp_rate(c), tp_rate(c), accuracy(c), f1(c)]
         for g, e in zip(got, expect):
             if e is None:
@@ -177,20 +185,12 @@ def test_c08_distortion_sensitivity(desk_sensitivity):
           f"({check_c08(desk_sensitivity)})")
 
 
+def test_desk_sensitivity_report_is_pinned(desk_sensitivity):
+    text = json_text(desk_sensitivity, indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == DESK_SENSITIVITY_SHA256
+
+
 # --------------------------------------------------------------- criterion 9
-
-def _brute_events(flags, width, thresh):
-    counts = {}
-    for idx, flagged in flags:
-        if flagged:
-            counts[idx // width] = counts.get(idx // width, 0) + 1
-    out = []
-    for bucket in sorted(counts):
-        if counts[bucket] > thresh:
-            out.append(ChangePoint(bucket * width + width - 1, counts[bucket],
-                                   (bucket * width, width)))
-    return out
-
 
 def test_c09_eca_oracle_and_initialization_example():
     rng = np.random.default_rng(99)
@@ -202,7 +202,7 @@ def test_c09_eca_oracle_and_initialization_example():
         width = int(rng.integers(1, 15))
         thresh = int(rng.integers(1, 7))
         assert detect_events(flags, EventConfig(width, thresh)) == \
-            _brute_events(flags, width, thresh)
+            brute_events(flags, width, thresh)
 
     # five past users tied at the minimum similarity inside one window
     sig = unit_signature(np.arange(12.0), parameters=["cpu"])

@@ -11,7 +11,7 @@ from sigdrift.cpd import (AnomalyThreshold, ChangePoint, EventConfig, calibrate,
 from sigdrift.errors import AlignmentError, ConstantSeriesError, ParseError
 from sigdrift.similarity import SimilarityMethod, similarity
 
-from conftest import unit_signature
+from conftest import brute_events, unit_signature
 
 RAMP_SIG = unit_signature(np.arange(12.0), parameters=["cpu"])
 UP = np.array([1.0, 2.0, 3.0, 4.0])
@@ -157,22 +157,6 @@ def test_window_must_fit_the_grid():
 
 # ------------------------------------------------------------- detect_events
 
-def _brute_events(flags, config):
-    counts = {}
-    for idx, flagged in flags:
-        if flagged:
-            counts[idx // config.window_length] = counts.get(
-                idx // config.window_length, 0) + 1
-    out = []
-    for bucket in sorted(counts):
-        if counts[bucket] > config.frequency_threshold:
-            start = bucket * config.window_length
-            out.append(ChangePoint(start + config.window_length - 1,
-                                   counts[bucket],
-                                   (start, config.window_length)))
-    return out
-
-
 def test_event_fixture_two_windows():
     flags = [(i, i < 3) for i in range(10)] + [(10 + i, i < 6) for i in range(10)]
     events = detect_events(flags, EventConfig(10, 5))
@@ -197,6 +181,33 @@ def test_flags_must_be_sorted_and_non_negative():
         detect_events([(-1, True)], EventConfig(5, 1))
 
 
+def _first_bad_flag(flags):
+    """The error for the first flag that is negative or below the one
+    before it, or None when every flag is in grid order."""
+    for i, (idx, _) in enumerate(flags):
+        if idx < 0:
+            return "grid indices must be non-negative"
+        if i and idx < flags[i - 1][0]:
+            return "anomaly flags must be sorted by grid index"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 40), st.booleans()), max_size=40),
+       st.booleans(), st.integers(1, 12), st.integers(1, 6))
+def test_events_or_the_first_bad_flag_match_bruteforce(pairs, in_order, width, thresh):
+    """One pass over a stream, as from a generator, gives the recount's
+    events, or the error of the first flag out of range or order."""
+    flags = sorted(pairs) if in_order else pairs
+    config = EventConfig(width, thresh)
+    error = _first_bad_flag(flags)
+    if error is None:
+        assert detect_events(iter(flags), config) == brute_events(flags, width, thresh)
+    else:
+        with pytest.raises(AlignmentError, match=f"^{error}$"):
+            detect_events(iter(flags), config)
+
+
 def test_events_match_bruteforce():
     rng = np.random.default_rng(17)
     for _ in range(60):
@@ -205,7 +216,8 @@ def test_events_match_bruteforce():
         flagged = rng.random(n) < 0.4
         flags = list(zip(idx.tolist(), flagged.tolist()))
         config = EventConfig(int(rng.integers(1, 20)), int(rng.integers(1, 6)))
-        assert detect_events(flags, config) == _brute_events(flags, config)
+        assert detect_events(flags, config) == brute_events(flags, config.window_length,
+                                                           config.frequency_threshold)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,22 @@ def test_deletion_scan_of_two_rows_with_cells_near_1e100():
     window = TH.scan_window
     direct = [direct_deletion_pcc(x, y, start, window) for start in range(x.size - window + 1)]
     np.testing.assert_allclose(deletion_pcc_scan(x, y, window), direct, rtol=0, atol=1e-9)
+
+
+def test_deletion_scan_reads_nan_where_the_remainders_squares_underflow():
+    """Deleting the spike leaves a 1e-200 ripple whose squares are 0.0,
+    so `pcc` of the remainders raises ConstantSeriesError: the scan reads
+    NaN at the three spike windows, with no exception and no warning."""
+    from sigdrift._kernels import deletion_pcc_scan
+
+    x = 1e-200 * np.cos(np.arange(60.0))
+    x[30] = 1.0
+    y = x.copy()
+    y[30] = 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = deletion_pcc_scan(x, y, 3)
+    assert np.isnan(scan).nonzero()[0].tolist() == [28, 29, 30]
 
 
 def test_sw_multi_row_aggregation(ex):

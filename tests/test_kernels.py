@@ -10,21 +10,8 @@ from sigdrift.core import Signature
 from sigdrift.datagen import build_base_signatures
 from sigdrift.detect import Verdict, cusum_detect
 
+import oracle
 from conftest import direct_deletion_pcc
-
-
-def _naive_cusum(z, slack, threshold):
-    pos = neg = 0.0
-    max_pos = max_neg = 0.0
-    alarm = -1
-    for i, v in enumerate(z):
-        pos = max(0.0, pos + v - slack)
-        neg = max(0.0, neg - v - slack)
-        max_pos = max(max_pos, pos)
-        max_neg = max(max_neg, neg)
-        if alarm < 0 and (pos > threshold or neg > threshold):
-            alarm = i
-    return max_pos, max_neg, alarm
 
 
 def test_backend_is_reported():
@@ -68,10 +55,10 @@ def test_cusum_scan_matches_naive():
         n = int(rng.integers(2, 400))
         z = rng.normal(scale=2.0, size=n)
         got = cusum_scan(z, 0.5, 5.0)
-        want = _naive_cusum(z, 0.5, 5.0)
-        assert got[0] == pytest.approx(want[0], abs=1e-12)
-        assert got[1] == pytest.approx(want[1], abs=1e-12)
-        assert got[2] == want[2]
+        want = oracle.cusum(z, 0.5, 5.0)
+        assert got[0] == pytest.approx(want["max_pos"], abs=1e-12)
+        assert got[1] == pytest.approx(want["max_neg"], abs=1e-12)
+        assert got[2] == want["alarm"]
 
 
 def test_cusum_scan_threshold_is_strict():
@@ -94,9 +81,9 @@ def test_cusum_alarms_at_a_huge_spike_as_the_recursion_does(height):
     y[100:103] += height
     outcome = cusum_detect(existing, Signature(existing.parameters, y[None, :],
                                                existing.provider_id))
-    want = _naive_cusum(((y - x) / existing.row_stds[0]).tolist(), 0.5, 5.0)
+    want = oracle.cusum(((y - x) / existing.row_stds[0]).tolist(), 0.5, 5.0)
     assert outcome.verdict is Verdict.CHANGE
-    assert outcome.diagnostics["alarm_index"] == want[2] == 100
+    assert outcome.diagnostics["alarm_index"] == want["alarm"] == 100
 
 
 # sha256 of deletion_pcc_scan(x, y, 6).tobytes() and repr of

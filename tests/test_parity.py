@@ -74,12 +74,8 @@ def _ref_direct_pcc(x, y, start, window):
     b = np.delete(y, np.s_[start:start + window])
     if np.all(a == a[0]) or np.all(b == b[0]):
         return math.nan
-    a = a - a.mean()
-    b = b - b.mean()
-    norm = math.sqrt((a * a).sum()) * math.sqrt((b * b).sum())
-    if not norm > 0.0:
-        return math.nan
-    return min(1.0, max(-1.0, float((a * b).sum()) / norm))
+    want = _ref_pcc(a, b)
+    return math.nan if want is None else want
 
 
 def _ref_deletion_pcc_scan(x, y, window):

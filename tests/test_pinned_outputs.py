@@ -2,13 +2,14 @@
 
 The SNR verdicts of some pairs are decided by rounding (a pair can sit
 exactly on its learned baseline), so "close" is not enough: these pin
-the exact bytes of an evaluate report, of learned noise profiles and of
-detector outcomes on multi-row signatures.
+the exact bytes of evaluate and sensitivity reports, of every file
+`gen-data` writes and of detector outcomes on multi-row signatures.
 """
 import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from sigdrift.cli import main
 from sigdrift.core import Signature
@@ -48,6 +49,16 @@ BASE_SIGNATURES_SHA256 = "3dc9b20b939794c97403ebdb268d40f306fbdd546877cd0eb62d86
 
 # `write_trace` bytes for `synthesize_trace(4, 720, seed=5)`.
 TRACE_CSV_SHA256 = "372efbc7e534b2caf4efb98b455647a39fb3fb7b1a8b0a83b20a735539a629c1"
+
+# Every file `gen-data --seed 3 --n-changed 10 --n-noisy 10` writes:
+# relative path, a NUL and the bytes of each, in path order.
+GEN_DATA_FILES = 36
+GEN_DATA_SHA256 = "fcf09bf915e00c7e5d8d36699490f4ee02e8e8c9aac3afe1f41e0d5941d45164"
+
+# `sensitivity` at the settings below, with `--jobs 1` and `--jobs 2`.
+SENSITIVITY_ARGV = ["sensitivity", "--seed", "42", "--n-changed", "60", "--n-noisy", "60",
+                    "--repeats", "2", "--sample-sizes", "60,120"]
+SENSITIVITY_REPORT_SHA256 = "86272d55551b7f88639525eee0ccf38d928d67303602b609c0c87d7060600b37"
 
 
 def _three_rows(seed):
@@ -109,6 +120,18 @@ def test_gen_data_snr_profiles_are_pinned(tmp_path):
     written = {p.name: p.read_text(encoding="utf-8")
                for p in (out / "snr_profiles").iterdir()}
     assert written == SNR_PROFILES
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    digest = hashlib.sha256()
+    for path in files:
+        digest.update(path.relative_to(out).as_posix().encode() + b"\0" + path.read_bytes())
+    assert (len(files), digest.hexdigest()) == (GEN_DATA_FILES, GEN_DATA_SHA256)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sensitivity_report_is_pinned(tmp_path, jobs):
+    out = tmp_path / "report.json"
+    assert main([*SENSITIVITY_ARGV, "--jobs", jobs, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SENSITIVITY_REPORT_SHA256
 
 
 def test_paper_scale_evaluate_report_is_pinned(tmp_path):

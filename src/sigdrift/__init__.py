@@ -16,7 +16,7 @@ from .errors import (AlignmentError, ConstantSeriesError, ParseError,
                      SigdriftError, ZeroVectorError)
 from .evaluate import run_experiment, sensitivity_analysis
 from .noisegen import (AttenuationNoise, DistortionNoise, NoiseProfile,
-                       SnrValue, SpikeNoise, inject, learn_noise_profile, snr)
+                       SnrValue, SpikeNoise, inject, learn_noise_profile)
 from .signature import generate_signature
 from .similarity import SimilarityMethod, similarity
 
@@ -61,7 +61,6 @@ __all__ = [
     "sensitivity_analysis",
     "similarity",
     "sliding_window_detect",
-    "snr",
     "snr_detect",
     "synthesize_trace",
     "write_signature",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig, RunSettings, _check_distinct
 from .core import block_slices
-from .datagen import Label, LabeledPair, build_base_signatures, build_corpus, corpus_blocks
+from .datagen import LabeledPair, build_base_signatures, build_corpus, corpus_blocks
 from .detect import Verdict, cusum_detect, sliding_window_detect, snr_detect
 from .errors import AlignmentError, SettingError
 from .noisegen import NoiseProfile, check_aligned, profile_from_ratios, snr_ratios
@@ -136,13 +136,13 @@ def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
                          signatures=signatures, params=config.corpus),
             config.snr_segments)
 
-    # Keep, per pair, whether it is changed and, per detector, whether the
-    # detector called a change and whether it called noise of the pair's own
-    # kind, not pairs or outcomes, so memory grows with neither the corpus's
-    # matrices nor the outcomes' diagnostics: each block of pairs is dropped
-    # once every detector has judged it.  Each call looks its detector up
-    # when it runs and passes existing and recomputed first, so a swapped
-    # module global sees both.
+    # Keep, per detector, whether it called a change on each pair, and how
+    # many noisy pairs `sw` called noise of the pair's own kind, not pairs
+    # or outcomes, so memory grows with neither the corpus's matrices nor
+    # the outcomes' diagnostics: each block of pairs is dropped once every
+    # detector has judged it.  Each call looks its detector up when it
+    # runs and passes existing and recomputed first, so a swapped module
+    # global sees both.
     calls = {
         "sw": lambda p: sliding_window_detect(p.existing, p.recomputed, config.thresholds),
         "snr": lambda p: snr_detect(p.existing, p.recomputed,
@@ -151,21 +151,22 @@ def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
                                         config.cusum_slack, config.cusum_interval),
     }
     n_pairs = config.n_changed + config.n_noisy
-    changed = np.zeros(n_pairs, dtype=bool)
+    # corpus_blocks yields the changed pairs first.
+    changed = np.arange(n_pairs) < config.n_changed
     called = {det: np.zeros(n_pairs, dtype=bool) for det in config.detectors}
-    named = {det: np.zeros(n_pairs, dtype=bool) for det in config.detectors}
+    sw_named = 0
     start = 0
     for block in corpus_blocks(config.n_changed, config.n_noisy,
                                config.distortion_fraction, corpus_seed,
                                signatures=signatures, params=config.corpus):
-        changed[start:start + len(block)] = [pair.label is Label.CHANGED for pair in block]
         for det in config.detectors:
             call = calls[det]
             for i, pair in enumerate(block, start):
                 outcome = call(pair)
                 called[det][i] = outcome.verdict is Verdict.CHANGE
-                named[det][i] = (outcome.verdict is Verdict.NOISE and pair.noise is not None
-                                 and outcome.noise_kind == pair.noise.kind)
+                if (det == "sw" and outcome.verdict is Verdict.NOISE and pair.noise is not None
+                        and outcome.noise_kind == pair.noise.kind):
+                    sw_named += 1
         start += len(block)
 
     rng = np.random.default_rng(sample_ss)
@@ -178,7 +179,7 @@ def _run_repeat(config: ExperimentConfig, repeat_stream: np.random.SeedSequence
 
     out = {"cells": cells}
     if "sw" in config.detectors and config.n_noisy:
-        out["sw_noise_kind_accuracy"] = int(np.count_nonzero(named["sw"])) / config.n_noisy
+        out["sw_noise_kind_accuracy"] = sw_named / config.n_noisy
     return out
 
 
@@ -218,7 +219,7 @@ def run_experiment(config: ExperimentConfig, seed: int, jobs: int = 1) -> dict:
             detectors[det][str(size)] = per_metric
 
     report = {"config": config.to_dict(), "seed": seed, "detectors": detectors}
-    if all("sw_noise_kind_accuracy" in r for r in results) and "sw" in config.detectors:
+    if "sw" in config.detectors and config.n_noisy:
         report["diagnostics"] = {
             "sw_noise_kind_accuracy": _summary(
                 [r["sw_noise_kind_accuracy"] for r in results]

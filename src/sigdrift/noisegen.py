@@ -147,12 +147,6 @@ class SnrValue:
     def infinite(self) -> bool:
         return self.ratio == math.inf
 
-    @property
-    def db(self) -> float:
-        if self.ratio == 0.0:
-            return -math.inf
-        return 10.0 * math.log10(self.ratio)
-
 
 def mean_square_ratios(signal_ms, noise_ms) -> np.ndarray:
     """Signal over noise mean squares, elementwise; ``inf`` where the noise
@@ -160,17 +154,6 @@ def mean_square_ratios(signal_ms, noise_ms) -> np.ndarray:
     underflow) or the quotient overflows."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return np.where(noise_ms > 0.0, signal_ms / noise_ms, math.inf)
-
-
-def snr(signal, noise) -> SnrValue:
-    """Mean-square(signal) over mean-square(noise); arrays of any shape
-    are pooled.  See :func:`mean_square_ratios` for the infinite case."""
-    s = np.asarray(signal, dtype=np.float64)
-    n = np.asarray(noise, dtype=np.float64)
-    if s.size == 0 or n.size == 0:
-        raise ValueError("signal and noise must be non-empty")
-    return SnrValue(float(mean_square_ratios(np.add.reduce(np.square(s), axis=None) / s.size,
-                                             np.add.reduce(np.square(n), axis=None) / n.size)))
 
 
 def check_aligned(existing: Signature, recomputed: Signature) -> None:

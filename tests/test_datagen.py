@@ -238,6 +238,9 @@ def test_corpus_counts_and_composition():
     corpus = build_corpus(12, 300, 0.5, seed=1, signatures=sigs)
     assert len(corpus) == 312
     assert sum(p.label is Label.CHANGED for p in corpus) == 12
+    # changed pairs first: an evaluate repeat takes its labels from this order
+    assert [p.label for p in corpus] == [Label.CHANGED] * 12 + [Label.NOISY] * 300
+    assert [p.noise is None for p in corpus] == [True] * 12 + [False] * 300
     kinds = {}
     for p in corpus:
         if p.label is Label.NOISY:

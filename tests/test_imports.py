@@ -109,7 +109,6 @@ TEST_ONLY = {
     ("noisegen", "write_spec"): "format writer that tests build noise-spec files with",
     ("cpd", "write_flags"): "format writer that tests build anomaly-flag files with",
     ("signature", "write_experiences"): "format writer that tests build cohort files with",
-    ("noisegen", "snr"): "the SNR that C3 measures AWGN with",
     ("cpd", "is_anomalous"): "the anomaly rule whose flags `events` reads",
 }
 
@@ -145,9 +144,7 @@ def _attributes_read(paths) -> set[str]:
 
 
 #: Class members that only tests read, each with the reason it stays.
-TEST_ONLY_MEMBERS = {
-    ("SnrValue", "db"): "the dB reading that C3 checks AWGN with, as `snr` is the ratio",
-}
+TEST_ONLY_MEMBERS: dict[tuple[str, str], str] = {}
 
 
 def test_every_class_member_is_read_by_the_program_or_listed():

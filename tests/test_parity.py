@@ -25,7 +25,7 @@ from sigdrift._kernels import (cusum_scan, deletion_pcc_scan, deletion_scan_base
 from sigdrift.config import DetectorThresholds
 from sigdrift.detect import _first_max, cusum_detect, sliding_window_detect, snr_detect
 from sigdrift.errors import ConstantSeriesError
-from sigdrift.noisegen import SnrValue, profile_from_ratios, snr, snr_ratios
+from sigdrift.noisegen import SnrValue, profile_from_ratios, snr_ratios
 from sigdrift.similarity import pcc, rmse
 from test_metamorphic import _edited, _pair, _sig
 
@@ -152,7 +152,6 @@ def test_snr_ratios_match_snr_of_each_column_block(data, rows, segments, seg_len
     want = _bits(lambda: [_ref_snr(signal[:, a:a + seg_len], noise[:, a:a + seg_len])
                           for a in range(0, shape[1], seg_len)])
     assert _bits(lambda: map(SnrValue, snr_ratios(signal, noise, segments).tolist())) == want
-    assert _bits(lambda: [snr(signal, noise)]) == _bits(lambda: [_ref_snr(signal, noise)])
 
 
 @settings(max_examples=300, deadline=None)

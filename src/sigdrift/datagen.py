@@ -18,6 +18,7 @@ the "noisy" class.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
@@ -105,18 +106,18 @@ class BaselineMap:
         perfs = [p for _, p in bps]
         if demands[0] != 0.0 or demands[-1] != 1.0:
             raise ValueError("baseline map must cover demand 0.0 to 1.0")
-        if any(b <= a for a, b in zip(demands, demands[1:])):
+        if not all(a < b for a, b in zip(demands, demands[1:])):
             raise ValueError("baseline demands must be strictly increasing")
-        if any(b >= a for a, b in zip(perfs, perfs[1:])):
+        if not all(a > b for a, b in zip(perfs, perfs[1:])):
             raise ValueError("baseline performance must strictly decrease with demand")
-        if perfs[-1] <= 0:
+        if not perfs[-1] > 0:
             raise ValueError("baseline performance must stay positive")
 
 
 def baseline_performance(bmap: BaselineMap, demand) -> float | np.ndarray:
     """Interpolate baseline performance at a demand fraction in [0, 1]."""
     arr = np.asarray(demand, dtype=np.float64)
-    if arr.min() < 0.0 or arr.max() > 1.0:
+    if not (arr.min() >= 0.0 and arr.max() <= 1.0):
         raise ValueError("demand must lie in [0, 1]")
     xs = np.array([d for d, _ in bmap.breakpoints])
     ys = np.array([p for _, p in bmap.breakpoints])
@@ -133,9 +134,9 @@ class IntervalRule:
     multiplier: float
 
     def __post_init__(self):
-        if self.hi <= self.lo:
+        if not self.hi > self.lo:
             raise ValueError("interval must have positive width")
-        if self.multiplier <= 0:
+        if not self.multiplier > 0:
             raise ValueError("multiplier must be positive")
 
 
@@ -177,7 +178,7 @@ class QoSProfile:
             raise ValueError("provider_id must be non-empty")
         _check_tiling(self.workload_map, 0.0, 1.0, "workload map")
         _check_tiling(self.seasonal_map, 0.0, self.seasonal_map[-1].hi, "seasonal map")
-        if self.jitter_amplitude < 0:
+        if not self.jitter_amplitude >= 0:
             raise ValueError("jitter amplitude must be non-negative")
 
     @property
@@ -379,20 +380,22 @@ class LabeledPair:
 
 
 class _Splice(NamedTuple):
-    """Columns [start, stop) of base signature `donor`, spliced in."""
+    """Columns [start, stop) of the base matrix `donor`, which ``apply`` copies in."""
 
-    donor: int
+    donor: np.ndarray
     start: int
     stop: int
 
+    def apply(self, matrix: np.ndarray, row_stds: np.ndarray, seed: int) -> None:
+        matrix[:, self.start:self.stop] = self.donor[:, self.start:self.stop]
 
-def _pair_blocks(bases: list[Signature], matrices: np.ndarray, base_of: list[int],
-                 edits: list[_Splice | NoiseSpec],
-                 provenances: list[dict]) -> Iterator[list[LabeledPair]]:
-    """The pairs one block at a time: pair i is ``bases[base_of[i]]``
-    against a copy of it with ``edits[i]`` applied, a splice from
-    ``matrices`` (a changed pair) or noise seeded with
-    ``provenances[i]["seed"]`` (a noisy pair).
+
+def _pair_blocks(bases: list[Signature], drawn: list[tuple[int, _Splice | NoiseSpec, dict]]
+                 ) -> Iterator[list[LabeledPair]]:
+    """The pairs one block at a time: pair i, drawn as ``(base, edit,
+    provenance)``, is ``bases[base]`` against a copy of it with ``edit``
+    applied, a splice (a changed pair) or noise seeded with
+    ``provenance["seed"]`` (a noisy pair).
 
     Each block's copies fill one ``(pairs, rows, L)`` array of about
     ``BLOCK_BYTES``, which is checked once and then made read-only; each
@@ -402,31 +405,26 @@ def _pair_blocks(bases: list[Signature], matrices: np.ndarray, base_of: list[int
     drops each block holds one block at a time.
     """
     first = bases[0]
-    indices = np.array(base_of, dtype=np.intp)
-    for block in block_slices(len(base_of), first.matrix.nbytes):
-        base_ids, block_edits, block_provenances = base_of[block], edits[block], provenances[block]
-        stack = np.empty((len(base_ids),) + first.matrix.shape)
+    matrices = np.stack([sig.matrix for sig in bases])
+    indices = np.array([base for base, _, _ in drawn], dtype=np.intp)
+    for block in block_slices(len(drawn), first.matrix.nbytes):
+        block_drawn = drawn[block]
+        stack = np.empty((len(block_drawn),) + first.matrix.shape)
         # mode="raise" would buffer a hidden copy of the block.
         np.take(matrices, indices[block], axis=0, out=stack, mode="clip")
-        for values, base, edit, provenance in zip(stack, base_ids, block_edits,
-                                                  block_provenances):
-            if isinstance(edit, _Splice):
-                values[:, edit.start:edit.stop] = matrices[edit.donor, :, edit.start:edit.stop]
-            else:
-                edit.apply(values, bases[base].row_stds, provenance["seed"])
+        for values, (base, edit, provenance) in zip(stack, block_drawn):
+            edit.apply(values, bases[base].row_stds, provenance["seed"])
         row_stds = check_stack(stack, first.parameters)
         stack.setflags(write=False)
 
         pairs = []
-        for values, stds, base, edit, provenance in zip(stack, row_stds, base_ids, block_edits,
-                                                        block_provenances):
+        for values, stds, (base, edit, provenance) in zip(stack, row_stds, block_drawn):
             existing = bases[base]
             recomputed = Signature._checked(existing.parameters, values,
                                             existing.provider_id, stds)
-            if isinstance(edit, _Splice):
-                pairs.append(LabeledPair(existing, recomputed, Label.CHANGED, None, provenance))
-            else:
-                pairs.append(LabeledPair(existing, recomputed, Label.NOISY, edit, provenance))
+            label, noise = ((Label.CHANGED, None) if isinstance(edit, _Splice)
+                            else (Label.NOISY, edit))
+            pairs.append(LabeledPair(existing, recomputed, label, noise, provenance))
         yield pairs
 
 
@@ -462,33 +460,39 @@ def corpus_blocks(n_changed: int, n_noisy: int, distortion_fraction: float,
 
     Changed and noisy pairs consume independent random streams, so
     changing only the noise composition leaves the changed pairs
-    untouched for the same seed.  Every setting is checked and every
-    pair's parameters are drawn here; the returned iterator fills the
-    pairs' matrices a block at a time as it is advanced.
+    untouched for the same seed.  Every setting and base signature is
+    checked, then every pair is drawn, here; the returned iterator fills
+    the pairs' matrices a block at a time as it is advanced.
     """
     if n_changed < 0 or n_noisy < 0:
         raise ValueError("pair counts must be non-negative")
     if not 0.0 <= distortion_fraction <= 1.0:
         raise ValueError("distortion fraction must be in [0, 1]")
-
-    # The first child once seeded default base signatures; it is still
-    # spawned so that the other three streams keep their seeds.
-    _, ss_changed, ss_noisy, ss_pair_seeds = np.random.SeedSequence(seed).spawn(4)
     k = len(signatures)
     if n_changed > 0 and k < 2:
         raise ValueError("changed pairs need at least two base signatures")
     if k < 1:
         raise ValueError("need at least one base signature")
+    for sig in signatures[1:]:
+        if (sig.matrix.shape != signatures[0].matrix.shape
+                or sig.parameters != signatures[0].parameters):
+            raise AlignmentError("base signatures must share grid and parameters")
+    if n_changed > 0:
+        provider, count = Counter(sig.provider_id for sig in signatures).most_common(1)[0]
+        if count > 1:
+            raise ValueError("changed pairs need base signatures of distinct providers; "
+                             f"{provider!r} appears {count} times")
 
+    # The first child once seeded default base signatures; it is still
+    # spawned so that the other three streams keep their seeds.
+    _, ss_changed, ss_noisy, ss_pair_seeds = np.random.SeedSequence(seed).spawn(4)
     grid_length = signatures[0].matrix.shape[1]
     pair_seeds = [int(s) for s in ss_pair_seeds.generate_state(n_changed + n_noisy,
                                                                dtype=np.uint64)]
-    # Draw every pair's parameters first, one scalar draw at a time in the
-    # order of the pair-at-a-time build (a vectorized draw changes the
-    # stream), then fill the pairs a block at a time.
-    base_of: list[int] = []
-    edits: list[_Splice | NoiseSpec] = []
-    provenances: list[dict] = []
+    # Draw every pair's (base, edit, provenance) first, one scalar draw at
+    # a time in the order of the pair-at-a-time build (a vectorized draw
+    # changes the stream), then fill the pairs a block at a time.
+    drawn: list[tuple[int, _Splice | NoiseSpec, dict]] = []
 
     rng_changed = np.random.default_rng(ss_changed)
     for i in range(n_changed):
@@ -497,13 +501,11 @@ def corpus_blocks(n_changed: int, n_noisy: int, distortion_fraction: float,
         if donor >= base:
             donor += 1
         start = int(rng_changed.integers(0, grid_length - params.changed_segment + 1))
-        if signatures[donor].provider_id == signatures[base].provider_id:
-            raise ValueError("donor must be a different provider")
-        base_of.append(base)
-        edits.append(_Splice(donor, start, start + params.changed_segment))
-        provenances.append({"donor": signatures[donor].provider_id,
-                            "segment_start": start, "segment_length": params.changed_segment,
-                            "seed": pair_seeds[i], "index": i})
+        drawn.append((base, _Splice(signatures[donor].matrix, start,
+                                    start + params.changed_segment),
+                      {"donor": signatures[donor].provider_id, "segment_start": start,
+                       "segment_length": params.changed_segment,
+                       "seed": pair_seeds[i], "index": i}))
 
     n_spike, n_distortion, n_attenuation = _noise_counts(
         n_noisy, distortion_fraction, params)
@@ -522,16 +524,9 @@ def corpus_blocks(n_changed: int, n_noisy: int, distortion_fraction: float,
         else:
             spec = AttenuationNoise(float(rng_noisy.uniform(
                 params.attenuation_low, params.attenuation_high)))
-        base_of.append(base)
-        edits.append(spec)
-        provenances.append({"seed": pair_seeds[idx], "index": idx})
+        drawn.append((base, spec, {"seed": pair_seeds[idx], "index": idx}))
 
-    for sig in signatures[1:]:
-        if (sig.matrix.shape != signatures[0].matrix.shape
-                or sig.parameters != signatures[0].parameters):
-            raise AlignmentError("base signatures must share grid and parameters")
-    matrices = np.stack([sig.matrix for sig in signatures])
-    return _pair_blocks(signatures, matrices, base_of, edits, provenances)
+    return _pair_blocks(signatures, drawn)
 
 
 def build_corpus(n_changed: int, n_noisy: int, distortion_fraction: float,

@@ -186,7 +186,7 @@ def cusum_detect(existing: Signature, recomputed: Signature,
                  ) -> DetectionOutcome:
     """Two-sided CUSUM on standardized deviations; change on a strict crossing."""
     check_aligned(existing, recomputed)
-    if slack < 0 or decision_interval <= 0:
+    if not (slack >= 0 and decision_interval > 0):
         raise ValueError("slack must be >= 0 and the decision interval positive")
 
     decisions = []

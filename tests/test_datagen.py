@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
-from sigdrift.core import Signature
+from sigdrift.config import DetectorThresholds
+from sigdrift.core import Signature, TrialExperience
 from sigdrift.datagen import (CORES_TOTAL, BaselineMap, CorpusParams, IntervalRule, Label,
                               QoSProfile, _multipliers, _performance_matrix,
                               baseline_performance, build_base_signatures, build_corpus,
@@ -11,8 +13,12 @@ from sigdrift.datagen import (CORES_TOTAL, BaselineMap, CorpusParams, IntervalRu
                               default_profiles, manifest_entry, paa_boundaries,
                               profile_from_dict, profile_to_dict, synthesize_trace,
                               write_manifest, write_trace)
+from sigdrift.detect import cusum_detect
 from sigdrift.errors import AlignmentError, ParseError
+from sigdrift.noisegen import AttenuationNoise, DistortionNoise, SpikeNoise
 from sigdrift.similarity import pcc
+
+from conftest import unit_signature, wavy_row
 
 
 # ------------------------------------------------------------------- traces
@@ -152,6 +158,42 @@ def test_profile_tiling_enforced():
         IntervalRule(0.0, 1.0, 0.0)
 
 
+_NAN_PAIR = (unit_signature(wavy_row(60)), unit_signature(wavy_row(60, seed=1)))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cusum_detect(*_NAN_PAIR, math.nan),
+    lambda: cusum_detect(*_NAN_PAIR, 0.5, math.nan),
+    lambda: baseline_performance(default_baseline(), math.nan),
+    lambda: baseline_performance(default_baseline(), [0.2, math.nan]),
+    lambda: IntervalRule(math.nan, 1.0, 1.0),
+    lambda: IntervalRule(0.0, math.nan, 1.0),
+    lambda: IntervalRule(0.0, 1.0, math.nan),
+    lambda: QoSProfile("x", (IntervalRule(0.0, 1.0, 1.0),), (IntervalRule(0.0, 360.0, 1.0),),
+                       math.nan),
+    lambda: BaselineMap(((0.0, math.nan), (1.0, 1.0))),
+    lambda: BaselineMap(((0.0, 2.0), (1.0, math.nan))),
+    lambda: BaselineMap(((0.0, 2.0), (math.nan, 1.5), (1.0, 1.0))),
+    lambda: SpikeNoise(0, 3, math.nan),
+    lambda: AttenuationNoise(math.nan),
+    lambda: DistortionNoise(math.nan),
+    lambda: build_corpus(0, 2, math.nan, seed=0, signatures=[_NAN_PAIR[0]]),
+    lambda: TrialExperience("u1", "cpu", [1.0, math.nan], 0),
+    lambda: DetectorThresholds(similarity_floor=math.nan),
+    lambda: DetectorThresholds(distance_ceiling=math.nan),
+    lambda: DetectorThresholds(attenuation_ceiling=math.nan),
+], ids=["cusum-slack", "cusum-interval", "demand", "demand-array", "rule-lo", "rule-hi",
+        "rule-multiplier", "jitter", "baseline-first-perf", "baseline-last-perf",
+        "baseline-demand", "spike-magnitude", "attenuation-factor", "distortion-db",
+        "distortion-fraction", "trial-values", "similarity-floor", "distance-ceiling",
+        "attenuation-ceiling"])
+def test_every_float_library_guard_rejects_nan(build):
+    """Each guard is written so that NaN fails it: a NaN argument is an
+    error, never a value every comparison lets through."""
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_profile_json_round_trip(tmp_path):
     profile = _example_profile(jitter=0.02)
     assert profile_from_dict(profile_to_dict(profile)) == profile
@@ -274,6 +316,15 @@ def test_changed_pairs_use_distinct_donors():
     for p in corpus:
         assert p.provenance["donor"] != p.existing.provider_id
         assert 0 <= p.provenance["segment_start"] <= 270
+    # A repeated provider id is an error before any draw, whatever the
+    # seed; noisy pairs draw no donor, so they may repeat one.
+    repeated = [unit_signature(wavy_row(60, seed=i), provider_id=pid)
+                for i, pid in enumerate(["a", "a", "b"])]
+    for seed in range(6):
+        with pytest.raises(ValueError, match="^changed pairs need base signatures of "
+                                             "distinct providers; 'a' appears 2 times$"):
+            build_corpus(2, 0, 0.5, seed=seed, signatures=repeated)
+    assert len(build_corpus(0, 4, 0.5, seed=0, signatures=repeated)) == 4
 
 
 def test_corpus_rejects_base_signatures_that_do_not_align():
